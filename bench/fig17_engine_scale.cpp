@@ -1,5 +1,5 @@
 // Fig 17 (extension): engine scale-out — events/sec, bounded telemetry
-// memory, and the incremental fabric solver.
+// memory, and the cost of the max-min fabric solve.
 //
 // The paper's figures stop at 32 nodes; this figure asks what the
 // *simulator* can sustain when the modelled machine grows to 256 nodes
@@ -11,14 +11,13 @@
 //    stream sink's with *in-flight* tasks (peak_open_spans), so its RSS
 //    tracks the telemetry-off run while producing the same trace (the
 //    equivalence is pinned bit-for-bit by tests/stream_test.cpp).
-//  - "solver": two fabrics driven through an identical seeded
-//    arrival/cancel sequence, full vs incremental max-min re-solve.
-//    Rates are sampled mid-flight and compared exactly
-//    (rates_exact_match) — the incremental solver is not an
-//    approximation — and the wall-clock ratio is the solver speedup.
-//  - "scale": nodes x tasks with the streaming backend and the
-//    incremental solver on (the fig17 configuration): wall clock,
-//    events/sec, peak RSS, spans spilled, and solver work counters.
+//  - "solver": one fabric driven through a seeded arrival/cancel
+//    sequence: wall clock, solves, and flows touched by the max-min
+//    solve (its bitwise exactness is pinned against a reference
+//    progressive filling by tests/net_test.cpp).
+//  - "scale": nodes x tasks with the streaming backend (the fig17
+//    configuration): wall clock, events/sec, peak RSS, spans spilled,
+//    and solver work counters.
 //
 // Baseline recorded for the header claim: the pre-PR engine (seed
 // 89c9282: std::priority_queue event loop, full re-solve on every flow
@@ -29,13 +28,9 @@
 // engine effects — only the 64-node row is apples-to-apples). With
 // TLB_PROF=1 every scale point additionally reports solver_wall_share,
 // alloc_bytes_per_task, and per-subsystem byte attribution from the
-// src/prof self-profiler (windowed per point). Measured
-// outcome on the reference host: the 64-node row is at parity (0.96x) —
-// the max-min solve is >95% of wall time and the 4-spine fat-tree makes
-// one giant flow<->link component, so the incremental decomposition
-// cannot shrink the re-solve on this topology (see solver_flows_touched
-// and EXPERIMENTS.md Fig 17). Simulated results are deterministic; only
-// wall-clock columns vary between hosts.
+// src/prof self-profiler (windowed per point). Measured outcomes on the
+// reference host are in EXPERIMENTS.md Fig 17. Simulated results are
+// deterministic; only wall-clock columns vary between hosts.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -83,7 +78,6 @@ apps::SyntheticConfig workload_config(int nodes, int tasks_per_rank) {
 enum class Telemetry { Off, Collector, Stream };
 
 core::RuntimeConfig runtime_config(int nodes, Telemetry telemetry,
-                                   bool incremental,
                                    const std::string& stream_path) {
   core::RuntimeConfig cfg;
   cfg.cluster = sim::ClusterSpec::homogeneous(nodes, kCores);
@@ -95,7 +89,6 @@ core::RuntimeConfig runtime_config(int nodes, Telemetry telemetry,
   cfg.net.topology = net::TopologyKind::FatTree;
   cfg.net.leaf_radix = kLeafRadix;
   cfg.net.spines = kSpines;
-  cfg.net.incremental = incremental;
   cfg.obs.spans = telemetry == Telemetry::Collector;
   cfg.obs.stream.enabled = telemetry == Telemetry::Stream;
   cfg.obs.stream.path = stream_path;
@@ -135,7 +128,7 @@ struct RunSample {
 };
 
 RunSample run_once(int nodes, int tasks_per_rank, Telemetry telemetry,
-                   bool incremental, const std::string& stream_path) {
+                   const std::string& stream_path) {
   // Each point gets its own profiler window so solver_wall_share and the
   // allocation peaks describe this run, not everything since main().
   // (The report-level "prof" block therefore covers the *last* point.)
@@ -144,8 +137,7 @@ RunSample run_once(int nodes, int tasks_per_rank, Telemetry telemetry,
   RunSample s;
   s.prof_on = prof_on;
   apps::SyntheticWorkload wl(workload_config(nodes, tasks_per_rank));
-  core::ClusterRuntime rt(
-      runtime_config(nodes, telemetry, incremental, stream_path));
+  core::ClusterRuntime rt(runtime_config(nodes, telemetry, stream_path));
   const auto t0 = std::chrono::steady_clock::now();
   s.result = rt.run(wl);
   s.wall_s =
@@ -220,7 +212,7 @@ void telemetry_arm(bench::JsonReport& report, int nodes, int tasks_per_rank) {
   for (const auto& b : backends) {
     const std::string spill = bench_dir() + "/fig17_telemetry.stream";
     const RunSample s =
-        run_once(nodes, tasks_per_rank, b.telemetry, true, spill);
+        run_once(nodes, tasks_per_rank, b.telemetry, spill);
     const std::uint64_t spans = b.telemetry == Telemetry::Stream
                                     ? s.spans_spilled
                                     : (b.telemetry == Telemetry::Collector
@@ -256,20 +248,16 @@ void telemetry_arm(bench::JsonReport& report, int nodes, int tasks_per_rank) {
 
 /// Drives one fabric through a fixed seeded flow schedule: `count` flow
 /// arrivals 50us apart, random (src, dst, bytes), every 7th flow
-/// cancelled mid-flight, rates of every live flow sampled at each 16th
-/// arrival. Returns wall seconds; appends sampled rates to `rates`.
-double drive_fabric(int nodes, int count, bool incremental,
-                    std::vector<double>& rates, std::uint64_t& runs,
+/// cancelled mid-flight. Returns wall seconds.
+double drive_fabric(int nodes, int count, std::uint64_t& runs,
                     std::uint64_t& flows_touched) {
   sim::Engine engine;
   net::NetTopology topo = net::NetTopology::fat_tree(
       nodes, kLeafRadix, kSpines, kNicBandwidth, 4.0 * kNicBandwidth, 1e-6,
       5e-7);
   net::Fabric fabric(engine, std::move(topo));
-  fabric.set_incremental(incremental);
 
   std::mt19937_64 rng(0xF16'17ull);
-  int completed = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < count; ++i) {
     const auto src = static_cast<net::NodeId>(rng() % nodes);
@@ -277,21 +265,9 @@ double drive_fabric(int nodes, int count, bool incremental,
     if (dst == src) dst = (dst + 1) % nodes;
     const std::uint64_t bytes = (64u << 10) + rng() % (1u << 20);
     const bool cancel_it = i % 7 == 3;
-    const bool sample_it = i % 16 == 15;
-    engine.at(5e-5 * i, [&, src, dst, bytes, cancel_it, sample_it] {
-      const net::FlowId id =
-          fabric.start_flow(src, dst, bytes, [&] { ++completed; });
+    engine.at(5e-5 * i, [&, src, dst, bytes, cancel_it] {
+      const net::FlowId id = fabric.start_flow(src, dst, bytes, [] {});
       if (cancel_it) engine.after(2e-4, [&, id] { fabric.cancel(id); });
-      if (sample_it) {
-        engine.after(1e-4, [&, id] {
-          // Flow ids are allocated in arrival order, identical across
-          // both fabrics; sample a window around the newest flow.
-          for (net::FlowId probe = id > 64 ? id - 64 : 1; probe <= id;
-               ++probe) {
-            rates.push_back(fabric.flow_rate(probe));
-          }
-        });
-      }
     });
   }
   engine.run();
@@ -303,50 +279,25 @@ double drive_fabric(int nodes, int count, bool incremental,
 
 void solver_arm(bench::JsonReport& report, int nodes, int flow_count) {
   using namespace tlb::bench;
-  print_header("Fig 17b: max-min re-solve, full vs incremental (" +
+  print_header("Fig 17b: max-min solve under flow churn (" +
                    std::to_string(nodes) + " nodes, " +
                    std::to_string(flow_count) + " flows)",
-               {"solver", "wall[s]", "solves", "flows_touched", "speedup",
-                "rates_match"});
+               {"wall[s]", "solves", "flows_touched"});
 
-  std::vector<double> full_rates;
-  std::vector<double> incr_rates;
-  std::uint64_t full_runs = 0, full_touched = 0;
-  std::uint64_t incr_runs = 0, incr_touched = 0;
-  const double full_wall =
-      drive_fabric(nodes, flow_count, false, full_rates, full_runs,
-                   full_touched);
-  const double incr_wall =
-      drive_fabric(nodes, flow_count, true, incr_rates, incr_runs,
-                   incr_touched);
-  const bool exact = full_rates == incr_rates;  // bitwise, not approximate
-  const double speedup = incr_wall > 0.0 ? full_wall / incr_wall : 0.0;
-
-  print_cell("full");
-  print_cell(full_wall);
-  print_cell(static_cast<int>(full_runs));
-  print_cell(static_cast<int>(full_touched));
-  print_cell(fmt(1.0, 2));
-  print_cell("-");
-  end_row();
-  print_cell("incremental");
-  print_cell(incr_wall);
-  print_cell(static_cast<int>(incr_runs));
-  print_cell(static_cast<int>(incr_touched));
-  print_cell(fmt(speedup, 2));
-  print_cell(exact ? "exact" : "MISMATCH");
+  std::uint64_t runs = 0;
+  std::uint64_t touched = 0;
+  const double wall = drive_fabric(nodes, flow_count, runs, touched);
+  print_cell(wall);
+  print_cell(static_cast<int>(runs));
+  print_cell(static_cast<int>(touched));
   end_row();
 
   report.point("solver")
       .set("nodes", nodes)
       .set("flows", flow_count)
-      .set("full_wall_s", full_wall)
-      .set("incremental_wall_s", incr_wall)
-      .set("solver_speedup", speedup)
-      .set("full_flows_touched", full_touched)
-      .set("incremental_flows_touched", incr_touched)
-      .set("rates_sampled", static_cast<std::uint64_t>(full_rates.size()))
-      .set("solver_rates_exact_match", exact);
+      .set("wall_s", wall)
+      .set("solver_runs", runs)
+      .set("solver_flows_touched", touched);
 }
 
 // --- scale arm ----------------------------------------------------------------
@@ -354,14 +305,14 @@ void solver_arm(bench::JsonReport& report, int nodes, int flow_count) {
 void scale_arm(bench::JsonReport& report, const std::vector<int>& node_counts,
                int tasks_per_rank) {
   using namespace tlb::bench;
-  print_header("Fig 17c: engine scale (stream telemetry + incremental solver)",
+  print_header("Fig 17c: engine scale (stream telemetry)",
                {"nodes", "tasks", "makespan[s]", "wall[s]", "kev/s",
                 "peak_rss[MB]", "spans", "vs_seed64"});
   for (const int nodes : node_counts) {
     const std::string spill =
         bench_dir() + "/fig17_scale_n" + std::to_string(nodes) + ".stream";
     const RunSample s =
-        run_once(nodes, tasks_per_rank, Telemetry::Stream, true, spill);
+        run_once(nodes, tasks_per_rank, Telemetry::Stream, spill);
     const double vs_seed = kSeedBaselineEventsPerSec > 0.0
                                ? s.events_per_sec / kSeedBaselineEventsPerSec
                                : 0.0;
@@ -420,7 +371,7 @@ void scale_arm(bench::JsonReport& report, const std::vector<int>& node_counts,
 int main() {
   const bool smoke = tlb::bench::smoke();
   std::printf(
-      "== Fig 17: engine scale-out (stream telemetry, incremental solver) ==\n"
+      "== Fig 17: engine scale-out (stream telemetry, max-min solve) ==\n"
       "(synthetic, %d cores/node, degree %d, %d KiB/task, fat-tree\n"
       " %d-leaf/%d-spine, %.0f MB/s NICs; seed baseline %.0f events/s at\n"
       " the 64-node point — see header comment)\n",
@@ -429,7 +380,7 @@ int main() {
 
   tlb::bench::JsonReport report("fig17",
                                 "Engine scale-out: events/sec, bounded "
-                                "telemetry memory, incremental solver");
+                                "telemetry memory, max-min solve");
   report.config()
       .set("cores_per_node", kCores)
       .set("degree", kDegree)

@@ -170,7 +170,6 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
                   nconf.nic_bw(link), nconf.uplink_bw(link),
                   nconf.base_latency(link), nconf.per_hop_latency);
     fabric_ = std::make_unique<net::Fabric>(engine_, std::move(topo));
-    fabric_->set_incremental(nconf.incremental);
     fabric_->set_congestion_threshold(nconf.congestion_threshold);
     fabric_->set_recorder(recorder_.get());
     if (active_sink_ != &null_sink_) {

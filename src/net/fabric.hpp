@@ -2,22 +2,21 @@
 //
 // A Fabric simulates payload transfers as *flows* over the shared links of
 // a NetTopology. Active flows crossing a link divide its capacity max-min
-// fairly (progressive filling): rates are recomputed on every flow start,
-// finish, cancellation, and fault change, and each flow's completion event
-// is rescheduled from its remaining bytes and new rate. A flow first pays
-// the route's wire latency, then streams its bytes at the fair rate.
+// fairly (progressive filling): rates are recomputed by one full solve on
+// every flow start, finish, cancellation, and fault change. A flow first
+// pays the route's wire latency, then streams its bytes at the fair rate.
 //
-// Two solver modes (set_incremental / NetConfig::incremental):
-//  - full (default): every change settles and re-solves all flows —
-//    the legacy behavior, bit-identical to the pre-solver engine.
-//  - incremental: a change re-solves only the connected component of
-//    flows and links reachable from the changed flow's route (flows
-//    sharing a link, transitively, via the link_flows_ index). Max-min
-//    fairness decomposes over components and the per-link arithmetic is
-//    preserved, so the *rates* are bitwise identical to the full solve
-//    (debug builds assert this after every incremental solve); only
-//    completion-event ids/ulps may differ because untouched flows keep
-//    their previously scheduled events.
+// One armed completion event: each solve stores on every streaming flow
+// the instant it would finish at its new rate (`due`), cancels the
+// fabric's single pending completion event, and arms a new one for the
+// earliest (due, flow id). When it fires, that one flow completes and the
+// completion's re-solve arms the next. This is order-equivalent to
+// scheduling one completion event per flow: since every completion
+// re-solves and every solve would cancel and re-post all of them, only
+// the earliest (time, id) event of each solve's batch could ever fire,
+// and the armed event is pushed at that batch's point in the push
+// sequence, so it pops in the same place relative to every other event.
+// Fired-event counts and solve counts match event for event.
 //
 // Determinism: flows are stored and iterated in flow-id order, routing is
 // a pure function of the topology, and the fair-share computation is
@@ -41,6 +40,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -92,19 +92,8 @@ class Fabric {
   /// Every flow whose route crosses the link immediately slows down.
   void degrade_link(LinkId link, double capacity_mult);
 
-  // --- solver selection --------------------------------------------------------
-
-  /// Switches flow arrivals/departures to the incremental component
-  /// re-solver (see header comment). Fault changes always run the full
-  /// solve. Toggling mid-run is safe: the per-link flow index is
-  /// maintained in both modes.
-  void set_incremental(bool on) { incremental_ = on; }
-  [[nodiscard]] bool is_incremental() const { return incremental_; }
-
   /// Current max-min fair rate of a flow in bytes/s; 0 for unknown,
-  /// completed, or latency-phase flows. fig17's solver arm compares these
-  /// across an incremental and a full fabric driven identically — they
-  /// must match exactly.
+  /// completed, or latency-phase flows.
   [[nodiscard]] double flow_rate(FlowId id) const;
 
   /// Current effective capacity of a link (nominal x global x per-link).
@@ -144,8 +133,7 @@ class Fabric {
   [[nodiscard]] std::uint64_t bytes_delivered() const { return delivered_; }
 
   /// Solver work counters: number of solves run and the flows/links each
-  /// visited, summed. The incremental win is visible as
-  /// solver_flows_touched() << solver_runs() * active flows.
+  /// visited, summed.
   [[nodiscard]] std::uint64_t solver_runs() const { return solver_runs_; }
   [[nodiscard]] std::uint64_t solver_flows_touched() const {
     return solver_flows_touched_;
@@ -166,48 +154,50 @@ class Fabric {
 
  private:
   struct Flow {
-    NodeId src = -1;
-    NodeId dst = -1;
+    const std::vector<LinkId>* route = nullptr;  ///< owned by topo_
     double remaining = 0.0;       ///< bytes left to stream
     std::uint64_t bytes = 0;      ///< original payload
     double rate = 0.0;            ///< current fair share, bytes/s
     sim::SimTime started_at = 0.0;  ///< start_flow() time (FCT epoch)
     sim::SimTime settled_at = 0.0;  ///< remaining is exact at this time
+    sim::SimTime due = 0.0;         ///< completion instant at `rate`
     bool injected = false;          ///< past the latency phase
     std::function<void()> on_complete;
-    sim::EventId pending_event = sim::kInvalidEvent;  ///< injection or done
+    sim::EventId inject_event = sim::kInvalidEvent;  ///< latency phase
+  };
+  /// A streaming flow not yet frozen by the current filling, with its
+  /// route inlined for the per-round bottleneck scan.
+  struct Unfrozen {
+    Flow* flow;
+    std::span<const LinkId> route;
+  };
+  /// Per-link state of one progressive filling, reused across solves.
+  struct LinkFill {
+    double residual = 0.0;  ///< capacity not yet handed to frozen flows
+    double share = 0.0;     ///< residual / unfrozen, while unfrozen > 0
+    double load = 0.0;      ///< summed rates of crossing flows
+    int unfrozen = 0;       ///< crossing flows not yet frozen
+    int crossing = 0;       ///< crossing flows
   };
 
   void inject(FlowId id);
   void complete(FlowId id);
-  /// Settles every active flow's remaining bytes to now, recomputes
-  /// max-min fair rates, reschedules completions, records utilization.
-  void recompute();
-  /// Settles, progressively fills, reschedules, and records utilization
-  /// for exactly the given flows and links (sorted by id). recompute()
-  /// calls this with everything; the incremental path with one component.
-  void solve(std::vector<std::pair<FlowId, Flow*>>& active,
-             const std::vector<LinkId>& links);
-  /// Re-solves after a flow joined/left the links in `seed`: the flow's
-  /// connected component in incremental mode, everything otherwise.
-  void resolve_after_change(const std::vector<LinkId>& seed);
-  void link_flow(FlowId id, const Flow& flow);
-  void unlink_flow(FlowId id, const Flow& flow);
-#ifndef NDEBUG
-  /// Recomputes every injected flow's rate with a pure full progressive
-  /// filling and asserts the stored rates match bitwise.
-  void assert_rates_match_full_solve();
-#endif
+  /// Settles every streaming flow's remaining bytes to now, recomputes
+  /// max-min fair rates, re-arms the completion event, records
+  /// utilization.
+  void solve();
 
   sim::Engine& engine_;
   NetTopology topo_;
   std::map<FlowId, Flow> flows_;  ///< id order => deterministic iteration
   FlowId next_id_ = 1;
-  bool incremental_ = false;
-  /// Injected flows crossing each link — the incidence index the
-  /// incremental solver walks to collect a component. Maintained in both
-  /// modes (the full path ignores it).
-  std::vector<std::vector<FlowId>> link_flows_;
+  /// The one pending completion event: the earliest (due, id) flow.
+  sim::EventId armed_ = sim::kInvalidEvent;
+  // solve() working state: streaming flows in id order, the still-unfrozen
+  // subset (kept in id order), and per-link filling state.
+  std::vector<std::pair<FlowId, Flow*>> streaming_;
+  std::vector<Unfrozen> unfrozen_;
+  std::vector<LinkFill> link_fill_;
   std::uint64_t solver_runs_ = 0;
   std::uint64_t solver_flows_touched_ = 0;
   std::uint64_t solver_links_touched_ = 0;

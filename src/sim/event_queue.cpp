@@ -8,6 +8,7 @@ namespace tlb::sim {
 
 EventId EventQueue::push(SimTime t, Callback cb) {
   const EventId id = next_id_++;
+  pending_.push_back(true);
   ++live_;
   // Charged per physical entry; released in pop()/skip_cancelled()/dtor.
   prof::alloc_note(prof::AllocTag::SimEvent, sizeof(Entry));
@@ -30,14 +31,11 @@ EventId EventQueue::push(SimTime t, Callback cb) {
 }
 
 void EventQueue::cancel(EventId id) {
-  if (id == kInvalidEvent) return;
-  // Only mark as cancelled if the id plausibly refers to a queued event.
-  // Firing removes ids lazily, so a stale cancel of a fired event would leak
-  // an entry in cancelled_; bounded by checking against issued range.
-  if (id >= next_id_) return;
-  if (cancelled_.insert(id).second && live_ > 0) {
-    --live_;
-  }
+  // Unknown, fired and already-cancelled ids are no-ops; a live event
+  // leaves its entry queued as a tombstone for skip_cancelled().
+  if (id >= next_id_ || !is_pending(id)) return;
+  pending_[static_cast<std::size_t>(id)] = false;
+  --live_;
 }
 
 void EventQueue::heap_push(Entry e) {
@@ -75,17 +73,11 @@ void EventQueue::heap_pop_root() {
 }
 
 void EventQueue::skip_cancelled() {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.front().id);
-    if (it == cancelled_.end()) break;
-    cancelled_.erase(it);
+  while (!heap_.empty() && !is_pending(heap_.front().id)) {
     prof::free_note(prof::AllocTag::SimEvent, sizeof(Entry));
     heap_pop_root();
   }
-  while (bucket_has_entry()) {
-    auto it = cancelled_.find(bucket_[bucket_head_].id);
-    if (it == cancelled_.end()) break;
-    cancelled_.erase(it);
+  while (bucket_has_entry() && !is_pending(bucket_[bucket_head_].id)) {
     prof::free_note(prof::AllocTag::SimEvent, sizeof(Entry));
     bucket_[bucket_head_].cb = nullptr;  // release captures eagerly
     ++bucket_head_;
@@ -119,6 +111,7 @@ std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
       (!heap_ok || earlier(bucket_[bucket_head_], heap_.front()))) {
     Entry& e = bucket_[bucket_head_];
     ++bucket_head_;
+    pending_[static_cast<std::size_t>(e.id)] = false;
     last_popped_ = e.time;
     Callback cb = std::move(e.cb);
     if (!bucket_has_entry()) {
@@ -127,6 +120,7 @@ std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
     }
     return {last_popped_, std::move(cb)};
   }
+  pending_[static_cast<std::size_t>(heap_.front().id)] = false;
   last_popped_ = heap_.front().time;
   Callback cb = std::move(heap_.front().cb);
   heap_pop_root();

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "prof/prof.hpp"
@@ -92,6 +91,9 @@ class EventQueue {
   void heap_pop_root();
   /// Drops cancelled entries from the heap root and the bucket front.
   void skip_cancelled();
+  [[nodiscard]] bool is_pending(EventId id) const {
+    return pending_[static_cast<std::size_t>(id)];
+  }
   [[nodiscard]] bool bucket_has_entry() const {
     return bucket_head_ < bucket_.size();
   }
@@ -103,7 +105,11 @@ class EventQueue {
   std::size_t bucket_head_ = 0;
   SimTime bucket_time_ = 0.0;
   SimTime last_popped_ = 0.0;
-  std::unordered_set<EventId> cancelled_;
+  /// One bit per issued id, set while the event is queued and live:
+  /// cleared when it fires or is cancelled, so cancel() can tell a queued
+  /// event from a fired one, and a queued entry whose bit is clear is a
+  /// tombstone. Index 0 is kInvalidEvent. 125 KB per million events.
+  std::vector<bool> pending_ = std::vector<bool>(1, false);
   EventId next_id_ = 1;
   std::size_t live_ = 0;
 };

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <random>
 #include <vector>
@@ -258,6 +261,31 @@ TEST(NetFabric, IdenticalSchedulesProduceIdenticalTimings) {
   EXPECT_EQ(a, b);  // bitwise-equal doubles
 }
 
+// Pins the completion order the fabric's event scheduling must keep. A
+// and B (A < B) share nic1.out and both become due at T = 20; X is a
+// foreign event scheduled at T after the last solve. A fires first (the
+// earliest (time, id) completion), its completion re-solves and re-arms
+// B *behind* X, so the order is A, X, B. Each flow completion costs
+// exactly one fired event.
+TEST(NetFabric, SameInstantCompletionsInterleaveWithForeignEvents) {
+  auto f = FabricFixture::crossbar(3);
+  std::vector<char> order;
+  f.fabric->start_flow(0, 1, 1000, [&] { order.push_back('A'); });
+  f.fabric->start_flow(2, 1, 1000, [&] { order.push_back('B'); });
+  std::uint64_t fired_before = 0;
+  f.engine.at(1.0, [&] {
+    fired_before = f.engine.events_fired();
+    f.engine.at(20.0, [&] { order.push_back('X'); });
+  });
+  f.engine.run();
+  EXPECT_DOUBLE_EQ(f.engine.now(), 20.0);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'X', 'B'}));
+  EXPECT_EQ(f.fabric->flows_completed(), 2u);
+  // After t = 1 only X and the two completions fire.
+  EXPECT_EQ(f.engine.events_fired() - fired_before,
+            1u + f.fabric->flows_completed());
+}
+
 // --- ClusterRuntime integration ---------------------------------------------
 
 core::RuntimeConfig net_config(int nodes, int cores, int degree) {
@@ -395,127 +423,170 @@ TEST(NetRuntime, LinkFaultComposesWithFabric) {
   EXPECT_GT(r.makespan, r_clean.makespan);
 }
 
-// --- incremental solver ------------------------------------------------------
+// --- exactness oracle --------------------------------------------------------
 
-// The contract of Fabric::set_incremental(true): the dirty-component
-// re-solver must produce *bitwise identical* max-min rates to the full
-// progressive filling after every arrival and departure (see
-// net/fabric.hpp — completion event order may differ, rates may not).
-// Drive two fabrics over the same seeded random flow pattern and compare
-// every live rate exactly after every mutation.
-TEST(NetFabricIncremental, RatesMatchFullSolveUnderRandomChurn) {
-  constexpr int kNodes = 32;
-  constexpr int kFlows = 600;
-  const auto make = [] {
-    return NetTopology::fat_tree(kNodes, 8, 2, 100.0, 400.0, 0.0, 0.0);
-  };
-
-  sim::Engine full_eng;
-  sim::Engine incr_eng;
-  Fabric full(full_eng, make());
-  Fabric incr(incr_eng, make());
-  incr.set_incremental(true);
-
-  // Deterministic churn: bursty arrivals (skewed to a handful of hot
-  // destinations so components overlap), sporadic cancels. The engines
-  // run sequentially, so audits snapshot the full solver's state as it
-  // passes each checkpoint and the incremental run replays against the
-  // snapshots.
-  std::mt19937_64 rng(0x1722ull);
-  std::vector<FlowId> full_ids;
-  std::vector<FlowId> incr_ids;
-  std::vector<std::vector<std::pair<bool, double>>> audits;
-  std::size_t next_audit = 0;
-  for (int i = 0; i < kFlows; ++i) {
-    const int src = static_cast<int>(rng() % kNodes);
-    int dst = static_cast<int>(rng() % (i % 3 == 0 ? 4 : kNodes));
-    if (dst == src) dst = (dst + 1) % kNodes;
-    const std::uint64_t bytes = 1000 + rng() % 100000;
-    const sim::SimTime t = 1e-4 * static_cast<double>(i);
-    full_eng.at(t, [&full, &full_ids, src, dst, bytes] {
-      full_ids.push_back(full.start_flow(src, dst, bytes, [] {}));
-    });
-    incr_eng.at(t, [&incr, &incr_ids, src, dst, bytes] {
-      incr_ids.push_back(incr.start_flow(src, dst, bytes, [] {}));
-    });
-    if (i % 5 == 4) {
-      const std::size_t victim = rng() % static_cast<std::size_t>(i + 1);
-      const sim::SimTime tc = t + 5e-5;
-      full_eng.at(tc, [&full, &full_ids, victim] {
-        if (victim < full_ids.size()) full.cancel(full_ids[victim]);
-      });
-      incr_eng.at(tc, [&incr, &incr_ids, victim] {
-        if (victim < incr_ids.size()) incr.cancel(incr_ids[victim]);
-      });
-    }
-    // Rate audit after every 16th arrival: every flow either inactive in
-    // both fabrics or streaming at the bit-identical max-min rate.
-    if (i % 16 == 15) {
-      const sim::SimTime ta = t + 7e-5;
-      full_eng.at(ta, [&full, &full_ids, &audits] {
-        std::vector<std::pair<bool, double>> snap;
-        snap.reserve(full_ids.size());
-        for (const FlowId id : full_ids) {
-          snap.emplace_back(full.active(id), full.flow_rate(id));
-        }
-        audits.push_back(std::move(snap));
-      });
-      incr_eng.at(ta, [&incr, &incr_ids, &audits, &next_audit] {
-        ASSERT_LT(next_audit, audits.size());
-        const auto& snap = audits[next_audit++];
-        ASSERT_EQ(snap.size(), incr_ids.size());
-        for (std::size_t k = 0; k < snap.size(); ++k) {
-          ASSERT_EQ(snap[k].first, incr.active(incr_ids[k])) << "flow " << k;
-          ASSERT_EQ(snap[k].second, incr.flow_rate(incr_ids[k]))
-              << "flow " << k;
-        }
-      });
-    }
+/// Reference max-min rates by naive progressive filling: every round
+/// re-divides every link's residual by its unfrozen count and rescans
+/// every flow's route. `routes` maps each streaming flow (id order) to its
+/// route. Fabric::solve() must reproduce these rates bit for bit.
+std::map<FlowId, double> reference_rates(
+    const Fabric& fabric, const std::map<FlowId, std::vector<LinkId>>& routes) {
+  const auto links = static_cast<std::size_t>(fabric.topology().link_count());
+  std::vector<double> residual(links);
+  std::vector<int> unfrozen(links, 0);
+  for (std::size_t l = 0; l < links; ++l) {
+    residual[l] = fabric.effective_capacity(static_cast<LinkId>(l));
   }
-  full_eng.run();
-  incr_eng.run();
-  EXPECT_EQ(next_audit, audits.size());
-
-  // Identical end state: everything drained, same completion times.
-  EXPECT_EQ(full.active_flows(), 0);
-  EXPECT_EQ(incr.active_flows(), 0);
-  ASSERT_EQ(full.completion_times().size(), incr.completion_times().size());
-  // Completion *times* agree pairwise after sorting. Rates are bitwise
-  // identical, but remaining-byte settling telescopes differently (the
-  // full solve re-settles every flow at every event, the incremental one
-  // only on touch), so completion instants can drift by rounding — never
-  // by more than a few ulps of simulated time.
-  std::vector<double> fct_full = full.completion_times();
-  std::vector<double> fct_incr = incr.completion_times();
-  std::sort(fct_full.begin(), fct_full.end());
-  std::sort(fct_incr.begin(), fct_incr.end());
-  for (std::size_t k = 0; k < fct_full.size(); ++k) {
-    EXPECT_NEAR(fct_full[k], fct_incr[k], 1e-9 * (1.0 + fct_full[k]))
-        << "fct " << k;
+  std::map<FlowId, double> rate;
+  for (const auto& [id, route] : routes) {
+    rate[id] = 0.0;
+    for (LinkId l : route) ++unfrozen[static_cast<std::size_t>(l)];
   }
-  // The point of the mode: strictly less solver work per event.
-  EXPECT_EQ(full.solver_runs(), incr.solver_runs());
-  EXPECT_LT(incr.solver_flows_touched(), full.solver_flows_touched());
-  EXPECT_LT(incr.solver_links_touched(), full.solver_links_touched());
+  std::size_t remaining = routes.size();
+  while (remaining > 0) {
+    double share = std::numeric_limits<double>::infinity();
+    for (std::size_t l = 0; l < links; ++l) {
+      if (unfrozen[l] > 0) share = std::min(share, residual[l] / unfrozen[l]);
+    }
+    std::size_t froze = 0;
+    for (const auto& [id, route] : routes) {
+      if (rate[id] > 0.0) continue;
+      bool at_bottleneck = false;
+      for (LinkId l : route) {
+        const auto sl = static_cast<std::size_t>(l);
+        if (residual[sl] / unfrozen[sl] <= share) {
+          at_bottleneck = true;
+          break;
+        }
+      }
+      if (!at_bottleneck) continue;
+      rate[id] = share;
+      ++froze;
+      for (LinkId l : route) {
+        const auto sl = static_cast<std::size_t>(l);
+        residual[sl] = std::max(0.0, residual[sl] - share);
+        --unfrozen[sl];
+      }
+    }
+    EXPECT_GT(froze, 0u) << "reference filling stalled";
+    if (froze == 0) break;
+    remaining -= froze;
+  }
+  return rate;
 }
 
-// Mid-run fault changes always fall back to the full solve; toggling the
-// mode mid-run keeps the per-link index coherent.
-TEST(NetFabricIncremental, FaultsAndTogglesStayCoherent) {
-  sim::Engine eng;
-  Fabric fab(eng, NetTopology::crossbar(4, 100.0, 0.0));
-  fab.set_incremental(true);
-  double done_a = -1.0;
-  double done_b = -1.0;
-  fab.start_flow(0, 1, 1000, [&] { done_a = eng.now(); });
-  fab.start_flow(2, 1, 1000, [&] { done_b = eng.now(); });
-  eng.at(5.0, [&] { fab.set_global_fault(1.0, 0.5); });  // full recompute
-  eng.at(10.0, [&] { fab.set_incremental(false); });
-  eng.run();
-  // 0..5 s at 50 B/s (250 B), then 25 B/s: remaining 750 B in 30 s.
-  EXPECT_DOUBLE_EQ(done_a, 35.0);
-  EXPECT_DOUBLE_EQ(done_b, 35.0);
+/// Seeded churn over a zero-latency fat-tree: bursty arrivals skewed to a
+/// few hot destinations, sporadic cancels, a global bandwidth fault and
+/// link degradations mid-run. After every mutation the test audits every
+/// flow it started: streaming flows must report exactly the reference
+/// rate, everything else 0.
+struct ChurnHarness {
+  static constexpr int kNodes = 32;
+
+  ChurnHarness()
+      : topo(NetTopology::fat_tree(kNodes, 8, 2, 100.0, 400.0, 0.0, 0.0)),
+        fabric(engine, topo) {}
+
+  /// Starts a flow; with zero latency its injection fires next at this
+  /// instant, and the marker pushed right behind it records the flow as
+  /// streaming before anything else can run.
+  void start(NodeId src, NodeId dst, std::uint64_t bytes) {
+    const std::size_t k = ids.size();
+    ids.push_back(fabric.start_flow(src, dst, bytes, [this, k] {
+      ++completions[k];
+      routes.erase(ids[k]);
+      audit();
+    }));
+    completions.push_back(0);
+    const FlowId id = ids.back();
+    engine.after(0.0, [this, id, src, dst] {
+      if (fabric.active(id)) routes[id] = topo.route(src, dst);
+      audit();
+    });
+  }
+  void cancel(std::size_t k) {
+    if (k >= ids.size()) return;
+    fabric.cancel(ids[k]);
+    routes.erase(ids[k]);
+    audit();
+  }
+  void audit() {
+    ++audits;
+    const std::map<FlowId, double> expected = reference_rates(fabric, routes);
+    for (const FlowId id : ids) {
+      auto it = expected.find(id);
+      const double want = it == expected.end() ? 0.0 : it->second;
+      ASSERT_EQ(fabric.flow_rate(id), want) << "flow " << id;
+      ASSERT_EQ(fabric.active(id), it != expected.end()) << "flow " << id;
+    }
+  }
+
+  sim::Engine engine;
+  NetTopology topo;
+  Fabric fabric;
+  std::vector<FlowId> ids;
+  std::vector<int> completions;
+  std::map<FlowId, std::vector<LinkId>> routes;  ///< streaming flows
+  int audits = 0;
+};
+
+/// Schedules `flows` seeded arrivals, a cancel after every fifth, and
+/// fault changes spread over the arrival window.
+void schedule_churn(ChurnHarness& h, int flows, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < flows; ++i) {
+    const int src = static_cast<int>(rng() % ChurnHarness::kNodes);
+    int dst = static_cast<int>(rng() % (i % 3 == 0 ? 4 : ChurnHarness::kNodes));
+    if (dst == src) dst = (dst + 1) % ChurnHarness::kNodes;
+    const std::uint64_t bytes = 1 + rng() % 2000;
+    const sim::SimTime t = 0.05 * static_cast<double>(i);
+    h.engine.at(t, [&h, src, dst, bytes] { h.start(src, dst, bytes); });
+    if (i % 5 == 4) {
+      const std::size_t victim = rng() % static_cast<std::size_t>(i + 1);
+      h.engine.at(t + 0.025, [&h, victim] { h.cancel(victim); });
+    }
+  }
+  // Fault changes land between arrivals and cancels, never on them.
+  const sim::SimTime span = 0.05 * flows;
+  const int links = h.topo.link_count();
+  const auto at = [&h](sim::SimTime t, std::function<void()> change) {
+    h.engine.at(t + 0.0125, [&h, change = std::move(change)] {
+      change();
+      h.audit();
+    });
+  };
+  at(0.21 * span, [&h] { h.fabric.set_global_fault(1.5, 0.4); });
+  at(0.33 * span, [&h, links] { h.fabric.degrade_link(links - 1, 0.3); });
+  at(0.47 * span, [&h] { h.fabric.degrade_link(3, 0.5); });
+  at(0.62 * span, [&h] { h.fabric.set_global_fault(1.0, 1.0); });
+  at(0.78 * span, [&h, links] { h.fabric.degrade_link(links - 1, 1.0); });
+}
+
+TEST(NetFabricOracle, RatesMatchReferenceFillingUnderRandomChurn) {
+  ChurnHarness h;
+  schedule_churn(h, 600, 0x1722ull);
+  h.engine.run();
+  // One audit per arrival, cancel, fault change and completion at least.
+  EXPECT_GT(h.audits, 600 + 120 + 5);
+  EXPECT_EQ(h.fabric.active_flows(), 0);
+}
+
+TEST(NetFabricOracle, EveryFlowCompletesExactlyOnce) {
+  ChurnHarness h;
+  schedule_churn(h, 600, 0xD2A1ull);
+  h.engine.run();
+  const Fabric& fab = h.fabric;
   EXPECT_EQ(fab.active_flows(), 0);
+  EXPECT_EQ(fab.flows_started(), 600u);
+  EXPECT_EQ(fab.flows_completed() + fab.flows_cancelled(), fab.flows_started());
+  EXPECT_GT(fab.flows_cancelled(), 0u);
+  std::uint64_t completed = 0;
+  for (const int n : h.completions) {
+    EXPECT_LE(n, 1);
+    completed += static_cast<std::uint64_t>(n);
+  }
+  EXPECT_EQ(completed, fab.flows_completed());
+  EXPECT_EQ(fab.completion_times().size(), fab.flows_completed());
 }
 
 }  // namespace

@@ -57,6 +57,31 @@ TEST(EventQueue, CancelInvalidIsHarmless) {
   EXPECT_TRUE(q.empty());
 }
 
+// Cancelling an id that already fired must not touch the live count.
+TEST(EventQueue, CancelAfterFireIsHarmless) {
+  EventQueue q;
+  const EventId a = q.push(1.0, [] {});
+  q.push(2.0, [] {});
+  EXPECT_DOUBLE_EQ(q.pop().first, 1.0);
+  q.cancel(a);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+}
+
+TEST(Engine, CancelOfFiredEventStillRunsTheRest) {
+  Engine e;
+  EventId a = kInvalidEvent;
+  bool b_fired = false;
+  a = e.at(1.0, [] {});
+  e.at(2.0, [&] { b_fired = true; });
+  e.at(1.5, [&] { e.cancel(a); });
+  e.run();
+  EXPECT_TRUE(b_fired);
+  EXPECT_EQ(e.events_fired(), 3u);
+  EXPECT_DOUBLE_EQ(e.now(), 2.0);
+}
+
 TEST(EventQueue, NextTimeSkipsCancelled) {
   EventQueue q;
   const EventId a = q.push(1.0, [] {});
