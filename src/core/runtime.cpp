@@ -143,14 +143,12 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
                                                 topology_->apprank_count());
   register_metrics();
   if (config_.obs.stream.enabled) {
-    // Streaming backend: finished spans spill to disk, only open spans
-    // stay resident. Supersedes the in-memory collector when both are
-    // requested (same events, bounded memory).
-    stream_sink_ = std::make_unique<stream::StreamSink>(config_.obs.stream);
-    active_sink_ = stream_sink_.get();
+    // Streaming store: finished spans spill to disk. Supersedes the
+    // in-memory collector when both are requested (same events, bounded
+    // memory).
+    span_recorder_ = std::make_unique<stream::StreamSink>(config_.obs.stream);
   } else if (config_.obs.spans) {
-    span_collector_ = std::make_unique<obs::SpanCollector>();
-    active_sink_ = span_collector_.get();
+    span_recorder_ = std::make_unique<obs::SpanCollector>();
   }
 
   // Contention-aware interconnect (tlb::net): replace the analytic cost
@@ -172,9 +170,7 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
     fabric_ = std::make_unique<net::Fabric>(engine_, std::move(topo));
     fabric_->set_congestion_threshold(nconf.congestion_threshold);
     fabric_->set_recorder(recorder_.get());
-    if (active_sink_ != &null_sink_) {
-      fabric_->set_span_sink(active_sink_);
-    }
+    fabric_->set_span_sink(span_recorder_.get());
     app_comm_->attach_fabric(fabric_.get());
     ctrl_comm_->attach_fabric(fabric_.get());
     link_load_view_ = std::make_unique<net::LinkLoadView>(*fabric_);
@@ -198,13 +194,9 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
     // gauge; cleared in the destructor so the callback never dangles.
     prof::Profiler::instance().set_open_spans_gauge(
         [this]() -> std::int64_t {
-          if (stream_sink_ != nullptr) {
-            return static_cast<std::int64_t>(stream_sink_->open_spans());
-          }
-          if (span_collector_ != nullptr) {
-            return static_cast<std::int64_t>(span_collector_->spans().size());
-          }
-          return 0;
+          return span_recorder_ != nullptr
+                     ? static_cast<std::int64_t>(span_recorder_->open_spans())
+                     : 0;
         });
     prof_gauge_registered_ = true;
   }
@@ -324,10 +316,8 @@ obs::PopReport ClusterRuntime::pop() const {
                              ? result_.makespan
                              : engine_.now() - start_time_;
   const double transfer_wait =
-      stream_sink_ != nullptr ? stream_sink_->transfer_wait_core_seconds()
-      : span_collector_ != nullptr
-          ? span_collector_->transfer_wait_core_seconds()
-          : 0.0;
+      span_recorder_ != nullptr ? span_recorder_->transfer_wait_core_seconds()
+                                : 0.0;
   return obs::pop_report(*talp_, worker_apprank, topology_->apprank_count(),
                          total_cores, elapsed, transfer_wait);
 }
@@ -469,24 +459,20 @@ RunResult ClusterRuntime::finalize() {
   metrics_.gauge("pop.communication_efficiency")
       .set(pr.communication_efficiency);
   metrics_.gauge("pop.transfer_efficiency").set(pr.transfer_efficiency);
-  if (span_collector_ != nullptr) {
-    metrics_.counter("obs.rescues").inc(span_collector_->rescues());
+  if (span_recorder_ != nullptr) {
+    metrics_.counter("obs.rescues").inc(span_recorder_->rescues());
     metrics_.gauge("obs.transfer_wait_core_s")
-        .set(span_collector_->transfer_wait_core_seconds());
+        .set(span_recorder_->transfer_wait_core_seconds());
+    // Close before snapshotting: the collector then holds the unfinished
+    // spans too, and the spill file (footer + trailer) is complete with
+    // its byte count final when the bench reads it.
+    span_recorder_->close();
   }
-  if (stream_sink_ != nullptr) {
-    metrics_.counter("obs.rescues").inc(stream_sink_->rescues());
-    metrics_.gauge("obs.transfer_wait_core_s")
-        .set(stream_sink_->transfer_wait_core_seconds());
-    // Close before snapshotting so the spill file (footer + trailer) is
-    // complete and the byte count final when the bench reads it.
-    stream_sink_->close();
-    metrics_.counter("stream.spans_spilled")
-        .inc(stream_sink_->spans_spilled());
-    metrics_.counter("stream.bytes_written")
-        .inc(stream_sink_->bytes_written());
+  if (const stream::StreamSink* sink = stream_sink()) {
+    metrics_.counter("stream.spans_spilled").inc(sink->spans_spilled());
+    metrics_.counter("stream.bytes_written").inc(sink->bytes_written());
     metrics_.gauge("stream.peak_open_spans")
-        .set(static_cast<double>(stream_sink_->peak_open_spans()));
+        .set(static_cast<double>(sink->peak_open_spans()));
   }
   return result_;
 }
@@ -566,11 +552,10 @@ void ClusterRuntime::on_barrier_done() {
   m_.iteration_time->add(engine_.now() - last_barrier_time_);
   last_barrier_time_ = engine_.now();
   if (config_.obs.pop_windows) capture_pop_window(iteration);
-  if (stream_sink_ != nullptr) {
+  if (auto* sink = dynamic_cast<stream::StreamSink*>(span_recorder_.get())) {
     // Windowed telemetry snapshot at the barrier epoch: cumulative engine
     // and spill counters, differenced by readers for per-window rates.
-    stream_sink_->metric_window(iteration, engine_.now(),
-                                engine_.events_fired());
+    sink->metric_window(iteration, engine_.now(), engine_.events_fired());
   }
 
   std::vector<double> apprank_times(

@@ -169,19 +169,22 @@ class ClusterRuntime : private sched::RuntimeView {
   /// fabric FCTs, POP efficiencies) into it before returning.
   [[nodiscard]] const obs::Registry& metrics() const { return metrics_; }
 
-  /// Per-task lifecycle spans, or nullptr unless RuntimeConfig::obs.spans
-  /// was set. Feed to obs::chrome_trace_json / obs::critical_path.
-  /// Null in streaming mode (obs.stream): rebuild the view post-run with
-  /// stream::StreamReader on the spill file instead.
+  /// The in-memory span store, or nullptr unless RuntimeConfig::obs.spans
+  /// was set (and obs.stream was not). Feed to obs::chrome_trace_json /
+  /// obs::critical_path. finalize() closes the recorder, which moves the
+  /// spans still open into it; before that it holds finished spans only.
+  /// In streaming mode rebuild the same view post-run with
+  /// stream::StreamReader on the spill file.
   [[nodiscard]] const obs::SpanCollector* spans() const {
-    return span_collector_.get();
+    return dynamic_cast<const obs::SpanCollector*>(span_recorder_.get());
   }
 
-  /// The bounded-memory streaming span backend, or nullptr unless
-  /// RuntimeConfig::obs.stream.enabled. finalize() closes it (footer +
-  /// trailer), after which the spill file is complete and readable.
+  /// The spill-file span store, or nullptr unless
+  /// RuntimeConfig::obs.stream.enabled. finalize() closes it (open spans,
+  /// footer, trailer), after which the spill file is complete and
+  /// readable.
   [[nodiscard]] const stream::StreamSink* stream_sink() const {
-    return stream_sink_.get();
+    return dynamic_cast<const stream::StreamSink*>(span_recorder_.get());
   }
 
   /// TALP busy-core accounting (post-run inspection; the POP report's
@@ -451,13 +454,13 @@ class ClusterRuntime : private sched::RuntimeView {
   void maybe_rewire(int apprank);
 
   // Observability (tlb::obs).
-  /// The span sink lifecycle hooks emit into: the streaming backend when
-  /// config_.obs.stream.enabled, else the collector when
-  /// config_.obs.spans is set, else a shared no-op (one virtual call and
-  /// nothing else — the disabled path stays cheap and branch-free at the
-  /// call sites). Cached in active_sink_ at construction: exactly one
-  /// backend is live for the whole run.
-  [[nodiscard]] obs::SpanSink& sink() { return *active_sink_; }
+  /// The span sink lifecycle hooks emit into: the span recorder when
+  /// config_.obs.stream.enabled or config_.obs.spans is set, else a no-op
+  /// (one virtual call and nothing else — the disabled path stays cheap
+  /// at the call sites).
+  [[nodiscard]] obs::SpanSink& sink() {
+    return span_recorder_ != nullptr ? *span_recorder_ : null_sink_;
+  }
   void register_metrics();
 
   // Elastic scaling loop (tlb::elastic; scheduled only when
@@ -498,17 +501,13 @@ class ClusterRuntime : private sched::RuntimeView {
   std::vector<std::unique_ptr<dlb::DromModule>> drom_;
   std::unique_ptr<dlb::TalpModule> talp_;
   std::unique_ptr<trace::Recorder> recorder_;
-  /// Unified metrics registry (always on) and the per-task span collector
-  /// (config_.obs.spans only). Declared before fabric_/scheduler_, which
-  /// hold raw sink pointers into the collector.
+  /// Unified metrics registry (always on) and the per-task span recorder
+  /// (config_.obs.spans or obs.stream only): a SpanCollector or a
+  /// StreamSink. Declared before fabric_/scheduler_, which hold raw sink
+  /// pointers into the recorder.
   obs::Registry metrics_;
-  std::unique_ptr<obs::SpanCollector> span_collector_;
-  /// Bounded-memory streaming backend (config_.obs.stream.enabled only):
-  /// supersedes the collector when both are requested.
-  std::unique_ptr<stream::StreamSink> stream_sink_;
+  std::unique_ptr<obs::SpanRecorder> span_recorder_;
   obs::SpanSink null_sink_;
-  /// Whichever of stream_sink_ / span_collector_ / null_sink_ is live.
-  obs::SpanSink* active_sink_ = &null_sink_;
   /// Cached registry handles for the hot counters incremented at the
   /// original RunResult call sites (no name lookup per event).
   struct MetricRefs {

@@ -2,46 +2,59 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "prof/prof.hpp"
 
 namespace tlb::obs {
 
-SpanCollector::~SpanCollector() {
-  // Balance the obs.span charges (spans at dense-slot growth, attempts
-  // and instants at push) so alive bytes return to zero at teardown.
-  if (!prof::enabled()) return;
-  std::size_t bytes = spans_.size() * sizeof(TaskSpan) +
-                      instants_.size() * sizeof(InstantEvent);
-  for (const auto& s : spans_) bytes += s.attempts.size() * sizeof(Attempt);
-  if (bytes > 0) prof::free_note(prof::AllocTag::ObsSpan, bytes);
+namespace {
+
+// Charged per open span plus its attempts; released when the span leaves
+// the table (task_done / close). The backend charges its own store.
+std::size_t open_bytes(const SpanRecorder::TaskSpan& s) {
+  return sizeof(SpanRecorder::TaskSpan) +
+         s.attempts.size() * sizeof(SpanRecorder::Attempt);
 }
 
-SpanCollector::TaskSpan& SpanCollector::at(nanos::TaskId id) {
-  const auto idx = static_cast<std::size_t>(id);
-  if (idx >= spans_.size()) {
-    prof::alloc_note(prof::AllocTag::ObsSpan,
-                     (idx + 1 - spans_.size()) * sizeof(TaskSpan));
-    spans_.resize(idx + 1);
+}  // namespace
+
+// --- SpanRecorder: the lifecycle state machine --------------------------------
+
+SpanRecorder::~SpanRecorder() {
+  // Spans still open when the recorder was never closed.
+  for (const auto& [id, s] : open_) {
+    (void)id;
+    prof::free_note(prof::AllocTag::ObsSpan, open_bytes(s));
   }
-  return spans_[idx];
 }
 
-SpanCollector::Attempt& SpanCollector::open_attempt(nanos::TaskId id) {
-  TaskSpan& s = at(id);
-  assert(!s.attempts.empty() && "attempt events before task_scheduled");
-  return s.attempts.back();
+SpanRecorder::TaskSpan& SpanRecorder::at(nanos::TaskId id) {
+  const auto [it, inserted] = open_.try_emplace(id);
+  if (inserted) {
+    it->second.id = id;
+    prof::alloc_note(prof::AllocTag::ObsSpan, sizeof(TaskSpan));
+    peak_open_ = std::max(peak_open_, open_.size());
+  }
+  return it->second;
 }
 
-void SpanCollector::task_created(nanos::TaskId id, int apprank,
-                                 sim::SimTime t) {
+SpanRecorder::Attempt& SpanRecorder::open_attempt(nanos::TaskId id) {
+  auto it = open_.find(id);
+  assert(it != open_.end() && "attempt events on a closed/unknown span");
+  assert(!it->second.attempts.empty() &&
+         "attempt events before task_scheduled");
+  return it->second.attempts.back();
+}
+
+void SpanRecorder::task_created(nanos::TaskId id, int apprank,
+                                sim::SimTime t) {
   TaskSpan& s = at(id);
-  s.id = id;
   s.apprank = apprank;
   s.created_at = t;
 }
 
-void SpanCollector::task_ready(nanos::TaskId id, sim::SimTime t) {
+void SpanRecorder::task_ready(nanos::TaskId id, sim::SimTime t) {
   TaskSpan& s = at(id);
   // Only the first readiness counts as the lifecycle edge; a rescue that
   // re-queues the task keeps the original ready time (the re-queue itself
@@ -49,20 +62,19 @@ void SpanCollector::task_ready(nanos::TaskId id, sim::SimTime t) {
   if (s.ready_at < 0.0) s.ready_at = t;
 }
 
-void SpanCollector::task_scheduled(nanos::TaskId id, int worker, int node,
-                                   bool offloaded, sim::SimTime t) {
-  TaskSpan& s = at(id);
+void SpanRecorder::task_scheduled(nanos::TaskId id, int worker, int node,
+                                  bool offloaded, sim::SimTime t) {
   Attempt a;
   a.worker = worker;
   a.node = node;
   a.offloaded = offloaded;
   a.scheduled_at = t;
   prof::alloc_note(prof::AllocTag::ObsSpan, sizeof(Attempt));
-  s.attempts.push_back(a);
+  at(id).attempts.push_back(a);
 }
 
-void SpanCollector::sched_decision(nanos::TaskId id, SchedVerdict verdict,
-                                   int worker, sim::SimTime t) {
+void SpanRecorder::sched_decision(nanos::TaskId id, SchedVerdict verdict,
+                                  int worker, sim::SimTime t) {
   at(id).verdict = verdict;
   if (verdict == SchedVerdict::Baseline) return;
   InstantEvent e;
@@ -71,25 +83,22 @@ void SpanCollector::sched_decision(nanos::TaskId id, SchedVerdict verdict,
   e.name = (verdict == SchedVerdict::Steered ? "sched steer task "
                                              : "sched suppress task ") +
            std::to_string(id);
-  prof::alloc_note(prof::AllocTag::ObsSpan, sizeof(InstantEvent));
-  instants_.push_back(std::move(e));
+  store_instant(std::move(e));
 }
 
-void SpanCollector::transfer_begin(nanos::TaskId id, std::uint64_t bytes,
-                                   int node, sim::SimTime t) {
+void SpanRecorder::transfer_begin(nanos::TaskId id, std::uint64_t bytes,
+                                  int /*node*/, sim::SimTime t) {
   Attempt& a = open_attempt(id);
   a.transfer_start = t;
   a.transfer_bytes = bytes;
-  (void)node;
 }
 
-void SpanCollector::transfer_end(nanos::TaskId id, sim::SimTime t) {
-  Attempt& a = open_attempt(id);
-  a.transfer_end = t;
+void SpanRecorder::transfer_end(nanos::TaskId id, sim::SimTime t) {
+  open_attempt(id).transfer_end = t;
 }
 
-void SpanCollector::exec_begin(nanos::TaskId id, int worker, int node,
-                               int core, sim::SimTime t) {
+void SpanRecorder::exec_begin(nanos::TaskId id, int worker, int node,
+                              int core, sim::SimTime t) {
   Attempt& a = open_attempt(id);
   a.worker = worker;
   a.node = node;
@@ -103,30 +112,69 @@ void SpanCollector::exec_begin(nanos::TaskId id, int worker, int node,
   }
 }
 
-void SpanCollector::exec_end(nanos::TaskId id, sim::SimTime t) {
+void SpanRecorder::exec_end(nanos::TaskId id, sim::SimTime t) {
   open_attempt(id).exec_end = t;
 }
 
-void SpanCollector::task_done(nanos::TaskId id, sim::SimTime t) {
+void SpanRecorder::task_done(nanos::TaskId id, sim::SimTime t) {
   at(id).done_at = t;
+  auto node = open_.extract(id);
+  prof::free_note(prof::AllocTag::ObsSpan, open_bytes(node.mapped()));
+  store_span(std::move(node.mapped()));
 }
 
-void SpanCollector::task_rescued(nanos::TaskId id, int worker,
-                                 sim::SimTime t) {
-  TaskSpan& s = at(id);
-  if (!s.attempts.empty()) s.attempts.back().rescued = true;
+void SpanRecorder::task_rescued(nanos::TaskId id, int /*worker*/,
+                                sim::SimTime /*t*/) {
+  // The voided attempt carries the rescue; exporters render it on the
+  // attempt's own track.
+  auto it = open_.find(id);
+  if (it != open_.end() && !it->second.attempts.empty()) {
+    it->second.attempts.back().rescued = true;
+  }
   ++rescues_;
+}
+
+void SpanRecorder::link_congestion(int /*link*/, const std::string& name,
+                                   bool congested, sim::SimTime t) {
   InstantEvent e;
   e.t = t;
-  e.node = worker;
-  e.name = "rescue task " + std::to_string(id);
-  prof::alloc_note(prof::AllocTag::ObsSpan, sizeof(InstantEvent));
-  instants_.push_back(std::move(e));
+  e.name = (congested ? "net congestion: " : "net cleared: ") + name;
+  store_instant(std::move(e));
 }
 
-void SpanCollector::restore_span(TaskSpan span) {
-  const nanos::TaskId id = span.id;
-  TaskSpan& slot = at(id);
+void SpanRecorder::close() {
+  if (closed_) return;
+  closed_ = true;
+  const RunTotals totals{transfer_wait_, rescues_, open_.size()};
+  for (auto& [id, s] : open_) {
+    (void)id;
+    prof::free_note(prof::AllocTag::ObsSpan, open_bytes(s));
+    store_span(std::move(s));
+  }
+  open_.clear();
+  store_totals(totals);
+}
+
+// --- SpanCollector: the in-memory store ---------------------------------------
+
+SpanCollector::~SpanCollector() {
+  // Balance the obs.span charges (spans at dense-slot growth, attempts
+  // and instants at store) so alive bytes return to zero at teardown.
+  if (!prof::enabled()) return;
+  std::size_t bytes = spans_.size() * sizeof(TaskSpan) +
+                      instants_.size() * sizeof(InstantEvent);
+  for (const auto& s : spans_) bytes += s.attempts.size() * sizeof(Attempt);
+  if (bytes > 0) prof::free_note(prof::AllocTag::ObsSpan, bytes);
+}
+
+void SpanCollector::store_span(TaskSpan span) {
+  const auto idx = static_cast<std::size_t>(span.id);
+  if (idx >= spans_.size()) {
+    prof::alloc_note(prof::AllocTag::ObsSpan,
+                     (idx + 1 - spans_.size()) * sizeof(TaskSpan));
+    spans_.resize(idx + 1);
+  }
+  TaskSpan& slot = spans_[idx];
   prof::free_note(prof::AllocTag::ObsSpan,
                   slot.attempts.size() * sizeof(Attempt));
   prof::alloc_note(prof::AllocTag::ObsSpan,
@@ -134,19 +182,9 @@ void SpanCollector::restore_span(TaskSpan span) {
   slot = std::move(span);
 }
 
-void SpanCollector::restore_instant(InstantEvent event) {
+void SpanCollector::store_instant(InstantEvent event) {
   prof::alloc_note(prof::AllocTag::ObsSpan, sizeof(InstantEvent));
   instants_.push_back(std::move(event));
-}
-
-void SpanCollector::link_congestion(int link, const std::string& name,
-                                    bool congested, sim::SimTime t) {
-  (void)link;
-  InstantEvent e;
-  e.t = t;
-  e.name = (congested ? "net congestion: " : "net cleared: ") + name;
-  prof::alloc_note(prof::AllocTag::ObsSpan, sizeof(InstantEvent));
-  instants_.push_back(std::move(e));
 }
 
 }  // namespace tlb::obs

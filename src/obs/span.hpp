@@ -5,7 +5,9 @@
 // start/end -> execute start/end -> done, plus retries/rescues after
 // crashes or revoked leases. The runtime, scheduler and fabric emit these
 // through the SpanSink interface; the default sink is null (span
-// collection is off unless RuntimeConfig::obs.spans enables it).
+// collection is off unless RuntimeConfig::obs.spans or obs.stream enables
+// it). SpanRecorder is the one lifecycle state machine; SpanCollector
+// (here) and stream::StreamSink are its two stores.
 //
 // Determinism contract: sinks only *record*. They must not schedule
 // simulator events, read RNGs, or otherwise feed back into the run; a run
@@ -14,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -60,11 +63,18 @@ class SpanSink {
                                bool /*congested*/, sim::SimTime /*t*/) {}
 };
 
-/// In-memory SpanSink: one TaskSpan per task (indexed by dense task id),
-/// one attempt record per execution, plus the instant-event streams
-/// (scheduler verdicts, congestion marks) the Chrome exporter renders as
-/// instants.
-class SpanCollector final : public SpanSink {
+/// The task lifecycle state machine behind every span backend. It keeps
+/// the *open* spans (tasks created but not yet done) keyed by task id and
+/// owns the lifecycle rules: only the first readiness is the ready edge,
+/// the transfer-wait integral is folded in at exec_begin, rescues mark the
+/// attempt they voided and are counted, and scheduler verdicts and
+/// congestion changes become named instant events.
+///
+/// Backends differ only in what they store: a span leaves the table
+/// through store_span() the moment its task_done arrives, every instant
+/// goes through store_instant() as it is emitted, and close() hands over
+/// the spans still open (id order) followed by the run totals.
+class SpanRecorder : public SpanSink {
  public:
   /// One execution attempt of a task. Times are -1 until observed.
   struct Attempt {
@@ -99,26 +109,79 @@ class SpanCollector final : public SpanSink {
     std::string name;
     int node = -1;  ///< -1 = cluster-scoped (congestion marks)
   };
+  /// Run aggregates, handed to the backend once by close().
+  struct RunTotals {
+    double transfer_wait_core_s = 0.0;
+    std::uint64_t rescues = 0;
+    std::uint64_t open_spans = 0;  ///< spans still open at close (no done_at)
+  };
 
+  ~SpanRecorder() override;
+
+  void task_created(nanos::TaskId id, int apprank, sim::SimTime t) final;
+  void task_ready(nanos::TaskId id, sim::SimTime t) final;
+  void task_scheduled(nanos::TaskId id, int worker, int node, bool offloaded,
+                      sim::SimTime t) final;
+  void sched_decision(nanos::TaskId id, SchedVerdict verdict, int worker,
+                      sim::SimTime t) final;
+  void transfer_begin(nanos::TaskId id, std::uint64_t bytes, int node,
+                      sim::SimTime t) final;
+  void transfer_end(nanos::TaskId id, sim::SimTime t) final;
+  void exec_begin(nanos::TaskId id, int worker, int node, int core,
+                  sim::SimTime t) final;
+  void exec_end(nanos::TaskId id, sim::SimTime t) final;
+  void task_done(nanos::TaskId id, sim::SimTime t) final;
+  void task_rescued(nanos::TaskId id, int worker, sim::SimTime t) final;
+  void link_congestion(int link, const std::string& name, bool congested,
+                       sim::SimTime t) final;
+
+  /// Stores every still-open span (id order, done_at -1), then the run
+  /// totals. Idempotent. A backend whose store outlives the run (the
+  /// spill file) calls it from its destructor if the runtime did not.
+  void close();
+
+  /// Core-seconds spent occupied-but-not-busy waiting on input transfers
+  /// (transfer_end - exec claim, approximated by transfer windows).
+  [[nodiscard]] double transfer_wait_core_seconds() const {
+    return transfer_wait_;
+  }
+  [[nodiscard]] std::uint64_t rescues() const { return rescues_; }
+  /// Spans currently open (created, not yet done) — the resident table.
+  [[nodiscard]] std::size_t open_spans() const { return open_.size(); }
+  /// High-water mark of the open-span table.
+  [[nodiscard]] std::size_t peak_open_spans() const { return peak_open_; }
+
+ protected:
+  virtual void store_span(TaskSpan span) = 0;
+  virtual void store_instant(InstantEvent event) = 0;
+  virtual void store_totals(const RunTotals& totals) = 0;
+
+  double transfer_wait_ = 0.0;
+  std::uint64_t rescues_ = 0;
+
+ private:
+  TaskSpan& at(nanos::TaskId id);
+  [[nodiscard]] Attempt& open_attempt(nanos::TaskId id);
+
+  /// Open spans, keyed by task id. An ordered map so close() walks the
+  /// never-finished tasks in id order (deterministic output for
+  /// deterministic runs).
+  std::map<nanos::TaskId, TaskSpan> open_;
+  std::size_t peak_open_ = 0;
+  bool closed_ = false;
+};
+
+/// In-memory backend: closed spans land at their dense task-id slot,
+/// instants are kept in emission order. The exporters (chrome_trace,
+/// flame, critical_path) read this view; a stream::StreamReader builds
+/// the same view from a spill file by calling the three store entry
+/// points with the file's records.
+class SpanCollector final : public SpanRecorder {
+ public:
   ~SpanCollector() override;
 
-  void task_created(nanos::TaskId id, int apprank, sim::SimTime t) override;
-  void task_ready(nanos::TaskId id, sim::SimTime t) override;
-  void task_scheduled(nanos::TaskId id, int worker, int node, bool offloaded,
-                      sim::SimTime t) override;
-  void sched_decision(nanos::TaskId id, SchedVerdict verdict, int worker,
-                      sim::SimTime t) override;
-  void transfer_begin(nanos::TaskId id, std::uint64_t bytes, int node,
-                      sim::SimTime t) override;
-  void transfer_end(nanos::TaskId id, sim::SimTime t) override;
-  void exec_begin(nanos::TaskId id, int worker, int node, int core,
-                  sim::SimTime t) override;
-  void exec_end(nanos::TaskId id, sim::SimTime t) override;
-  void task_done(nanos::TaskId id, sim::SimTime t) override;
-  void task_rescued(nanos::TaskId id, int worker, sim::SimTime t) override;
-  void link_congestion(int link, const std::string& name, bool congested,
-                       sim::SimTime t) override;
-
+  /// Spans dense by task id. Complete once the runtime has closed the
+  /// recorder (finalize()); until then only finished spans are here.
   [[nodiscard]] const std::vector<TaskSpan>& spans() const { return spans_; }
   [[nodiscard]] const TaskSpan& span(nanos::TaskId id) const {
     return spans_.at(static_cast<std::size_t>(id));
@@ -127,40 +190,18 @@ class SpanCollector final : public SpanSink {
     return instants_;
   }
 
-  // --- restore hooks (tlb::stream) ------------------------------------------
-  // A stream::StreamReader rebuilds a collector-equivalent view from a
-  // spill file so every exporter (chrome_trace, flame, critical_path)
-  // works unchanged on streamed runs. Restored records bypass the live
-  // event hooks: spans land at their dense id slot, instants keep their
-  // original emission order, and the aggregates are installed verbatim
-  // instead of being re-derived.
-
-  /// Installs a fully-populated span at its dense id slot.
-  void restore_span(TaskSpan span);
-  /// Appends an instant event (call in original emission order).
-  void restore_instant(InstantEvent event);
-  /// Installs the run aggregates the live hooks would have accumulated.
-  void restore_aggregates(double transfer_wait_core_s, std::uint64_t rescues) {
-    transfer_wait_ = transfer_wait_core_s;
-    rescues_ = rescues;
+  void store_span(TaskSpan span) override;
+  void store_instant(InstantEvent event) override;
+  /// Live runs hand back the totals the hooks accumulated; a StreamReader
+  /// hands over the spill file's footer.
+  void store_totals(const RunTotals& totals) override {
+    transfer_wait_ = totals.transfer_wait_core_s;
+    rescues_ = totals.rescues;
   }
-
-  // Aggregates maintained as events arrive (consumed by obs::pop_report).
-  /// Core-seconds spent occupied-but-not-busy waiting on input transfers
-  /// (transfer_end - exec claim, approximated by transfer windows).
-  [[nodiscard]] double transfer_wait_core_seconds() const {
-    return transfer_wait_;
-  }
-  [[nodiscard]] std::uint64_t rescues() const { return rescues_; }
 
  private:
-  TaskSpan& at(nanos::TaskId id);
-  [[nodiscard]] Attempt& open_attempt(nanos::TaskId id);
-
   std::vector<TaskSpan> spans_;
   std::vector<InstantEvent> instants_;
-  double transfer_wait_ = 0.0;
-  std::uint64_t rescues_ = 0;
 };
 
 }  // namespace tlb::obs

@@ -43,7 +43,7 @@ enum class AllocTag : int {
   SimEvent = 0,   ///< sim::EventQueue heap/bucket entries
   NanosTask,      ///< nanos::TaskPool tasks + their access vectors
   NetFlow,        ///< net::Fabric in-flight flow records
-  ObsSpan,        ///< obs::SpanCollector / stream::StreamSink span state
+  ObsSpan,        ///< obs::SpanRecorder open spans + their store
   CoreExec,       ///< core runtime per-execution bookkeeping (running_)
   CorePending,    ///< core runtime pending input-transfer records
   Count,
@@ -124,7 +124,7 @@ struct HealthSnapshot {
   std::uint64_t queue_depth = 0;   ///< pending events at sample time
   double rss_mb = 0.0;             ///< VmRSS at sample time (0 off-Linux)
   double rss_hwm_mb = 0.0;         ///< VmHWM high-water mark
-  std::int64_t open_spans = -1;    ///< telemetry gauge; -1 = no gauge
+  std::int64_t open_spans = -1;    ///< span recorder open spans; -1 = no gauge
   std::uint64_t attributed_ns = 0; ///< sum of root-phase inclusive time
   std::uint64_t solve_ns = 0;      ///< total "net.solve" inclusive time
 };

@@ -7,7 +7,6 @@
 
 #include "solver/maxflow.hpp"
 #include "solver/mincost_flow.hpp"
-#include "solver/simplex.hpp"
 
 namespace tlb::solver {
 
@@ -279,58 +278,6 @@ AllocationResult solve_allocation(const AllocationProblem& p) {
     }
   }
   return result;
-}
-
-double allocation_objective_lp(const AllocationProblem& p) {
-  const Shape s = make_shape(p);
-  const auto& g = *p.graph;
-  const double total_work =
-      std::accumulate(p.work.begin(), p.work.end(), 0.0);
-  if (total_work <= 0.0) return 0.0;
-
-  // Variables: y'_e (extra cores per edge, e indexed globally) then z.
-  std::vector<std::pair<int, int>> edge_list;  // (apprank, node)
-  std::vector<std::vector<int>> edge_of(static_cast<std::size_t>(s.appranks));
-  for (int a = 0; a < s.appranks; ++a) {
-    for (int n : g.neighbors_of_left(a)) {
-      edge_of[static_cast<std::size_t>(a)].push_back(
-          static_cast<int>(edge_list.size()));
-      edge_list.emplace_back(a, n);
-    }
-  }
-  const int ne = static_cast<int>(edge_list.size());
-  const int nv = ne + 1;  // + z
-  LinearProgram lp;
-  lp.c.assign(static_cast<std::size_t>(nv), 0.0);
-  lp.c[static_cast<std::size_t>(ne)] = 1.0;  // maximise z
-
-  // work_a * z - sum_{e in a} y'_e <= deg(a)
-  for (int a = 0; a < s.appranks; ++a) {
-    std::vector<double> row(static_cast<std::size_t>(nv), 0.0);
-    row[static_cast<std::size_t>(ne)] = p.work[static_cast<std::size_t>(a)];
-    for (int e : edge_of[static_cast<std::size_t>(a)]) {
-      row[static_cast<std::size_t>(e)] = -1.0;
-    }
-    lp.a.push_back(std::move(row));
-    lp.b.push_back(static_cast<double>(g.left_degree(a)));
-  }
-  // sum_{e on n} y'_e <= residual_n
-  for (int n = 0; n < s.nodes; ++n) {
-    std::vector<double> row(static_cast<std::size_t>(nv), 0.0);
-    for (int e = 0; e < ne; ++e) {
-      if (edge_list[static_cast<std::size_t>(e)].second == n) {
-        row[static_cast<std::size_t>(e)] = 1.0;
-      }
-    }
-    lp.a.push_back(std::move(row));
-    lp.b.push_back(static_cast<double>(s.residual[static_cast<std::size_t>(n)]));
-  }
-
-  const auto sol = solve_lp(lp);
-  if (!sol || sol->objective <= 0.0) {
-    throw InfeasibleAllocation("LP formulation failed to produce z > 0");
-  }
-  return 1.0 / sol->objective;  // z = 1/t
 }
 
 }  // namespace tlb::solver

@@ -71,10 +71,4 @@ class InfeasibleAllocation : public std::runtime_error {
 /// Exact continuous solve + min-offload routing + integer rounding.
 AllocationResult solve_allocation(const AllocationProblem& problem);
 
-/// Reference implementation via the direct LP formulation (dense simplex):
-/// maximise z subject to sum_w(a) y_w >= work_a * z and node capacities.
-/// Returns only the optimal objective (max_a work_a/cores_a). Used to
-/// cross-check solve_allocation in tests; O(n^3)-ish, small inputs only.
-double allocation_objective_lp(const AllocationProblem& problem);
-
 }  // namespace tlb::solver

@@ -5,17 +5,16 @@
 // never links tlb_stream (the runtime constructs the sink).
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace tlb::stream {
 
 struct StreamConfig {
-  /// Master switch. When set the runtime records task lifecycle spans
-  /// through a stream::StreamSink instead of the in-memory
-  /// obs::SpanCollector: finished spans are serialized to `path` as they
-  /// complete and only *open* spans stay resident, so span memory is
-  /// bounded by the in-flight task count instead of the total task count.
+  /// Master switch. When set the runtime's span recorder stores finished
+  /// spans in a stream::StreamSink instead of the in-memory
+  /// obs::SpanCollector: they are serialized to `path` as they complete
+  /// and only *open* spans stay resident, so span memory is bounded by
+  /// the in-flight task count instead of the total task count.
   /// Pure recording like the collector — schedules stay bit-identical
   /// whether the stream backend, the collector, or neither is active.
   bool enabled = false;
@@ -23,11 +22,6 @@ struct StreamConfig {
   /// Spill file the binary span records are appended to. Created (or
   /// truncated) when the runtime constructs the sink.
   std::string path = "tlb_spans.stream";
-
-  /// Write-buffer size in bytes: records are staged in memory and handed
-  /// to the OS in chunks of this size, so the spill path costs one
-  /// buffered memcpy per record, not one syscall.
-  std::size_t buffer_bytes = 1 << 20;
 };
 
 }  // namespace tlb::stream

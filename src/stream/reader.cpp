@@ -144,7 +144,7 @@ StreamReader::StreamReader(std::string path) {
           a.rescued = c.get<std::uint8_t>("attempt rescued") != 0;
           s.attempts.push_back(a);
         }
-        spans_.restore_span(std::move(s));
+        spans_.store_span(std::move(s));
         ++spans;
         break;
       }
@@ -154,7 +154,7 @@ StreamReader::StreamReader(std::string path) {
         e.node = c.get<std::int32_t>("instant node");
         const auto len = c.get<std::uint32_t>("instant name length");
         e.name = c.get_string(len, "instant name");
-        spans_.restore_instant(std::move(e));
+        spans_.store_instant(std::move(e));
         ++instants;
         break;
       }
@@ -211,7 +211,8 @@ StreamReader::StreamReader(std::string path) {
            std::to_string(windows) + "/" +
            std::to_string(footer_.window_records) + ")");
   }
-  spans_.restore_aggregates(footer_.transfer_wait_core_s, footer_.rescues);
+  spans_.store_totals({footer_.transfer_wait_core_s, footer_.rescues,
+                       footer_.open_spans});
 }
 
 }  // namespace tlb::stream

@@ -1,12 +1,12 @@
 // Spill-file reader: reconstructs a SpanCollector-equivalent view
 // (tlb::stream).
 //
-// StreamReader parses the binary file a StreamSink wrote and rebuilds an
-// obs::SpanCollector — spans at their dense task-id slots, instants in
-// original emission order, aggregates installed verbatim — so every
-// existing exporter (obs::chrome_trace_json, obs::collapsed_stacks,
-// obs::critical_path) runs unchanged on streamed runs. Windowed metric
-// snapshots are exposed alongside.
+// StreamReader parses the binary file a StreamSink wrote and fills an
+// obs::SpanCollector through the same store calls a live run makes —
+// spans at their dense task-id slots, instants in original emission
+// order, the footer's totals — so every exporter (obs::chrome_trace_json,
+// obs::collapsed_stacks, obs::critical_path) runs unchanged on streamed
+// runs. Windowed metric snapshots are exposed alongside.
 //
 // Validation: the header magic/version, the trailer (footer offset +
 // closing magic), every record prelude/payload bound, and the footer's
@@ -32,7 +32,7 @@ class StreamReader {
   explicit StreamReader(std::string path);
 
   /// The reconstructed collector view (spans dense by task id, instants
-  /// in emission order, aggregates restored). Feed to the obs exporters.
+  /// in emission order, the footer's totals). Feed to the obs exporters.
   [[nodiscard]] const obs::SpanCollector& spans() const { return spans_; }
 
   /// Windowed metric snapshots, in capture (barrier-epoch) order.

@@ -1,7 +1,5 @@
 #include "stream/sink.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <stdexcept>
 
@@ -9,13 +7,22 @@
 
 namespace tlb::stream {
 
+namespace {
+
+/// Records are staged in memory and handed to the OS in chunks of this
+/// size, so the spill path costs one buffered memcpy per record, not one
+/// syscall.
+constexpr std::size_t kBufferBytes = 1 << 20;
+
+}  // namespace
+
 StreamSink::StreamSink(StreamConfig config) : config_(std::move(config)) {
   file_ = std::fopen(config_.path.c_str(), "wb");
   if (file_ == nullptr) {
     throw std::runtime_error("stream: cannot create spill file " +
                              config_.path);
   }
-  buffer_.reserve(std::max<std::size_t>(config_.buffer_bytes, 4096));
+  buffer_.reserve(kBufferBytes);
   put_bytes(kHeaderMagic, sizeof(kHeaderMagic));
   put_u32(kFormatVersion);
   put_u32(0);  // reserved
@@ -52,7 +59,7 @@ void StreamSink::end_record() {
 }
 
 void StreamSink::flush_if_full() {
-  if (buffer_.size() < config_.buffer_bytes) return;
+  if (buffer_.size() < kBufferBytes) return;
   PROF_SCOPE("stream.flush");
   if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_) !=
       buffer_.size()) {
@@ -61,125 +68,9 @@ void StreamSink::flush_if_full() {
   buffer_.clear();
 }
 
-// --- span bookkeeping (SpanCollector-equivalent) ------------------------------
-
-auto StreamSink::at(nanos::TaskId id) -> TaskSpan& {
-  const std::size_t before = open_.size();
-  TaskSpan& s = open_[id];
-  if (open_.size() != before) {
-    // Charged per open span; released when the span spills (task_done /
-    // close). The bounded working set is exactly what this tag tracks.
-    prof::alloc_note(prof::AllocTag::ObsSpan, sizeof(TaskSpan));
-  }
-  peak_open_ = std::max(peak_open_, open_.size());
-  return s;
-}
-
-auto StreamSink::open_attempt(nanos::TaskId id) -> Attempt* {
-  auto it = open_.find(id);
-  assert(it != open_.end() && "attempt events on a closed/unknown span");
-  assert(!it->second.attempts.empty() &&
-         "attempt events before task_scheduled");
-  return &it->second.attempts.back();
-}
-
-void StreamSink::task_created(nanos::TaskId id, int apprank, sim::SimTime t) {
-  TaskSpan& s = at(id);
-  s.id = id;
-  s.apprank = apprank;
-  s.created_at = t;
-}
-
-void StreamSink::task_ready(nanos::TaskId id, sim::SimTime t) {
-  TaskSpan& s = at(id);
-  // First readiness only — a rescue's re-queue keeps the original edge
-  // (same rule as SpanCollector::task_ready).
-  if (s.ready_at < 0.0) s.ready_at = t;
-}
-
-void StreamSink::task_scheduled(nanos::TaskId id, int worker, int node,
-                                bool offloaded, sim::SimTime t) {
-  Attempt a;
-  a.worker = worker;
-  a.node = node;
-  a.offloaded = offloaded;
-  a.scheduled_at = t;
-  prof::alloc_note(prof::AllocTag::ObsSpan, sizeof(Attempt));
-  at(id).attempts.push_back(a);
-}
-
-void StreamSink::sched_decision(nanos::TaskId id, obs::SchedVerdict verdict,
-                                int worker, sim::SimTime t) {
-  at(id).verdict = verdict;
-  if (verdict == obs::SchedVerdict::Baseline) return;
-  spill_instant(t,
-                (verdict == obs::SchedVerdict::Steered
-                     ? "sched steer task "
-                     : "sched suppress task ") +
-                    std::to_string(id),
-                worker);
-}
-
-void StreamSink::transfer_begin(nanos::TaskId id, std::uint64_t bytes,
-                                int node, sim::SimTime t) {
-  Attempt* a = open_attempt(id);
-  a->transfer_start = t;
-  a->transfer_bytes = bytes;
-  (void)node;
-}
-
-void StreamSink::transfer_end(nanos::TaskId id, sim::SimTime t) {
-  open_attempt(id)->transfer_end = t;
-}
-
-void StreamSink::exec_begin(nanos::TaskId id, int worker, int node, int core,
-                            sim::SimTime t) {
-  Attempt* a = open_attempt(id);
-  a->worker = worker;
-  a->node = node;
-  a->core = core;
-  a->exec_start = t;
-  // Same accumulation rule as the collector: a transfer with both edges
-  // observed stalled the pipeline up to exec_start at most.
-  if (a->transfer_start >= 0.0 && a->transfer_end >= 0.0) {
-    transfer_wait_ +=
-        std::max(0.0, std::min(a->transfer_end, t) - a->transfer_start);
-  }
-}
-
-void StreamSink::exec_end(nanos::TaskId id, sim::SimTime t) {
-  open_attempt(id)->exec_end = t;
-}
-
-void StreamSink::task_done(nanos::TaskId id, sim::SimTime t) {
-  TaskSpan& s = at(id);
-  s.done_at = t;
-  spill_span(s);
-  prof::free_note(prof::AllocTag::ObsSpan,
-                  sizeof(TaskSpan) + s.attempts.size() * sizeof(Attempt));
-  open_.erase(id);
-  ++spans_spilled_;
-}
-
-void StreamSink::task_rescued(nanos::TaskId id, int worker, sim::SimTime t) {
-  auto it = open_.find(id);
-  if (it != open_.end() && !it->second.attempts.empty()) {
-    it->second.attempts.back().rescued = true;
-  }
-  ++rescues_;
-  spill_instant(t, "rescue task " + std::to_string(id), worker);
-}
-
-void StreamSink::link_congestion(int link, const std::string& name,
-                                 bool congested, sim::SimTime t) {
-  (void)link;
-  spill_instant(
-      t, (congested ? "net congestion: " : "net cleared: ") + name, -1);
-}
-
 // --- serialization ------------------------------------------------------------
 
-void StreamSink::spill_span(const TaskSpan& span) {
+void StreamSink::store_span(TaskSpan span) {
   PROF_SCOPE("stream.spill");
   begin_record(RecordType::TaskSpan);
   put_u64(static_cast<std::uint64_t>(span.id));
@@ -203,15 +94,15 @@ void StreamSink::spill_span(const TaskSpan& span) {
     put_u8(a.rescued ? 1 : 0);
   }
   end_record();
+  ++spans_spilled_;
 }
 
-void StreamSink::spill_instant(sim::SimTime t, const std::string& name,
-                               int node) {
+void StreamSink::store_instant(InstantEvent event) {
   begin_record(RecordType::Instant);
-  put_f64(t);
-  put_i32(node);
-  put_u32(static_cast<std::uint32_t>(name.size()));
-  put_bytes(name.data(), name.size());
+  put_f64(event.t);
+  put_i32(event.node);
+  put_u32(static_cast<std::uint32_t>(event.name.size()));
+  put_bytes(event.name.data(), event.name.size());
   end_record();
   ++instants_written_;
 }
@@ -225,39 +116,22 @@ void StreamSink::metric_window(int epoch, sim::SimTime t_end,
   put_u64(events_fired);
   put_u64(spans_spilled_);
   put_u64(instants_written_);
-  put_f64(transfer_wait_);
-  put_u64(rescues_);
+  put_f64(transfer_wait_core_seconds());
+  put_u64(rescues());
   end_record();
   last_window_end_ = t_end;
   ++windows_written_;
 }
 
-void StreamSink::close() {
-  if (closed_) return;
-  closed_ = true;
-
-  // Spill whatever never finished (id order: open_ is an ordered map).
-  // Their done_at stays -1, same as an unfinished span in the collector.
-  std::uint64_t open_count = 0;
-  for (const auto& [id, span] : open_) {
-    (void)id;
-    spill_span(span);
-    prof::free_note(
-        prof::AllocTag::ObsSpan,
-        sizeof(TaskSpan) + span.attempts.size() * sizeof(Attempt));
-    ++spans_spilled_;
-    ++open_count;
-  }
-  open_.clear();
-
+void StreamSink::store_totals(const RunTotals& totals) {
   const std::uint64_t footer_offset = bytes_written_;
   begin_record(RecordType::Footer);
-  put_f64(transfer_wait_);
-  put_u64(rescues_);
+  put_f64(totals.transfer_wait_core_s);
+  put_u64(totals.rescues);
   put_u64(spans_spilled_);
   put_u64(instants_written_);
   put_u64(windows_written_);
-  put_u64(open_count);
+  put_u64(totals.open_spans);
   end_record();
 
   put_u64(footer_offset);

@@ -1,14 +1,11 @@
 // Bounded-memory streaming span backend (tlb::stream).
 //
-// StreamSink implements the obs::SpanSink interface with the exact
-// semantics of obs::SpanCollector — first-readiness-only ready edges, the
-// transfer-wait integral folded in at exec_begin, rescue instants, sched
-// verdict instants for non-baseline decisions — but keeps only *open*
-// spans in memory: a span is serialized to the spill file the moment its
-// task_done arrives and its record is dropped from the working set, so
-// resident span memory is bounded by the in-flight task count (peak
-// concurrency), not the total task count. Instant events are spilled
-// immediately in emission order. The runtime closes the sink at
+// StreamSink is the spill-file store of obs::SpanRecorder: the recorder
+// runs the task lifecycle state machine and keeps only *open* spans in
+// memory; StreamSink serializes each span the moment its task_done
+// arrives, so resident span memory is bounded by the in-flight task
+// count (peak concurrency), not the total task count. Instant events are
+// spilled immediately in emission order. The runtime closes the sink at
 // finalize(), which flushes the spans still open (crashed-out or
 // never-finished tasks), the footer aggregates, and the seekable trailer.
 //
@@ -20,7 +17,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -30,7 +26,7 @@
 
 namespace tlb::stream {
 
-class StreamSink final : public obs::SpanSink {
+class StreamSink final : public obs::SpanRecorder {
  public:
   /// Opens (truncates) config.path and writes the header. Throws
   /// std::runtime_error when the file cannot be created.
@@ -40,56 +36,22 @@ class StreamSink final : public obs::SpanSink {
   StreamSink(const StreamSink&) = delete;
   StreamSink& operator=(const StreamSink&) = delete;
 
-  // --- obs::SpanSink hooks (SpanCollector-equivalent semantics) --------------
-  void task_created(nanos::TaskId id, int apprank, sim::SimTime t) override;
-  void task_ready(nanos::TaskId id, sim::SimTime t) override;
-  void task_scheduled(nanos::TaskId id, int worker, int node, bool offloaded,
-                      sim::SimTime t) override;
-  void sched_decision(nanos::TaskId id, obs::SchedVerdict verdict, int worker,
-                      sim::SimTime t) override;
-  void transfer_begin(nanos::TaskId id, std::uint64_t bytes, int node,
-                      sim::SimTime t) override;
-  void transfer_end(nanos::TaskId id, sim::SimTime t) override;
-  void exec_begin(nanos::TaskId id, int worker, int node, int core,
-                  sim::SimTime t) override;
-  void exec_end(nanos::TaskId id, sim::SimTime t) override;
-  void task_done(nanos::TaskId id, sim::SimTime t) override;
-  void task_rescued(nanos::TaskId id, int worker, sim::SimTime t) override;
-  void link_congestion(int link, const std::string& name, bool congested,
-                       sim::SimTime t) override;
-
   /// Appends one windowed metric snapshot (the runtime calls this at
   /// every global barrier with its cumulative engine counters).
   void metric_window(int epoch, sim::SimTime t_end,
                      std::uint64_t events_fired);
 
-  /// Spills every still-open span (id order), writes the footer and the
-  /// trailer, flushes, and closes the file. Idempotent; called by the
-  /// destructor if the runtime did not.
-  void close();
-
-  // --- live aggregates (mirror SpanCollector's accessors) --------------------
-  [[nodiscard]] double transfer_wait_core_seconds() const {
-    return transfer_wait_;
-  }
-  [[nodiscard]] std::uint64_t rescues() const { return rescues_; }
   /// Finished spans written to the spill file so far.
   [[nodiscard]] std::uint64_t spans_spilled() const { return spans_spilled_; }
-  /// Spans currently resident (open tasks) — the bounded working set.
-  [[nodiscard]] std::size_t open_spans() const { return open_.size(); }
-  /// High-water mark of the resident working set.
-  [[nodiscard]] std::size_t peak_open_spans() const { return peak_open_; }
   [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
   [[nodiscard]] const std::string& path() const { return config_.path; }
 
  private:
-  using TaskSpan = obs::SpanCollector::TaskSpan;
-  using Attempt = obs::SpanCollector::Attempt;
+  void store_span(TaskSpan span) override;
+  void store_instant(InstantEvent event) override;
+  /// Writes the footer and the trailer, flushes, and closes the file.
+  void store_totals(const RunTotals& totals) override;
 
-  TaskSpan& at(nanos::TaskId id);
-  Attempt* open_attempt(nanos::TaskId id);
-  void spill_span(const TaskSpan& span);
-  void spill_instant(sim::SimTime t, const std::string& name, int node);
   void begin_record(RecordType type);
   void end_record();
   void flush_if_full();
@@ -107,20 +69,11 @@ class StreamSink final : public obs::SpanSink {
   std::vector<unsigned char> buffer_;
   std::size_t record_start_ = 0;  ///< buffer offset of the open record
 
-  /// Open spans, keyed by task id. An ordered map so the end-of-run
-  /// spill of never-finished tasks walks in id order (deterministic
-  /// files for deterministic runs).
-  std::map<nanos::TaskId, TaskSpan> open_;
-  std::size_t peak_open_ = 0;
-
-  double transfer_wait_ = 0.0;
-  std::uint64_t rescues_ = 0;
   std::uint64_t spans_spilled_ = 0;
   std::uint64_t instants_written_ = 0;
   std::uint64_t windows_written_ = 0;
   std::uint64_t bytes_written_ = 0;
   sim::SimTime last_window_end_ = 0.0;
-  bool closed_ = false;
 };
 
 }  // namespace tlb::stream

@@ -6,6 +6,7 @@
 // shape and self-thinning, collapsed-stack export format, and the
 // disabled path recording nothing at all.
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -229,36 +230,52 @@ TEST_F(ProfTest, CollapsedStacksAreWellFormed) {
 
 // --- allocation accounting ---------------------------------------------------
 
+// Run with no span backend, the in-memory collector and the spill file:
+// the span recorder's open-span charges and each store's own are all
+// released with the rest.
 TEST_F(ProfTest, AllocCountersBalanceToZeroAfterTeardown) {
-  {
-    apps::SyntheticWorkload wl(net_workload());
-    core::ClusterRuntime rt(with_prof(net_config()));
-    rt.run(wl);
-    // Mid-run charges were made: peaks must be visible with the runtime
-    // still alive.
-    bool any_peak = false;
-    for (const prof::TagStats& t : prof::Profiler::instance().alloc_stats()) {
-      if (t.peak_bytes > 0) any_peak = true;
+  const std::string path = "prof_test_spans.stream";
+  for (const char* spans : {"off", "collector", "stream"}) {
+    SCOPED_TRACE(spans);
+    prof::Profiler::instance().reset();
+    {
+      core::RuntimeConfig cfg = with_prof(net_config());
+      cfg.obs.spans = std::strcmp(spans, "collector") == 0;
+      cfg.obs.stream.enabled = std::strcmp(spans, "stream") == 0;
+      cfg.obs.stream.path = path;
+      apps::SyntheticWorkload wl(net_workload());
+      core::ClusterRuntime rt(cfg);
+      rt.run(wl);
+      // Mid-run charges were made: peaks must be visible with the runtime
+      // still alive.
+      bool any_peak = false;
+      for (const prof::TagStats& t :
+           prof::Profiler::instance().alloc_stats()) {
+        if (t.peak_bytes > 0) any_peak = true;
+      }
+      EXPECT_TRUE(any_peak);
     }
-    EXPECT_TRUE(any_peak);
-  }
-  // Every charge released: destructors return exactly what was noted.
-  for (const prof::TagStats& t : prof::Profiler::instance().alloc_stats()) {
-    EXPECT_EQ(t.alive_bytes, 0) << t.tag;
-    EXPECT_GE(t.peak_bytes, 0) << t.tag;
-  }
-  // The tags this workload exercises all saw traffic.
-  auto peak_of = [](const char* tag) {
+    // Every charge released: destructors return exactly what was noted.
     for (const prof::TagStats& t : prof::Profiler::instance().alloc_stats()) {
-      if (std::strcmp(t.tag, tag) == 0) return t.peak_bytes;
+      EXPECT_EQ(t.alive_bytes, 0) << t.tag;
+      EXPECT_GE(t.peak_bytes, 0) << t.tag;
     }
-    return std::int64_t{-1};
-  };
-  EXPECT_GT(peak_of("sim.event"), 0);
-  EXPECT_GT(peak_of("nanos.task"), 0);
-  EXPECT_GT(peak_of("net.flow"), 0);
-  EXPECT_GT(peak_of("core.exec"), 0);
-  EXPECT_GT(peak_of("core.pending"), 0);
+    // The tags this workload exercises all saw traffic.
+    auto peak_of = [](const char* tag) {
+      for (const prof::TagStats& t :
+           prof::Profiler::instance().alloc_stats()) {
+        if (std::strcmp(t.tag, tag) == 0) return t.peak_bytes;
+      }
+      return std::int64_t{-1};
+    };
+    EXPECT_GT(peak_of("sim.event"), 0);
+    EXPECT_GT(peak_of("nanos.task"), 0);
+    EXPECT_GT(peak_of("net.flow"), 0);
+    EXPECT_GT(peak_of("core.exec"), 0);
+    EXPECT_GT(peak_of("core.pending"), 0);
+    EXPECT_EQ(peak_of("obs.span") > 0, std::strcmp(spans, "off") != 0);
+  }
+  std::remove(path.c_str());
 }
 
 // --- health snapshots --------------------------------------------------------

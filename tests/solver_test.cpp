@@ -3,13 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "graph/expander.hpp"
 #include "sim/rng.hpp"
 #include "solver/allocation.hpp"
 #include "solver/maxflow.hpp"
 #include "solver/mincost_flow.hpp"
-#include "solver/simplex.hpp"
+#include "simplex.hpp"
 
 namespace tlb::solver {
 namespace {
@@ -164,6 +166,59 @@ AllocationProblem make_problem(const graph::BipartiteGraph& g,
   p.work = std::move(work);
   p.node_cores = std::move(cores);
   return p;
+}
+
+/// Oracle for solve_allocation via the direct LP formulation (dense
+/// simplex): maximise z subject to sum_{e in a} y'_e >= work_a * z - deg(a)
+/// and node residual capacities, over the extra cores y'_e per edge.
+/// Returns the optimal objective max_a work_a/cores_a = 1/z, or NaN when
+/// the LP fails.
+double allocation_objective_lp(const AllocationProblem& p) {
+  const auto& g = *p.graph;
+  if (std::accumulate(p.work.begin(), p.work.end(), 0.0) <= 0.0) return 0.0;
+
+  // Variables: y'_e (extra cores per edge, e indexed globally) then z.
+  std::vector<int> edge_node;
+  std::vector<std::vector<int>> edge_of(
+      static_cast<std::size_t>(g.left_count()));
+  for (int a = 0; a < g.left_count(); ++a) {
+    for (int n : g.neighbors_of_left(a)) {
+      edge_of[static_cast<std::size_t>(a)].push_back(
+          static_cast<int>(edge_node.size()));
+      edge_node.push_back(n);
+    }
+  }
+  const std::size_t ne = edge_node.size();
+  LinearProgram lp;
+  lp.c.assign(ne + 1, 0.0);
+  lp.c[ne] = 1.0;  // maximise z
+
+  // work_a * z - sum_{e in a} y'_e <= deg(a)
+  for (int a = 0; a < g.left_count(); ++a) {
+    std::vector<double> row(ne + 1, 0.0);
+    row[ne] = p.work[static_cast<std::size_t>(a)];
+    for (int e : edge_of[static_cast<std::size_t>(a)]) {
+      row[static_cast<std::size_t>(e)] = -1.0;
+    }
+    lp.a.push_back(std::move(row));
+    lp.b.push_back(static_cast<double>(g.left_degree(a)));
+  }
+  // sum_{e on n} y'_e <= cores_n - workers_n
+  for (int n = 0; n < g.right_count(); ++n) {
+    std::vector<double> row(ne + 1, 0.0);
+    for (std::size_t e = 0; e < ne; ++e) {
+      if (edge_node[e] == n) row[e] = 1.0;
+    }
+    lp.a.push_back(std::move(row));
+    lp.b.push_back(static_cast<double>(
+        p.node_cores[static_cast<std::size_t>(n)] - g.right_degree(n)));
+  }
+
+  const auto sol = solve_lp(lp);
+  if (!sol || sol->objective <= 0.0) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return 1.0 / sol->objective;  // z = 1/t
 }
 
 TEST(Allocation, BalancedLoadNeedsNoOffloading) {

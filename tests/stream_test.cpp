@@ -2,7 +2,8 @@
 // determinism (golden schedule fingerprints unchanged with the stream
 // backend on), exporter equivalence (the reader-reconstructed view
 // produces byte-identical Chrome traces and flame folds and the same
-// critical path as the in-memory collector), the bounded working set,
+// critical path as the in-memory collector, with and without a crash),
+// one Chrome event per rescue in either backend, the bounded working set,
 // windowed metric snapshots, and spill-file validation diagnostics
 // (truncation / corruption throw with the exact byte offset).
 #include <cstdint>
@@ -17,6 +18,8 @@
 
 #include "apps/synthetic.hpp"
 #include "core/runtime.hpp"
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flame.hpp"
@@ -150,48 +153,121 @@ TEST(StreamDeterminism, KeepsNetScheduleBitIdentical) {
 
 // --- exporter equivalence ----------------------------------------------------
 
+/// One run to record with either span backend: the runtime and workload
+/// configs, plus an optional crash of apprank 0's second worker.
+struct Scenario {
+  const char* name;
+  core::RuntimeConfig config;
+  apps::SyntheticConfig workload;
+  double crash_at = -1.0;  ///< < 0: fault-free
+};
+
+Scenario net_scenario() { return {"net", net_config(), net_workload()}; }
+
+/// The Resil.HeartbeatDetectsCrashAndRecovers setup: a helper crashes
+/// mid-run, heartbeats detect it, and its voided tasks are rescued.
+Scenario heartbeat_crash_scenario() {
+  Scenario s{"heartbeat crash", {}, {}};
+  s.config.cluster = sim::ClusterSpec::homogeneous(4, 16);
+  s.config.appranks_per_node = 1;
+  s.config.degree = 3;
+  s.config.policy = core::PolicyKind::Global;
+  s.config.resil.detection = resil::DetectionMode::Heartbeat;
+  s.workload.appranks = 4;
+  s.workload.iterations = 8;
+  s.workload.tasks_per_rank = 240;
+  s.workload.imbalance = 2.5;
+  apps::SyntheticWorkload clean(s.workload);
+  s.crash_at = core::ClusterRuntime(s.config).run(clean).makespan * 0.45;
+  return s;
+}
+
+core::RunResult run_scenario(core::ClusterRuntime& rt, const Scenario& s) {
+  apps::SyntheticWorkload wl(s.workload);
+  fault::FaultPlan plan;
+  if (s.crash_at >= 0.0) {
+    plan.crash_worker(rt.topology().workers_of_apprank(0)[1], s.crash_at);
+  }
+  fault::FaultInjector injector(std::move(plan));
+  injector.attach(rt);
+  return rt.run(wl);
+}
+
 // The whole point of the reader: every existing exporter must see the
-// same run through a reconstructed spill as through the live collector.
+// same run through a reconstructed spill as through the live collector,
+// with and without crash rescues.
 TEST(StreamEquivalence, ExportersMatchCollectorByteForByte) {
-  // Collector run.
-  core::RuntimeConfig ccfg = net_config();
-  ccfg.obs.spans = true;
-  apps::SyntheticWorkload cwl(net_workload());
-  core::ClusterRuntime crt(ccfg);
-  const auto cr = crt.run(cwl);
-  ASSERT_NE(crt.spans(), nullptr);
+  for (const Scenario& s : {net_scenario(), heartbeat_crash_scenario()}) {
+    SCOPED_TRACE(s.name);
+    // Collector run.
+    core::RuntimeConfig ccfg = s.config;
+    ccfg.obs.spans = true;
+    core::ClusterRuntime crt(ccfg);
+    const auto cr = run_scenario(crt, s);
+    ASSERT_NE(crt.spans(), nullptr);
 
-  // Identical run, stream backend.
-  const std::string path = spill_path("equivalence");
-  apps::SyntheticWorkload swl(net_workload());
-  core::ClusterRuntime srt(with_stream(net_config(), path));
-  const auto sr = srt.run(swl);
-  ASSERT_EQ(sr.makespan, cr.makespan);
+    // Identical run, stream backend.
+    const std::string path = spill_path("equivalence");
+    core::ClusterRuntime srt(with_stream(s.config, path));
+    const auto sr = run_scenario(srt, s);
+    ASSERT_EQ(sr.makespan, cr.makespan);
+    if (s.crash_at >= 0.0) {
+      EXPECT_EQ(cr.workers_crashed, 1u);
+    }
 
+    const stream::StreamReader reader(path);
+    const obs::SpanCollector& from_file = reader.spans();
+    const obs::SpanCollector& live = *crt.spans();
+
+    const int nodes = crt.topology().node_count();
+    const int appranks = crt.topology().apprank_count();
+    EXPECT_EQ(obs::chrome_trace_json(from_file, nodes, appranks),
+              obs::chrome_trace_json(live, nodes, appranks));
+    EXPECT_EQ(obs::collapsed_stacks_text(from_file),
+              obs::collapsed_stacks_text(live));
+
+    const obs::CriticalPath cp_live = obs::critical_path(crt.tasks(), live);
+    const obs::CriticalPath cp_file =
+        obs::critical_path(srt.tasks(), from_file);
+    EXPECT_EQ(cp_file.length, cp_live.length);
+    EXPECT_EQ(cp_file.compute, cp_live.compute);
+    EXPECT_EQ(cp_file.transfer, cp_live.transfer);
+    EXPECT_EQ(cp_file.chain, cp_live.chain);
+
+    // Footer aggregates travel with the file.
+    EXPECT_EQ(from_file.transfer_wait_core_seconds(),
+              live.transfer_wait_core_seconds());
+    EXPECT_EQ(from_file.rescues(), live.rescues());
+    EXPECT_EQ(from_file.spans().size(), live.spans().size());
+    EXPECT_EQ(from_file.instants().size(), live.instants().size());
+    std::remove(path.c_str());
+  }
+}
+
+// A rescue is drawn once, on the voided attempt's track — not a second
+// time as a global instant.
+TEST(SpanRescues, ChromeTraceHasOneEventPerRescue) {
+  const Scenario s = heartbeat_crash_scenario();
+  core::RuntimeConfig cfg = s.config;
+  cfg.obs.spans = true;
+  core::ClusterRuntime crt(cfg);
+  run_scenario(crt, s);
+  const std::string path = spill_path("rescues");
+  core::ClusterRuntime srt(with_stream(s.config, path));
+  run_scenario(srt, s);
   const stream::StreamReader reader(path);
-  const obs::SpanCollector& from_file = reader.spans();
-  const obs::SpanCollector& live = *crt.spans();
 
-  const int nodes = crt.topology().node_count();
-  const int appranks = crt.topology().apprank_count();
-  EXPECT_EQ(obs::chrome_trace_json(from_file, nodes, appranks),
-            obs::chrome_trace_json(live, nodes, appranks));
-  EXPECT_EQ(obs::collapsed_stacks_text(from_file),
-            obs::collapsed_stacks_text(live));
-
-  const obs::CriticalPath cp_live = obs::critical_path(crt.tasks(), live);
-  const obs::CriticalPath cp_file = obs::critical_path(srt.tasks(), from_file);
-  EXPECT_EQ(cp_file.length, cp_live.length);
-  EXPECT_EQ(cp_file.compute, cp_live.compute);
-  EXPECT_EQ(cp_file.transfer, cp_live.transfer);
-  EXPECT_EQ(cp_file.chain, cp_live.chain);
-
-  // Footer aggregates travel with the file.
-  EXPECT_EQ(from_file.transfer_wait_core_seconds(),
-            live.transfer_wait_core_seconds());
-  EXPECT_EQ(from_file.rescues(), live.rescues());
-  EXPECT_EQ(from_file.spans().size(), live.spans().size());
-  EXPECT_EQ(from_file.instants().size(), live.instants().size());
+  for (const obs::SpanCollector* spans : {crt.spans(), &reader.spans()}) {
+    ASSERT_NE(spans, nullptr);
+    ASSERT_GT(spans->rescues(), 0u);
+    std::uint64_t rescue_events = 0;
+    for (const obs::ChromeEvent& e :
+         obs::chrome_events(*spans, crt.topology().node_count(),
+                            crt.topology().apprank_count())) {
+      if (e.name.rfind("rescue task ", 0) == 0) ++rescue_events;
+    }
+    EXPECT_EQ(rescue_events, spans->rescues());
+  }
   std::remove(path.c_str());
 }
 
