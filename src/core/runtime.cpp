@@ -774,8 +774,8 @@ void ClusterRuntime::dispatch(WorkerId w) {
   ApprankState& st = appranks_[static_cast<std::size_t>(info.apprank)];
 
   while (true) {
-    const auto idle = nc.idle_leased_cores(w);
-    if (idle.empty()) return;
+    const int idle = nc.idle_leased_count(w);
+    if (idle == 0) return;
     if (ws.queue.empty()) {
       // Steal from the apprank's central queue: an idle core is capacity
       // by definition ("stolen as tasks complete", §5.5). A remote
@@ -783,7 +783,7 @@ void ClusterRuntime::dispatch(WorkerId w) {
       // so pre-claim at most one in-flight task per idle core; each
       // delivery callback kicks this node again.
       if (st.central.empty()) return;
-      if (ws.pending >= static_cast<int>(idle.size())) return;
+      if (ws.pending >= idle) return;
       const nanos::TaskId id = st.central.front();
       st.central.pop_front();
       assign_to_worker(id, w);
@@ -791,7 +791,7 @@ void ClusterRuntime::dispatch(WorkerId w) {
     }
     const nanos::TaskId id = ws.queue.front();
     ws.queue.pop_front();
-    start_task(id, w, idle.front());
+    start_task(id, w, nc.first_idle_leased(w));
   }
 }
 
@@ -1048,7 +1048,7 @@ void ClusterRuntime::kick_node(int node) {
   if (lw.enabled()) {
     for (WorkerId w : residents) {
       if (!is_alive(w)) continue;
-      const int idle = static_cast<int>(nc.idle_leased_cores(w).size());
+      const int idle = nc.idle_leased_count(w);
       const int deficit = backlog_of(w) - idle;
       if (deficit > 0) lw.reclaim_for(w, deficit);
     }
@@ -1063,7 +1063,7 @@ void ClusterRuntime::kick_node(int node) {
     // 4. Backlogged workers borrow from the pool.
     for (WorkerId w : residents) {
       if (!is_alive(w)) continue;
-      const int idle = static_cast<int>(nc.idle_leased_cores(w).size());
+      const int idle = nc.idle_leased_count(w);
       const int want = backlog_of(w) - idle;
       if (want > 0) {
         lw.borrow(w, want);

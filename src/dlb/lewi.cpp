@@ -1,15 +1,17 @@
 #include "dlb/lewi.hpp"
 
+#include <algorithm>
+
 namespace tlb::dlb {
 
 int LewiModule::lend_idle(WorkerId w) {
   if (!enabled_) return 0;
   int moved = 0;
-  for (int core : cores_.idle_leased_cores(w)) {
+  // Ascending core order; lending or releasing a core changes no other
+  // core's state, so resuming the search past it sees every candidate.
+  for (int core = cores_.first_idle_leased(w); core >= 0;
+       core = cores_.next_idle_leased(w, core + 1)) {
     if (cores_.owner(core) == w) {
-      // Do not lend a core that someone is already waiting to take over
-      // (a pending DROM transfer): let the transfer complete instead.
-      if (cores_.reclaim_pending(core)) continue;
       cores_.lend(core);
       ++lends_;
       ++moved;
@@ -21,14 +23,14 @@ int LewiModule::lend_idle(WorkerId w) {
   return moved;
 }
 
-std::vector<int> LewiModule::borrow(WorkerId w, int max_cores) {
-  std::vector<int> got;
-  if (!enabled_ || max_cores <= 0) return got;
-  for (int core : cores_.pooled_cores()) {
-    if (static_cast<int>(got.size()) >= max_cores) break;
+int LewiModule::borrow(WorkerId w, int max_cores) {
+  if (!enabled_ || max_cores <= 0) return 0;
+  int got = 0;
+  for (int core = cores_.next_pooled(0); core >= 0 && got < max_cores;
+       core = cores_.next_pooled(core + 1)) {
     if (cores_.owner(core) == w) continue;  // take own cores via reclaim
     if (cores_.try_borrow(core, w)) {
-      got.push_back(core);
+      ++got;
       ++borrows_;
     }
   }
@@ -37,8 +39,11 @@ std::vector<int> LewiModule::borrow(WorkerId w, int max_cores) {
 
 int LewiModule::reclaim_for(WorkerId w, int needed) {
   if (!enabled_ || needed <= 0) return 0;
+  // Every reclaim issued below retires one reclaimable core, so the walk
+  // can stop once it has issued as many as there are.
+  const int target = std::min(needed, cores_.reclaimable_count(w));
   int issued = 0;
-  for (int core = 0; core < cores_.core_count() && issued < needed; ++core) {
+  for (int core = 0; core < cores_.core_count() && issued < target; ++core) {
     if (cores_.owner(core) != w) continue;
     if (cores_.lease(core) == w) continue;
     if (cores_.pending_lease(core) == w) continue;  // already on its way

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "dlb/core_registry.hpp"
 
@@ -26,9 +25,9 @@ class LewiModule {
   /// cores are released instead. Returns the number of cores lent+released.
   int lend_idle(WorkerId w);
 
-  /// Borrows up to `max_cores` pooled cores for `w`.
-  /// Returns the core indices borrowed.
-  std::vector<int> borrow(WorkerId w, int max_cores);
+  /// Borrows up to `max_cores` pooled cores for `w`, lowest index first.
+  /// Returns how many cores were borrowed.
+  int borrow(WorkerId w, int max_cores);
 
   /// Owner `w` needs cores again: reclaims up to `needed` of its lent-out
   /// cores (idle ones return immediately; running ones at task end).

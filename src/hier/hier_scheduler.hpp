@@ -1,10 +1,11 @@
 // "hier" — hierarchical two-level victim selection (tlb::hier).
 //
 // The flat policies in tlb::sched probe global state on every decision:
-// the in-flight throttle alone walks the node's core registry per
-// candidate, so one decision costs O(cores) and scheduling cost grows
-// linearly with the cluster. This subsystem splits the decision across
-// two levels (Eleliemy & Ciorba, two-level MPI+MPI self-scheduling):
+// the in-flight throttle alone is charged one probe per owned core of
+// each candidate (SchedStats::state_touched, the modelled DLB probe cost,
+// not host time), so one decision costs O(cores) and scheduling cost
+// grows linearly with the cluster. This subsystem splits the decision
+// across two levels (Eleliemy & Ciorba, two-level MPI+MPI self-scheduling):
 // per-node LocalMasters condense their workers into compact NodeSummaries
 // (slack, load ratio, decayed queue-wait estimate), and a GlobalBalancer
 // decides from summaries only — O(adjacent nodes) summary reads per

@@ -20,9 +20,9 @@ std::uint64_t LocalMaster::refresh(const sched::RuntimeView& view,
     ws.owned = view.owned_cores(w);
     ws.inflight = view.inflight(w);
     ws.slack = per_core * ws.owned - ws.inflight;
-    // The owned-core read walks the node's core registry (O(cores/node));
-    // the in-flight read is one probe. This is the cost the summary
-    // amortizes: flat policies pay it per decision, we pay it per refresh.
+    // Modelled DLB probe cost (not host time): one per owned core plus
+    // one for the in-flight read. This is the cost the summary amortizes:
+    // flat policies pay it per decision, we pay it per refresh.
     touched += 1 + static_cast<std::uint64_t>(ws.owned > 0 ? ws.owned : 1);
     if (view.usable(w)) {
       summary_.total_slack += std::max(0, ws.slack);

@@ -33,9 +33,10 @@ class LocalMaster {
   }
 
   /// Rebuilds the summary from the live runtime state. Returns the number
-  /// of state probes the walk performed (per worker: in-flight read plus
-  /// the owned-core registry scan), charged to SchedStats::state_touched
-  /// by the caller — this is the amortized cost flat policies pay on
+  /// of state probes the walk is modelled to perform (per worker: the
+  /// in-flight read plus one per owned core), charged to
+  /// SchedStats::state_touched by the caller — the modelled DLB probe
+  /// cost, not host time, amortized here and paid by flat policies on
   /// every decision.
   std::uint64_t refresh(const sched::RuntimeView& view, sim::SimTime now);
 

@@ -2,8 +2,9 @@
 // levels (tlb::hier).
 //
 // A flat policy probes global state on every victim selection: the
-// in-flight throttle alone walks the node's core registry per candidate
-// (dlb::NodeCores::owned_count is O(cores/node)), so one decision touches
+// in-flight throttle reads each candidate's owned-core count, which the
+// model charges as one probe per owned core (SchedStats::state_touched is
+// the modelled DLB probe cost, not host time), so one decision touches
 // O(cores) state and the cost grows with the cluster. The hierarchical
 // scheduler caps that: each node's local master condenses its workers
 // into the fixed-size summary below, and the global balancer decides from

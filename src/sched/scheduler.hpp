@@ -119,8 +119,9 @@ class Scheduler {
 
   /// The two-tasks-per-owned-core throttle (§5.5). Charges the probe to
   /// SchedStats::state_touched: one for the in-flight read plus one per
-  /// owned core the underlying registry scan walks (the O(cores) global
-  /// state the hierarchical scheduler's summaries amortize away).
+  /// owned core. That is the modelled DLB probe cost (the O(cores) global
+  /// state the hierarchical scheduler's summaries amortize away), not
+  /// host time: the registry answers owned_cores() in O(1).
   [[nodiscard]] bool under_threshold(core::WorkerId w) const {
     const int owned = view_.owned_cores(w);
     stats_.state_touched += 1 + static_cast<std::uint64_t>(owned > 0 ? owned : 1);
