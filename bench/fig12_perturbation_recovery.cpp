@@ -87,8 +87,7 @@ void run_combo(resil::DetectionMode detector, core::PolicyKind policy,
   core::ClusterRuntime rt(cfg);
   fault::FaultInjector injector(
       make_plan(kind, clean.makespan * 0.35, clean.makespan * 0.70, rt));
-  metrics::RecoverySeries recovery;
-  injector.attach(rt, &recovery);
+  injector.attach(rt);
   const auto r = rt.run(wl);
 
   std::vector<const trace::StepSeries*> node_busy;
@@ -97,9 +96,9 @@ void run_combo(resil::DetectionMode detector, core::PolicyKind policy,
   }
   // Iteration-sized bins so barrier drains do not read as imbalance; trim
   // the end-of-run drain from the analysis window.
-  const auto reports = recovery.analyse(node_busy, 0.0, r.makespan * 0.95,
-                                        /*bins=*/16, /*threshold=*/1.15,
-                                        /*hold=*/2);
+  const auto reports = metrics::recovery_reports(
+      rt.recorder().marks(), node_busy, 0.0, r.makespan * 0.95,
+      /*bins=*/16, /*threshold=*/1.15, /*hold=*/2);
   const auto& first = reports.front();
   std::printf(
       "%s,%s,%d,%s,%.4f,%.4f,%.1f,%s,%.2f,%llu,%llu,%s,%llu\n",

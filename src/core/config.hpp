@@ -73,12 +73,10 @@ struct RuntimeConfig {
   /// ClusterRuntime construction with the list of valid values.
   sched::SchedConfig sched;
 
-  /// Hierarchical two-level scheduling (tlb::hier). Off by default — the
-  /// flat policy named by `sched.policy` runs and plain schedules stay
-  /// bit-identical. When enabled, victim selection goes through per-node
-  /// local masters and a global balancer over compact load summaries
-  /// (overrides `sched.policy`; equivalent to sched.policy = "hier" with
-  /// this struct's tuning applied).
+  /// Tuning of the hierarchical two-level scheduler (tlb::hier), read only
+  /// when `sched.policy` is "hier": victim selection then goes through
+  /// per-node local masters and a global balancer over compact load
+  /// summaries.
   hier::HierConfig hier;
 
   /// Observability (tlb::obs). Off by default; enabling span collection is

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "hier/hier_scheduler.hpp"
-#include "metrics/recovery.hpp"
 #include "prof/prof.hpp"
 #include "sched/registry.hpp"
 #include "solver/allocation.hpp"
@@ -150,6 +149,8 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   } else if (config_.obs.spans) {
     span_recorder_ = std::make_unique<obs::SpanCollector>();
   }
+  // Every timeline mark also becomes an instant of the span store.
+  recorder_->attach_spans(span_recorder_.get());
 
   // Contention-aware interconnect (tlb::net): replace the analytic cost
   // model with a shared-link fabric. Both communicators route their
@@ -170,7 +171,6 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
     fabric_ = std::make_unique<net::Fabric>(engine_, std::move(topo));
     fabric_->set_congestion_threshold(nconf.congestion_threshold);
     fabric_->set_recorder(recorder_.get());
-    fabric_->set_span_sink(span_recorder_.get());
     app_comm_->attach_fabric(fabric_.get());
     ctrl_comm_->attach_fabric(fabric_.get());
     link_load_view_ = std::make_unique<net::LinkLoadView>(*fabric_);
@@ -185,8 +185,7 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   // register_policies is idempotent: "hier" enters the registry once per
   // process, whichever runtime constructs first.
   hier::register_policies();
-  scheduler_ =
-      make_policy(config_.hier.enabled ? "hier" : config_.sched.policy);
+  scheduler_ = make_policy(config_.sched.policy);
   subscribe_control_types();
 
   if (config_.prof.enabled) {
@@ -631,19 +630,15 @@ int ClusterRuntime::pick_worker(const nanos::Task& task) {
   // with congestion marks.
   const sched::Decision d = scheduler_->pick(task);
   if (d.kind == sched::DecisionKind::Steered) {
-    recorder_->mark(engine_.now(),
-                    "sched steer: task " + std::to_string(task.id) +
-                        " -> worker " + std::to_string(d.worker),
-                    trace::MarkKind::SchedSteer, d.worker);
-    sink().sched_decision(task.id, obs::SchedVerdict::Steered, d.worker,
-                          engine_.now());
+    mark_trace("sched steer: task " + std::to_string(task.id) +
+                   " -> worker " + std::to_string(d.worker),
+               trace::MarkKind::SchedSteer, d.worker);
+    sink().sched_decision(task.id, obs::SchedVerdict::Steered);
   } else if (d.kind == sched::DecisionKind::Suppressed) {
-    recorder_->mark(engine_.now(),
-                    "sched suppress: task " + std::to_string(task.id) +
-                        (d.worker >= 0 ? " held home" : " held centrally"),
-                    trace::MarkKind::SchedSuppress, d.worker);
-    sink().sched_decision(task.id, obs::SchedVerdict::Suppressed, d.worker,
-                          engine_.now());
+    mark_trace("sched suppress: task " + std::to_string(task.id) +
+                   (d.worker >= 0 ? " held home" : " held centrally"),
+               trace::MarkKind::SchedSuppress, d.worker);
+    sink().sched_decision(task.id, obs::SchedVerdict::Suppressed);
   }
   return d.worker;
 }
@@ -1082,6 +1077,13 @@ void ClusterRuntime::schedule_policy_tick() {
   policy_event_ = engine_.after(period, [this] { policy_tick(); });
 }
 
+void ClusterRuntime::resolve_now() {
+  if (!config_.drom_active() || done_) return;
+  engine_.cancel(policy_event_);
+  policy_event_ = sim::kInvalidEvent;
+  policy_tick();
+}
+
 void ClusterRuntime::policy_tick() {
   if (done_) return;
   PROF_SCOPE("core.policy_tick");
@@ -1254,8 +1256,9 @@ sim::SimTime ClusterRuntime::faulted_transfer_time(std::uint64_t bytes) {
   return t;
 }
 
-void ClusterRuntime::mark_trace(const std::string& label) {
-  recorder_->mark(engine_.now(), label);
+void ClusterRuntime::mark_trace(std::string label, trace::MarkKind kind,
+                                std::int64_t value) {
+  recorder_->mark(engine_.now(), kind, value, std::move(label));
 }
 
 void ClusterRuntime::rescue_task(nanos::TaskId id, WorkerId from,
@@ -1379,11 +1382,7 @@ void ClusterRuntime::crash_worker(WorkerId w) {
 
   // 6. Fresh policy solve over the reduced offloading graph, without
   // waiting for the next periodic tick.
-  if (config_.drom_active() && !done_) {
-    engine_.cancel(policy_event_);
-    policy_event_ = sim::kInvalidEvent;
-    policy_tick();
-  }
+  resolve_now();
 }
 
 // --- failure detection / graceful degradation (tlb::resil) --------------------
@@ -1635,15 +1634,9 @@ void ClusterRuntime::suspect_worker(WorkerId w) {
     const double latency =
         engine_.now() - crashed_at_[static_cast<std::size_t>(w)];
     m_.detection_latency_sum->add(latency);
-    if (recovery_series_ != nullptr) {
-      recovery_series_->record_detection(engine_.now(), w, true, latency);
-    }
     mark_trace("detected crash of worker " + std::to_string(w));
   } else {
     m_.false_suspicions->inc();
-    if (recovery_series_ != nullptr) {
-      recovery_series_->record_detection(engine_.now(), w, false, 0.0);
-    }
     mark_trace("false suspicion of worker " + std::to_string(w));
   }
 
@@ -1663,11 +1656,7 @@ void ClusterRuntime::suspect_worker(WorkerId w) {
 
   // Immediate policy re-solve over the usable workers, then let every node
   // pick up the re-queued work.
-  if (config_.drom_active() && !done_) {
-    engine_.cancel(policy_event_);
-    policy_event_ = sim::kInvalidEvent;
-    policy_tick();
-  }
+  resolve_now();
   for (int n = 0; n < topology_->node_count(); ++n) kick_node(n);
 }
 
@@ -1685,11 +1674,7 @@ void ClusterRuntime::probe_worker(WorkerId w) {
     detectors_[static_cast<std::size_t>(w)].reset();
     m_.quarantine_readmissions->inc();
     mark_trace("readmitted worker " + std::to_string(w));
-    if (config_.drom_active() && !done_) {
-      engine_.cancel(policy_event_);
-      policy_event_ = sim::kInvalidEvent;
-      policy_tick();
-    }
+    resolve_now();
     return;
   }
   // Still silent: extend the quarantine with a longer (capped) cooling.
@@ -1721,6 +1706,15 @@ void ClusterRuntime::maybe_rewire(int apprank) {
     return;
   }
 
+  add_worker(apprank, node);
+  m_.rewired_edges->inc();
+  mark_trace("rewired apprank " + std::to_string(apprank) + " -> node " +
+             std::to_string(node));
+  // The new worker owns no cores yet; the policy re-solve that follows the
+  // crash/suspicion grants it at least one (it is unpickable until then).
+}
+
+WorkerId ClusterRuntime::add_worker(int apprank, int node) {
   // Thread the new helper through every layer: graph edge, topology slot,
   // control-plane rank, TALP/quarantine/detector state, runtime vectors.
   expander_.graph.add_edge(apprank, node);
@@ -1742,11 +1736,7 @@ void ClusterRuntime::maybe_rewire(int apprank) {
     engine_.after(config_.resil.heartbeat_period,
                   [this, w] { send_heartbeat(w); });
   }
-  m_.rewired_edges->inc();
-  mark_trace("rewired apprank " + std::to_string(apprank) + " -> node " +
-             std::to_string(node));
-  // The new worker owns no cores yet; the policy re-solve that follows the
-  // crash/suspicion grants it at least one (it is unpickable until then).
+  return w;
 }
 
 // --- elasticity (tlb::elastic) ------------------------------------------------
@@ -1767,9 +1757,8 @@ int ClusterRuntime::grow_node(const sim::NodeSpec& spec, int helpers) {
     throw std::invalid_argument("grow_node: node needs at least one core");
   }
 
-  // The grow sequence is the rewire path run once per helper: graph edge,
-  // topology slot, control-plane rank, TALP / detector / quarantine state,
-  // per-worker runtime vectors.
+  // The grow sequence is the rewire path (add_worker) run once per helper
+  // on a fresh node.
   const int node = expander_.graph.add_right_vertex();
   const int tnode = topology_->add_node();
   assert(node == tnode && "graph and topology node ids must stay aligned");
@@ -1791,28 +1780,7 @@ int ClusterRuntime::grow_node(const sim::NodeSpec& spec, int helpers) {
 
   std::vector<WorkerId> added;
   for (int i = 0; i < count; ++i) {
-    const int a = order[static_cast<std::size_t>(i)];
-    expander_.graph.add_edge(a, node);
-    const WorkerId w = topology_->add_worker(a, node);
-    const vmpi::RankId rank = ctrl_comm_->add_rank(node);
-    (void)rank;
-    assert(rank == w && "control-plane ranks mirror worker ids");
-    talp_->add_worker();
-    workers_.emplace_back();
-    alive_.push_back(1);
-    retired_.push_back(0);
-    suspected_.push_back(0);
-    last_heartbeat_.push_back(-1.0);
-    crashed_at_.push_back(-1.0);
-    if (!busy_smoothed_.empty()) busy_smoothed_.push_back(0.0);
-    if (resil_active()) {
-      detectors_.emplace_back(config_.resil.phi_window,
-                              config_.resil.phi_min_std);
-      quarantine_->add_worker();
-      engine_.after(config_.resil.heartbeat_period,
-                    [this, w] { send_heartbeat(w); });
-    }
-    added.push_back(w);
+    added.push_back(add_worker(order[static_cast<std::size_t>(i)], node));
   }
   assert(!added.empty());
 
@@ -1832,11 +1800,7 @@ int ClusterRuntime::grow_node(const sim::NodeSpec& spec, int helpers) {
   mark_trace("elastic: node " + std::to_string(node) + " joined with " +
              std::to_string(added.size()) + " helpers");
 
-  if (config_.drom_active() && !done_) {
-    engine_.cancel(policy_event_);
-    policy_event_ = sim::kInvalidEvent;
-    policy_tick();
-  }
+  resolve_now();
   kick_node(node);
   return node;
 }
@@ -1897,11 +1861,7 @@ void ClusterRuntime::retire_node(int node) {
 
   // Re-solve over the reduced capacity, then let the survivors pick up the
   // rescued work.
-  if (config_.drom_active() && !done_) {
-    engine_.cancel(policy_event_);
-    policy_event_ = sim::kInvalidEvent;
-    policy_tick();
-  }
+  resolve_now();
   for (int n = 0; n < topology_->node_count(); ++n) {
     if (!node_retired_[static_cast<std::size_t>(n)]) kick_node(n);
   }

@@ -69,10 +69,6 @@
 #include "trace/recorder.hpp"
 #include "vmpi/comm.hpp"
 
-namespace tlb::metrics {
-class RecoverySeries;
-}
-
 namespace tlb::core {
 
 /// Private sched::RuntimeView implementation: scheduling policies read
@@ -266,14 +262,11 @@ class ClusterRuntime : private sched::RuntimeView {
     return leases_.size();
   }
 
-  /// Attaches a RecoverySeries that receives detection verdicts (true /
-  /// false suspicions with latency) as the run observes failures.
-  void set_recovery_series(metrics::RecoverySeries* series) {
-    recovery_series_ = series;
-  }
-
-  /// Annotates the trace timeline at the current simulated time.
-  void mark_trace(const std::string& label);
+  /// Records one timeline mark at the current simulated time
+  /// (trace::Recorder::mark).
+  void mark_trace(std::string label,
+                  trace::MarkKind kind = trace::MarkKind::Generic,
+                  std::int64_t value = 0);
 
   // --- elasticity (tlb::elastic) --------------------------------------------
 
@@ -452,6 +445,10 @@ class ClusterRuntime : private sched::RuntimeView {
   /// Adds a replacement helper edge when `apprank` has no usable helper
   /// left (expander rewire across graph / topology / vmpi / DLB layers).
   void maybe_rewire(int apprank);
+  /// Registers one new helper of `apprank` on `node` in every layer (graph
+  /// edge, topology slot, control-plane rank, TALP / detector / quarantine
+  /// state, per-worker runtime vectors); shared by rewire and grow_node.
+  WorkerId add_worker(int apprank, int node);
 
   // Observability (tlb::obs).
   /// The span sink lifecycle hooks emit into: the span recorder when
@@ -480,6 +477,10 @@ class ClusterRuntime : private sched::RuntimeView {
   // DROM policy loop (§5.4).
   void schedule_policy_tick();
   void policy_tick();
+  /// Re-solves ownership now instead of at the next periodic tick (after a
+  /// crash, suspicion, readmission, grow or retire); no-op without DROM or
+  /// once the run is done.
+  void resolve_now();
   void apply_plan(const OwnershipPlan& plan);
   void record_ownership();
 
@@ -596,7 +597,6 @@ class ClusterRuntime : private sched::RuntimeView {
   std::vector<sim::SimTime> last_heartbeat_;  ///< arrival times (-1 = none)
   std::vector<sim::SimTime> crashed_at_;      ///< physical crash (-1 = alive)
   int policy_level_ = 0;  ///< fallback rung: 0 primary, 1 local, 2 static
-  metrics::RecoverySeries* recovery_series_ = nullptr;
 };
 
 }  // namespace tlb::core

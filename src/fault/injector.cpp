@@ -16,29 +16,22 @@ bool is_link_kind(FaultKind kind) {
 
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
-void FaultInjector::attach(core::ClusterRuntime& rt,
-                           metrics::RecoverySeries* recovery) {
+void FaultInjector::attach(core::ClusterRuntime& rt) {
   plan_.validate();
-  // Let the runtime report detection verdicts (true/false suspicions with
-  // latency, tlb::resil) into the same series as the injections.
-  rt.set_recovery_series(recovery);
   const auto& events = plan_.events();
   active_.assign(events.size(), 0);
   saved_speed_.assign(events.size(), 1.0);
 
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& ev = events[i];
-    rt.schedule_external(ev.at,
-                         [this, &rt, i, recovery] { activate(rt, i, recovery); });
+    rt.schedule_external(ev.at, [this, &rt, i] { activate(rt, i); });
     if (ev.recovers()) {
-      rt.schedule_external(ev.until,
-                           [this, &rt, i, recovery] { recover(rt, i, recovery); });
+      rt.schedule_external(ev.until, [this, &rt, i] { recover(rt, i); });
     }
   }
 }
 
-void FaultInjector::activate(core::ClusterRuntime& rt, std::size_t i,
-                             metrics::RecoverySeries* recovery) {
+void FaultInjector::activate(core::ClusterRuntime& rt, std::size_t i) {
   const FaultEvent& ev = plan_.events()[i];
   active_[i] = 1;
   switch (ev.kind) {
@@ -54,13 +47,10 @@ void FaultInjector::activate(core::ClusterRuntime& rt, std::size_t i,
       rt.crash_worker(ev.target);
       break;
   }
-  const std::string label = ev.label();
-  rt.mark_trace(label);
-  if (recovery != nullptr) recovery->record(rt.now(), label);
+  rt.mark_trace(ev.label(), trace::MarkKind::FaultInjected, ev.target);
 }
 
-void FaultInjector::recover(core::ClusterRuntime& rt, std::size_t i,
-                            metrics::RecoverySeries* recovery) {
+void FaultInjector::recover(core::ClusterRuntime& rt, std::size_t i) {
   const FaultEvent& ev = plan_.events()[i];
   assert(active_[i] && "recovery fired before injection");
   active_[i] = 0;
@@ -78,9 +68,7 @@ void FaultInjector::recover(core::ClusterRuntime& rt, std::size_t i,
       assert(false && "crashes do not recover");
       break;
   }
-  const std::string label = ev.label() + " recovered";
-  rt.mark_trace(label);
-  if (recovery != nullptr) recovery->record(rt.now(), label, true);
+  rt.mark_trace(ev.label() + " recovered");
 }
 
 void FaultInjector::apply_link(core::ClusterRuntime& rt) const {

@@ -3,9 +3,9 @@
 // attach() must be called after constructing the runtime and before run();
 // the injector plants one simulator event per injection/recovery instant
 // (via ClusterRuntime::schedule_external) and must outlive the run. Each
-// event annotates the execution trace with a mark and, when a
-// metrics::RecoverySeries is supplied, records the instant there for
-// post-run recovery analysis.
+// event makes one timeline mark: an injection is a
+// trace::MarkKind::FaultInjected mark (the marks metrics::recovery_reports
+// measures), a recovery a Generic one.
 //
 // Concurrent link perturbations compose: latency and bandwidth multipliers
 // multiply, jitter bounds take the maximum, and loss rates combine as
@@ -20,7 +20,6 @@
 
 #include "core/runtime.hpp"
 #include "fault/plan.hpp"
-#include "metrics/recovery.hpp"
 
 namespace tlb::fault {
 
@@ -29,18 +28,14 @@ class FaultInjector {
   explicit FaultInjector(FaultPlan plan);
 
   /// Validates the plan and schedules every event onto `rt`. Call before
-  /// rt.run(); `rt` (and `recovery`, if given) must outlive the run, and
-  /// so must this injector.
-  void attach(core::ClusterRuntime& rt,
-              metrics::RecoverySeries* recovery = nullptr);
+  /// rt.run(); `rt` must outlive the run, and so must this injector.
+  void attach(core::ClusterRuntime& rt);
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
  private:
-  void activate(core::ClusterRuntime& rt, std::size_t i,
-                metrics::RecoverySeries* recovery);
-  void recover(core::ClusterRuntime& rt, std::size_t i,
-               metrics::RecoverySeries* recovery);
+  void activate(core::ClusterRuntime& rt, std::size_t i);
+  void recover(core::ClusterRuntime& rt, std::size_t i);
   /// Re-derives the composed LinkFault from all active link events and
   /// installs it on the runtime.
   void apply_link(core::ClusterRuntime& rt) const;

@@ -6,13 +6,6 @@
 namespace tlb::hier {
 
 struct HierConfig {
-  /// Master switch. Off by default: the runtime builds the flat policy
-  /// named by RuntimeConfig::sched.policy and no hier code runs — plain
-  /// runs stay bit-identical to a build without the subsystem. When set,
-  /// victim selection goes through the two-level scheduler (equivalent to
-  /// sched.policy = "hier", which this flag overrides).
-  bool enabled = false;
-
   /// Maximum age (seconds) of a node's load summary before the global
   /// balancer asks its local master for a refresh. Between refreshes
   /// decisions read the compact summary only — O(1) per node consulted —

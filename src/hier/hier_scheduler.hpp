@@ -17,9 +17,8 @@
 // graph — near-ties in load are broken by a decayed per-apprank
 // residency EWMA, HierConfig::residency_*), so Steered counts every
 // remote placement and schedules are NOT
-// comparable fingerprint-wise to "locality". The disabled path
-// (HierConfig::enabled = false, policy != "hier") constructs nothing from
-// this library and stays bit-identical.
+// comparable fingerprint-wise to "locality". Any other policy name
+// constructs nothing from this library and stays bit-identical.
 //
 // Layering: tlb_hier links tlb_sched (Scheduler base, registry), never
 // the other way. The "hier" registry name is an *extension*, added by

@@ -1,46 +1,15 @@
 #include "metrics/recovery.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "metrics/imbalance.hpp"
 
 namespace tlb::metrics {
 
-void RecoverySeries::record(double t, std::string label, bool is_recovery) {
-  assert((events_.empty() || t >= events_.back().at) &&
-         "perturbations must be recorded in time order");
-  events_.push_back(Perturbation{t, std::move(label), is_recovery});
-}
-
-void RecoverySeries::record_detection(double t, int worker,
-                                      bool true_positive, double latency) {
-  detections_.push_back(Detection{t, worker, true_positive, latency});
-}
-
-double RecoverySeries::mean_detection_latency() const {
-  double sum = 0.0;
-  int count = 0;
-  for (const Detection& d : detections_) {
-    if (d.true_positive) {
-      sum += d.latency;
-      ++count;
-    }
-  }
-  return count > 0 ? sum / count : -1.0;
-}
-
-int RecoverySeries::false_positive_count() const {
-  int count = 0;
-  for (const Detection& d : detections_) {
-    if (!d.true_positive) ++count;
-  }
-  return count;
-}
-
-std::vector<RecoveryReport> RecoverySeries::analyse(
+std::vector<RecoveryReport> recovery_reports(
+    const std::vector<trace::Mark>& marks,
     const std::vector<const trace::StepSeries*>& node_busy, double t0,
-    double t1, int bins, double threshold, int hold) const {
+    double t1, int bins, double threshold, int hold) {
   std::vector<RecoveryReport> reports;
   if (t1 <= t0 || bins <= 0) return reports;
 
@@ -50,12 +19,12 @@ std::vector<RecoveryReport> RecoverySeries::analyse(
     return rate;
   };
 
-  for (const Perturbation& p : events_) {
-    if (p.is_recovery) continue;
+  for (const trace::Mark& m : marks) {
+    if (m.kind != trace::MarkKind::FaultInjected) continue;
     RecoveryReport report;
-    report.label = p.label;
-    report.at = p.at;
-    const double a = std::clamp(p.at, t0, t1);
+    report.label = m.label;
+    report.at = m.t;
+    const double a = std::clamp(m.t, t0, t1);
 
     // Re-convergence: the node-imbalance series from the injection to the
     // end of the window, judged by the Fig 11 criterion.

@@ -1,25 +1,20 @@
 // Recovery analysis of perturbed runs (tlb::fault).
 //
-// A RecoverySeries collects the timestamps at which perturbations were
-// injected (and recovered) during a run; analyse() then measures, for each
-// injection, how long the allocation policy needed to re-converge the node
-// imbalance and how much goodput the perturbation cost, from the same
-// per-node busy traces that drive the Fig 11 convergence analysis.
+// The FaultInjector marks every perturbation it injects on the run's
+// timeline (trace::MarkKind::FaultInjected). recovery_reports() then
+// measures, for each injection mark, how long the allocation policy needed
+// to re-converge the node imbalance and how much goodput the perturbation
+// cost, from the same per-node busy traces that drive the Fig 11
+// convergence analysis.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "trace/recorder.hpp"
 #include "trace/step_series.hpp"
 
 namespace tlb::metrics {
-
-/// One timestamped perturbation (or its recovery) during a run.
-struct Perturbation {
-  double at = 0.0;
-  std::string label;
-  bool is_recovery = false;  ///< end of a perturbation, not a new one
-};
 
 /// Post-run measurement of one injected perturbation.
 struct RecoveryReport {
@@ -34,51 +29,15 @@ struct RecoveryReport {
   double goodput_lost = 0.0;
 };
 
-/// One failure-detection verdict issued by the runtime's heartbeat/lease
-/// machinery (tlb::resil). True positives carry the latency between the
-/// physical crash and its detection; false positives are suspicions of
-/// workers that were in fact alive (e.g. behind a link blackout).
-struct Detection {
-  double at = 0.0;
-  int worker = -1;
-  bool true_positive = false;
-  double latency = 0.0;  ///< detection - crash time (true positives only)
-};
-
-class RecoverySeries {
- public:
-  /// Records a perturbation (or recovery) instant. Times must be
-  /// non-decreasing; the FaultInjector calls this as events fire.
-  void record(double t, std::string label, bool is_recovery = false);
-
-  /// Records a detection verdict (the runtime calls this when it suspects
-  /// a worker, tlb::resil). Lets fig12 report *detected* recovery time
-  /// next to the injected one.
-  void record_detection(double t, int worker, bool true_positive,
-                        double latency);
-
-  [[nodiscard]] const std::vector<Perturbation>& events() const {
-    return events_;
-  }
-  [[nodiscard]] const std::vector<Detection>& detections() const {
-    return detections_;
-  }
-  /// Mean latency over true positives; negative when there are none.
-  [[nodiscard]] double mean_detection_latency() const;
-  [[nodiscard]] int false_positive_count() const;
-  [[nodiscard]] bool empty() const { return events_.empty(); }
-
-  /// Measures every recorded injection against the per-node busy traces
-  /// over [t0, t1) (typically [0, makespan)). `bins`, `threshold` and
-  /// `hold` parameterise the imbalance series and the convergence
-  /// criterion exactly as in node_imbalance_series / convergence_time.
-  [[nodiscard]] std::vector<RecoveryReport> analyse(
-      const std::vector<const trace::StepSeries*>& node_busy, double t0,
-      double t1, int bins, double threshold, int hold) const;
-
- private:
-  std::vector<Perturbation> events_;
-  std::vector<Detection> detections_;
-};
+/// Measures every FaultInjected mark in `marks` (other kinds are skipped)
+/// against the per-node busy traces over [t0, t1) (typically
+/// [0, makespan)), one report per injection in mark order. `bins`,
+/// `threshold` and `hold` parameterise the imbalance series and the
+/// convergence criterion exactly as in node_imbalance_series /
+/// convergence_time.
+[[nodiscard]] std::vector<RecoveryReport> recovery_reports(
+    const std::vector<trace::Mark>& marks,
+    const std::vector<const trace::StepSeries*>& node_busy, double t0,
+    double t1, int bins, double threshold, int hold);
 
 }  // namespace tlb::metrics

@@ -245,14 +245,11 @@ void Fabric::solve() {
       congested_[sl] = congested ? 1 : 0;
       if (recorder_ != nullptr) {
         recorder_->mark(now,
-                        (congested ? "net congestion: " : "net cleared: ") +
-                            topo_.link(l).name,
                         congested ? trace::MarkKind::NetCongestion
                                   : trace::MarkKind::NetCleared,
-                        l);
-      }
-      if (span_sink_ != nullptr) {
-        span_sink_->link_congestion(l, topo_.link(l).name, congested, now);
+                        l,
+                        (congested ? "net congestion: " : "net cleared: ") +
+                            topo_.link(l).name);
       }
     }
   }

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "net/topology.hpp"
-#include "obs/span.hpp"
 #include "sim/engine.hpp"
 #include "trace/recorder.hpp"
 #include "trace/step_series.hpp"
@@ -148,9 +147,6 @@ class Fabric {
   void set_congestion_threshold(double threshold) {
     congestion_threshold_ = threshold;
   }
-  /// Attaches a span sink that receives link_congestion() transitions
-  /// (pure recording; never feeds back into flow rates).
-  void set_span_sink(obs::SpanSink* sink) { span_sink_ = sink; }
 
  private:
   struct Flow {
@@ -209,7 +205,6 @@ class Fabric {
   std::vector<char> congested_;
   double congestion_threshold_ = 0.95;
   trace::Recorder* recorder_ = nullptr;
-  obs::SpanSink* span_sink_ = nullptr;
   std::vector<double> fcts_;
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;

@@ -73,17 +73,8 @@ void SpanRecorder::task_scheduled(nanos::TaskId id, int worker, int node,
   at(id).attempts.push_back(a);
 }
 
-void SpanRecorder::sched_decision(nanos::TaskId id, SchedVerdict verdict,
-                                  int worker, sim::SimTime t) {
+void SpanRecorder::sched_decision(nanos::TaskId id, SchedVerdict verdict) {
   at(id).verdict = verdict;
-  if (verdict == SchedVerdict::Baseline) return;
-  InstantEvent e;
-  e.t = t;
-  e.node = worker;
-  e.name = (verdict == SchedVerdict::Steered ? "sched steer task "
-                                             : "sched suppress task ") +
-           std::to_string(id);
-  store_instant(std::move(e));
 }
 
 void SpanRecorder::transfer_begin(nanos::TaskId id, std::uint64_t bytes,
@@ -132,14 +123,6 @@ void SpanRecorder::task_rescued(nanos::TaskId id, int /*worker*/,
     it->second.attempts.back().rescued = true;
   }
   ++rescues_;
-}
-
-void SpanRecorder::link_congestion(int /*link*/, const std::string& name,
-                                   bool congested, sim::SimTime t) {
-  InstantEvent e;
-  e.t = t;
-  e.name = (congested ? "net congestion: " : "net cleared: ") + name;
-  store_instant(std::move(e));
 }
 
 void SpanRecorder::close() {

@@ -3,11 +3,12 @@
 // Every task gets a lifecycle record: created -> ready -> scheduled
 // (possibly steered or suppressed by the policy) -> offload-transfer
 // start/end -> execute start/end -> done, plus retries/rescues after
-// crashes or revoked leases. The runtime, scheduler and fabric emit these
-// through the SpanSink interface; the default sink is null (span
-// collection is off unless RuntimeConfig::obs.spans or obs.stream enables
-// it). SpanRecorder is the one lifecycle state machine; SpanCollector
-// (here) and stream::StreamSink are its two stores.
+// crashes or revoked leases. The runtime emits these through the SpanSink
+// interface; the default sink is null (span collection is off unless
+// RuntimeConfig::obs.spans or obs.stream enables it). SpanRecorder is the
+// one lifecycle state machine; SpanCollector (here) and stream::StreamSink
+// are its two stores, and both also receive the run's timeline marks
+// (trace::Recorder) as instants.
 //
 // Determinism contract: sinks only *record*. They must not schedule
 // simulator events, read RNGs, or otherwise feed back into the run; a run
@@ -41,8 +42,10 @@ class SpanSink {
   virtual void task_scheduled(nanos::TaskId /*id*/, int /*worker*/,
                               int /*node*/, bool /*offloaded*/,
                               sim::SimTime /*t*/) {}
-  virtual void sched_decision(nanos::TaskId /*id*/, SchedVerdict /*verdict*/,
-                              int /*worker*/, sim::SimTime /*t*/) {}
+  /// The scheduler's verdict on the task's placement (the timeline mark
+  /// of a steer or suppression is made by the runtime, not here).
+  virtual void sched_decision(nanos::TaskId /*id*/,
+                              SchedVerdict /*verdict*/) {}
   /// Eager input transfer towards the execution node began / delivered its
   /// last byte. `bytes` is the total payload across all source nodes.
   virtual void transfer_begin(nanos::TaskId /*id*/, std::uint64_t /*bytes*/,
@@ -58,22 +61,20 @@ class SpanSink {
   /// the task went back to the ready path.
   virtual void task_rescued(nanos::TaskId /*id*/, int /*worker*/,
                             sim::SimTime /*t*/) {}
-  /// A fabric link crossed / cleared the congestion threshold.
-  virtual void link_congestion(int /*link*/, const std::string& /*name*/,
-                               bool /*congested*/, sim::SimTime /*t*/) {}
 };
 
 /// The task lifecycle state machine behind every span backend. It keeps
 /// the *open* spans (tasks created but not yet done) keyed by task id and
 /// owns the lifecycle rules: only the first readiness is the ready edge,
 /// the transfer-wait integral is folded in at exec_begin, rescues mark the
-/// attempt they voided and are counted, and scheduler verdicts and
-/// congestion changes become named instant events.
+/// attempt they voided and are counted, and the scheduler verdict is kept
+/// on the span.
 ///
 /// Backends differ only in what they store: a span leaves the table
-/// through store_span() the moment its task_done arrives, every instant
-/// goes through store_instant() as it is emitted, and close() hands over
-/// the spans still open (id order) followed by the run totals.
+/// through store_span() the moment its task_done arrives, every timeline
+/// mark (trace::Recorder forwards each one through instant()) goes through
+/// store_instant() as it is made, and close() hands over the spans still
+/// open (id order) followed by the run totals.
 class SpanRecorder : public SpanSink {
  public:
   /// One execution attempt of a task. Times are -1 until observed.
@@ -104,10 +105,10 @@ class SpanRecorder : public SpanSink {
       return attempts.empty() ? nullptr : &attempts.back();
     }
   };
+  /// A timeline mark as the span store sees it: time and label.
   struct InstantEvent {
     sim::SimTime t = 0.0;
     std::string name;
-    int node = -1;  ///< -1 = cluster-scoped (congestion marks)
   };
   /// Run aggregates, handed to the backend once by close().
   struct RunTotals {
@@ -122,8 +123,7 @@ class SpanRecorder : public SpanSink {
   void task_ready(nanos::TaskId id, sim::SimTime t) final;
   void task_scheduled(nanos::TaskId id, int worker, int node, bool offloaded,
                       sim::SimTime t) final;
-  void sched_decision(nanos::TaskId id, SchedVerdict verdict, int worker,
-                      sim::SimTime t) final;
+  void sched_decision(nanos::TaskId id, SchedVerdict verdict) final;
   void transfer_begin(nanos::TaskId id, std::uint64_t bytes, int node,
                       sim::SimTime t) final;
   void transfer_end(nanos::TaskId id, sim::SimTime t) final;
@@ -132,8 +132,11 @@ class SpanRecorder : public SpanSink {
   void exec_end(nanos::TaskId id, sim::SimTime t) final;
   void task_done(nanos::TaskId id, sim::SimTime t) final;
   void task_rescued(nanos::TaskId id, int worker, sim::SimTime t) final;
-  void link_congestion(int link, const std::string& name, bool congested,
-                       sim::SimTime t) final;
+
+  /// Stores one timeline mark as a named instant.
+  void instant(sim::SimTime t, const std::string& name) {
+    store_instant(InstantEvent{t, name});
+  }
 
   /// Stores every still-open span (id order, done_at -1), then the run
   /// totals. Idempotent. A backend whose store outlives the run (the

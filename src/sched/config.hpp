@@ -18,8 +18,8 @@ struct SchedConfig {
   /// (locality + fabric link-load + per-helper FCT feedback), "waittime"
   /// (Samfass-style offload throttling on observed waits), "adaptive"
   /// (online portfolio selection among the three with hysteresis), or
-  /// "hier" (two-level scheduling over per-node summaries, tlb::hier —
-  /// equivalent to setting RuntimeConfig::hier.enabled).
+  /// "hier" (two-level scheduling over per-node summaries, tlb::hier,
+  /// tuned by RuntimeConfig::hier).
   std::string policy = "locality";
 
   // --- congestion policy tuning ----------------------------------------------

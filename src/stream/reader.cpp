@@ -151,7 +151,7 @@ StreamReader::StreamReader(std::string path) {
       case RecordType::Instant: {
         obs::SpanCollector::InstantEvent e;
         e.t = c.get<double>("instant time");
-        e.node = c.get<std::int32_t>("instant node");
+        (void)c.get<std::int32_t>("instant node");  // always -1
         const auto len = c.get<std::uint32_t>("instant name length");
         e.name = c.get_string(len, "instant name");
         spans_.store_instant(std::move(e));

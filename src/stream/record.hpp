@@ -11,8 +11,8 @@
 //
 // Record types:
 //   1 TaskSpan     — one finished (or end-of-run open) task lifecycle
-//   2 Instant      — one instant event (sched verdicts, congestion marks,
-//                    rescues), spilled immediately in emission order
+//   2 Instant      — one timeline mark (f64 time, i32 node slot = -1,
+//                    u32 label length, label), spilled as it is made
 //   3 MetricWindow — one windowed snapshot of engine/telemetry counters,
 //                    written at each global barrier
 //   4 Footer       — aggregates (transfer-wait integral, rescue count)

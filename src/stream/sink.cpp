@@ -100,7 +100,7 @@ void StreamSink::store_span(TaskSpan span) {
 void StreamSink::store_instant(InstantEvent event) {
   begin_record(RecordType::Instant);
   put_f64(event.t);
-  put_i32(event.node);
+  put_i32(-1);  // node slot: marks are cluster-scoped
   put_u32(static_cast<std::uint32_t>(event.name.size()));
   put_bytes(event.name.data(), event.name.size());
   end_record();

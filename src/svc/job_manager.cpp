@@ -148,8 +148,6 @@ void JobManager::subscribe_control_types() {
             return "unknown scheduler policy '" + it->second + "'";
           }
           base_.sched.policy = it->second;  // affects subsequent launches
-          events_.record(engine_.now(), "xds_ack",
-                         "sched.policy=" + it->second);
           return "";
         } catch (const std::exception& e) {
           return e.what();
@@ -188,7 +186,6 @@ void JobManager::subscribe_control_types() {
           // gradient limiter relearns its latency floor, deliberately).
           svc_.admission = next;
           admission_ = AdmissionController(next);
-          events_.record(engine_.now(), "xds_ack", "svc.admission updated");
           return "";
         } catch (const std::exception& e) {
           return e.what();
@@ -222,9 +219,6 @@ void JobManager::subscribe_control_types() {
               begin_power_up(n);
             }
           }
-          events_.record(engine_.now(), "xds_ack",
-                         "elastic.nodes min=" + std::to_string(min_n) +
-                             " max=" + std::to_string(max_n));
           return "";
         } catch (const std::exception& e) {
           return e.what();
@@ -397,21 +391,14 @@ void JobManager::on_arrival(const Arrival& arrival, int record_id,
   if (!breakers_.empty()) {
     CircuitBreaker& br =
         breakers_[static_cast<std::size_t>(rec.template_index)];
-    const std::uint64_t trips_before = br.trips();
     if (!br.allow(engine_.now())) {
       // Tenant-level door: no retry — the breaker *is* the backoff.
       decide(record_id, JobOutcome::ShedBreaker);
       m_.shed->inc();
       m_.shed_breaker->inc();
-      (void)trips_before;
       return;
     }
     is_probe = br.state() == BreakerState::HalfOpen;
-    if (is_probe) {
-      events_.record(engine_.now(), "breaker_probe",
-                     svc_.templates[static_cast<std::size_t>(
-                                        rec.template_index)].name);
-    }
   }
 
   const AdmitVerdict verdict =
@@ -532,16 +519,10 @@ void JobManager::on_job_done(std::size_t launched_index) {
   if (!breakers_.empty()) {
     CircuitBreaker& br =
         breakers_[static_cast<std::size_t>(rec.template_index)];
-    const std::uint64_t trips_before = br.trips();
     if (rec.slo_met) {
       br.on_success(engine_.now());
     } else {
       br.on_failure(engine_.now());
-    }
-    if (br.trips() != trips_before) {
-      events_.record(engine_.now(), "breaker_trip",
-                     svc_.templates[static_cast<std::size_t>(
-                                        rec.template_index)].name);
     }
   }
 
@@ -615,8 +596,6 @@ void JobManager::begin_power_up(int node) {
   // money before it serves jobs, which is exactly the elasticity tax the
   // node-seconds metric should expose.
   power_on_at_[static_cast<std::size_t>(node)] = engine_.now();
-  events_.record(engine_.now(), "scale_out",
-                 "node " + std::to_string(node) + " provisioning");
   engine_.after(base_.elastic.provision_delay,
                 [this, node] { power_up(node); });
 }
@@ -628,7 +607,6 @@ void JobManager::power_up(int node) {
   free_nodes_.insert(
       std::upper_bound(free_nodes_.begin(), free_nodes_.end(), node), node);
   peak_powered_ = std::max(peak_powered_, powered_count());
-  events_.record(engine_.now(), "node_up", "node " + std::to_string(node));
   try_dispatch();
 }
 
@@ -644,8 +622,6 @@ void JobManager::power_down(int node) {
       engine_.now() - power_on_at_[static_cast<std::size_t>(node)];
   ++scale_ins_;
   m_.scale_in->inc();
-  events_.record(engine_.now(), "scale_in",
-                 "node " + std::to_string(node) + " powered off");
 }
 
 core::RuntimeConfig JobManager::job_config(const JobTemplate& tpl,

@@ -34,7 +34,6 @@
 #include "core/runtime.hpp"
 #include "elastic/controller.hpp"
 #include "elastic/xds.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "svc/admission.hpp"
 #include "svc/arrivals.hpp"
@@ -157,7 +156,6 @@ class JobManager {
     return admission_;
   }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
-  [[nodiscard]] const obs::EventLog& events() const { return events_; }
   /// Currently powered node slots (== cluster size when elastic is off).
   [[nodiscard]] int powered_count() const;
   [[nodiscard]] const std::vector<CircuitBreaker>& breakers() const {
@@ -216,7 +214,6 @@ class JobManager {
   sim::Engine engine_;
   AdmissionController admission_;
   obs::Registry metrics_;
-  obs::EventLog events_;
   elastic::ControlPlane control_;
 
   bool ran_ = false;             ///< run() is one-shot

@@ -41,6 +41,7 @@ int mark_event_type(MarkKind kind) {
     case MarkKind::NetCleared:
       return kParaverNetClearedEvent;
     case MarkKind::Generic:
+    case MarkKind::FaultInjected:
       break;
   }
   return 0;
@@ -63,7 +64,7 @@ std::string to_paraver(const Recorder& recorder, sim::SimTime end) {
   }
   // Typed marks are cluster-global instants; Paraver events need a thread,
   // so they ride on thread 1 with the worker/link id as value.
-  for (const TypedMark& m : recorder.typed_marks()) {
+  for (const Mark& m : recorder.marks()) {
     const int type = mark_event_type(m.kind);
     if (type == 0) continue;
     const std::int64_t ns = to_ns(m.t);

@@ -7,7 +7,8 @@
 // carrying the busy-core count and 90000002 the owned-core count. Typed
 // timeline marks (scheduler steer/suppress decisions, fabric congestion
 // onsets/clearances) export as the 90000003..90000006 punctual event
-// types on thread 1; their values carry the worker or link id. The .pcf
+// types on thread 1; their values carry the worker or link id. Generic and
+// fault-injection marks have no Paraver type and are skipped. The .pcf
 // config file names every event type so Paraver's info panels are
 // readable. Times are nanoseconds.
 #pragma once

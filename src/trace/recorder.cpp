@@ -3,6 +3,8 @@
 #include <cassert>
 #include <sstream>
 
+#include "obs/span.hpp"
+
 namespace tlb::trace {
 
 Recorder::Recorder(int nodes, int appranks)
@@ -43,16 +45,12 @@ void Recorder::task_executed(int apprank, int node, int home_node,
   }
 }
 
-void Recorder::mark(sim::SimTime t, std::string label) {
-  assert(marks_.empty() || t >= marks_.back().first);
-  if (!marks_.empty() && t < marks_.back().first) t = marks_.back().first;
-  marks_.emplace_back(t, std::move(label));
-}
-
-void Recorder::mark(sim::SimTime t, std::string label, MarkKind kind,
-                    std::int64_t value) {
-  mark(t, std::move(label));
-  typed_marks_.push_back(TypedMark{marks_.back().first, kind, value});
+void Recorder::mark(sim::SimTime t, MarkKind kind, std::int64_t value,
+                    std::string label) {
+  assert(marks_.empty() || t >= marks_.back().t);
+  if (!marks_.empty() && t < marks_.back().t) t = marks_.back().t;
+  marks_.push_back(Mark{t, kind, value, std::move(label)});
+  if (spans_ != nullptr) spans_->instant(t, marks_.back().label);
 }
 
 const StepSeries& Recorder::busy(int node, int apprank) const {
@@ -117,15 +115,14 @@ std::string to_csv(
   return out.str();
 }
 
-std::string ascii_marks(
-    const std::vector<std::pair<sim::SimTime, std::string>>& marks,
-    sim::SimTime t0, sim::SimTime t1, int bins) {
+std::string ascii_marks(const std::vector<Mark>& marks, sim::SimTime t0,
+                        sim::SimTime t1, int bins) {
   std::string row(static_cast<std::size_t>(bins), ' ');
   if (t1 <= t0) return row;
   std::vector<int> counts(static_cast<std::size_t>(bins), 0);
-  for (const auto& [t, label] : marks) {
-    if (t < t0 || t >= t1) continue;
-    auto bin = static_cast<std::size_t>((t - t0) / (t1 - t0) * bins);
+  for (const Mark& m : marks) {
+    if (m.t < t0 || m.t >= t1) continue;
+    auto bin = static_cast<std::size_t>((m.t - t0) / (t1 - t0) * bins);
     if (bin >= counts.size()) bin = counts.size() - 1;
     ++counts[bin];
   }
@@ -143,11 +140,10 @@ std::string ascii_marks(
   return row;
 }
 
-std::string marks_csv(
-    const std::vector<std::pair<sim::SimTime, std::string>>& marks) {
+std::string marks_csv(const std::vector<Mark>& marks) {
   std::ostringstream out;
   out << "time,mark\n";
-  for (const auto& [t, label] : marks) out << t << ',' << label << '\n';
+  for (const Mark& m : marks) out << m.t << ',' << m.label << '\n';
   return out.str();
 }
 

@@ -4,34 +4,44 @@
 //   - busy cores: number of cores executing that apprank's tasks on that
 //     node (the left-hand traces of Fig 9);
 //   - owned cores: DROM ownership (the right-hand traces of Fig 9);
-// plus per-node totals and offload statistics. Renderers below turn the
-// series into ASCII timelines and CSV for the paper's trace figures.
+// plus per-node totals, offload statistics and the one list of timeline
+// marks. Renderers below turn the series into ASCII timelines and CSV for
+// the paper's trace figures.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "trace/step_series.hpp"
 
+namespace tlb::obs {
+class SpanRecorder;
+}
+
 namespace tlb::trace {
 
-/// Classification of a timeline mark for the Paraver export. Generic marks
-/// render only as ASCII/CSV annotations; the typed kinds additionally map
-/// to dedicated Paraver event types (see trace/paraver.hpp).
+/// Classification of a timeline mark. Generic and FaultInjected marks
+/// render only as ASCII/CSV annotations and Chrome instants; the other
+/// kinds additionally map to dedicated Paraver event types (see
+/// trace/paraver.hpp).
 enum class MarkKind : std::uint8_t {
   Generic,
   SchedSteer,     ///< scheduler redirected an offload (value = worker)
   SchedSuppress,  ///< scheduler suppressed an offload (value = worker)
   NetCongestion,  ///< fabric link became congested (value = link id)
   NetCleared,     ///< fabric link congestion cleared (value = link id)
+  FaultInjected,  ///< a perturbation began (value = fault target)
 };
 
-struct TypedMark {
+/// One discrete runtime event on the timeline.
+struct Mark {
   sim::SimTime t = 0.0;
   MarkKind kind = MarkKind::Generic;
   std::int64_t value = 0;
+  std::string label;
+
+  bool operator==(const Mark&) const = default;
 };
 
 class Recorder {
@@ -50,23 +60,21 @@ class Recorder {
   void set_owned(sim::SimTime t, int node, int apprank, int count);
   void task_executed(int apprank, int node, int home_node, double work);
 
-  /// Annotates the timeline with a labelled instant (fault injections,
-  /// recoveries, phase changes). Times must be non-decreasing: a violation
-  /// asserts in debug builds and is clamped to the previous mark's time in
-  /// release builds, so the series stays sorted either way.
-  void mark(sim::SimTime t, std::string label);
-  /// Typed variant: records the same labelled mark plus a (kind, value)
-  /// record that the Paraver exporter turns into a dedicated event type
-  /// (value = worker id for scheduler marks, link id for fabric marks).
-  void mark(sim::SimTime t, std::string label, MarkKind kind,
-            std::int64_t value);
-  [[nodiscard]] const std::vector<std::pair<sim::SimTime, std::string>>&
-  marks() const {
-    return marks_;
-  }
-  [[nodiscard]] const std::vector<TypedMark>& typed_marks() const {
-    return typed_marks_;
-  }
+  /// Records one discrete event (fault injection or recovery, detection
+  /// verdict, scheduler verdict, congestion change, policy switch). This is
+  /// the only timeline channel: ASCII/CSV, Paraver, the Chrome trace, the
+  /// spill file and the recovery analysis all read these marks. Times must
+  /// be non-decreasing: a violation asserts in debug builds and is clamped
+  /// to the previous mark's time in release builds, so the list stays
+  /// sorted either way. With a span store attached the mark is also handed
+  /// to it as an instant.
+  void mark(sim::SimTime t, MarkKind kind, std::int64_t value,
+            std::string label);
+  [[nodiscard]] const std::vector<Mark>& marks() const { return marks_; }
+
+  /// Forwards every later mark to `spans` as a named instant; null
+  /// detaches. The store must outlive its attachment.
+  void attach_spans(obs::SpanRecorder* spans) { spans_ = spans; }
 
   [[nodiscard]] const StepSeries& busy(int node, int apprank) const;
   [[nodiscard]] const StepSeries& owned(int node, int apprank) const;
@@ -94,8 +102,8 @@ class Recorder {
   std::vector<StepSeries> busy_;
   std::vector<StepSeries> owned_;
   std::vector<StepSeries> node_busy_;
-  std::vector<std::pair<sim::SimTime, std::string>> marks_;
-  std::vector<TypedMark> typed_marks_;
+  std::vector<Mark> marks_;
+  obs::SpanRecorder* spans_ = nullptr;
   std::uint64_t tasks_total_ = 0;
   std::uint64_t tasks_off_ = 0;
   double work_total_ = 0.0;
@@ -119,12 +127,10 @@ std::string to_csv(
 /// One-line marker row aligned with an ascii_timeline of the same [t0, t1)
 /// window: '^' at each bin containing one mark, the count digit '2'..'9'
 /// when a bin holds several, '#' for ten or more, ' ' elsewhere.
-std::string ascii_marks(
-    const std::vector<std::pair<sim::SimTime, std::string>>& marks,
-    sim::SimTime t0, sim::SimTime t1, int bins);
+std::string ascii_marks(const std::vector<Mark>& marks, sim::SimTime t0,
+                        sim::SimTime t1, int bins);
 
 /// "t,label" CSV of timeline marks.
-std::string marks_csv(
-    const std::vector<std::pair<sim::SimTime, std::string>>& marks);
+std::string marks_csv(const std::vector<Mark>& marks);
 
 }  // namespace tlb::trace

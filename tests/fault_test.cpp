@@ -3,6 +3,7 @@
 // zero-magnitude faults, and single-seed determinism of perturbed runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -83,20 +84,23 @@ TEST(Fault, SlowdownReconverges) {
   core::ClusterRuntime rt(cfg);
   fault::FaultInjector injector(
       fault::FaultPlan().slow_node(/*node=*/0, 1.0 / 3.0, inject_at));
-  metrics::RecoverySeries recovery;
-  injector.attach(rt, &recovery);
+  injector.attach(rt);
   const auto r = rt.run(wl);
 
-  ASSERT_EQ(recovery.events().size(), 1u);
-  EXPECT_FALSE(rt.recorder().marks().empty());
+  const auto& marks = rt.recorder().marks();
+  ASSERT_EQ(std::count_if(marks.begin(), marks.end(),
+                          [](const trace::Mark& m) {
+                            return m.kind == trace::MarkKind::FaultInjected;
+                          }),
+            1);
 
   // Analyse up to just before the end-of-run drain (the final iteration's
   // wind-down leaves only stragglers busy, which is not imbalance), with
   // bins of roughly one iteration so intra-iteration barrier drains do not
   // register as imbalance.
   const double horizon = r.makespan * 0.95;
-  const auto reports =
-      recovery.analyse(busy_rows(rt), 0.0, horizon, 12, 1.10, 2);
+  const auto reports = metrics::recovery_reports(marks, busy_rows(rt), 0.0,
+                                                 horizon, 12, 1.10, 2);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_GE(reports[0].reconverge_time, 0.0) << "never re-converged";
   EXPECT_LE(reports[0].reconverge_time, 6.0 * cfg.global_period);
@@ -219,8 +223,9 @@ TEST(Fault, SeededRunsAreDeterministic) {
   }
 }
 
-// RecoverySeries::analyse on hand-built traces: reconvergence is measured
-// from the injection instant, goodput loss against the pre-fault rate.
+// recovery_reports on hand-built traces: reconvergence is measured from the
+// injection mark, goodput loss against the pre-fault rate; marks of other
+// kinds are not injections.
 TEST(Recovery, AnalyseMeasuresReconvergenceAndGoodput) {
   trace::StepSeries a;
   trace::StepSeries b;
@@ -231,10 +236,13 @@ TEST(Recovery, AnalyseMeasuresReconvergenceAndGoodput) {
   a.set(20.0, 0.0);
   b.set(20.0, 0.0);
 
-  metrics::RecoverySeries series;
-  series.record(5.0, "knock-out");
+  const std::vector<trace::Mark> marks = {
+      {2.0, trace::MarkKind::Generic, 0, "phase change"},
+      {5.0, trace::MarkKind::FaultInjected, 1, "knock-out"},
+      {10.0, trace::MarkKind::Generic, 0, "knock-out recovered"},
+  };
   const auto reports =
-      series.analyse({&a, &b}, 0.0, 20.0, 30, 1.10, 2);
+      metrics::recovery_reports(marks, {&a, &b}, 0.0, 20.0, 30, 1.10, 2);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].label, "knock-out");
   EXPECT_NEAR(reports[0].reconverge_time, 5.0, 0.6);  // one bin of slack

@@ -294,7 +294,7 @@ TEST(GlobalBalancer, HotHelperNodesAreVetoedAsSuppressed) {
 
 TEST(HierScheduler, DisabledDefaultStaysBitIdenticalToGolden) {
   core::RuntimeConfig cfg = plain_config();
-  EXPECT_FALSE(cfg.hier.enabled);
+  EXPECT_EQ(cfg.sched.policy, "locality");
   apps::SyntheticWorkload wl(plain_workload());
   core::ClusterRuntime rt(cfg);
   EXPECT_EQ(schedule_fingerprint(rt, rt.run(wl)), kGoldenPlain);
@@ -306,7 +306,7 @@ TEST(HierScheduler, EnabledRunCompletesWithBoundedProbeCost) {
   const auto base = base_rt.run(wl_base);
 
   core::RuntimeConfig cfg = plain_config();
-  cfg.hier.enabled = true;
+  cfg.sched.policy = "hier";
   apps::SyntheticWorkload wl(plain_workload());
   core::ClusterRuntime rt(cfg);
   const auto r = rt.run(wl);
@@ -326,23 +326,6 @@ TEST(HierScheduler, EnabledRunCompletesWithBoundedProbeCost) {
       rt.metrics().find_counter("hier.summary_refreshes");
   ASSERT_NE(refreshes, nullptr);
   EXPECT_GT(refreshes->value(), 0u);
-}
-
-TEST(HierScheduler, PolicyNameSelectsTheSameScheduler) {
-  core::RuntimeConfig by_flag = plain_config();
-  by_flag.hier.enabled = true;
-  apps::SyntheticWorkload wl1(plain_workload());
-  core::ClusterRuntime rt1(by_flag);
-  const auto r1 = rt1.run(wl1);
-
-  core::RuntimeConfig by_name = plain_config();
-  by_name.sched.policy = "hier";
-  apps::SyntheticWorkload wl2(plain_workload());
-  core::ClusterRuntime rt2(by_name);
-  const auto r2 = rt2.run(wl2);
-
-  EXPECT_EQ(r2.sched_policy, "hier");
-  EXPECT_EQ(schedule_fingerprint(rt1, r1), schedule_fingerprint(rt2, r2));
 }
 
 // --- control-plane hot swap ---------------------------------------------------

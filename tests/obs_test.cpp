@@ -471,10 +471,13 @@ TEST(CriticalPath, EmptyCollectorYieldsEmptyPath) {
 // --- typed trace marks / ASCII rendering -------------------------------------
 
 TEST(RecorderMarks, AsciiMarksRenderCountsPerBin) {
-  std::vector<std::pair<sim::SimTime, std::string>> marks;
-  marks.emplace_back(0.05, "single");
-  for (int i = 0; i < 3; ++i) marks.emplace_back(0.15, "triple");
-  for (int i = 0; i < 12; ++i) marks.emplace_back(0.25, "dozen");
+  const auto at = [](sim::SimTime t, const char* label) {
+    return trace::Mark{t, trace::MarkKind::Generic, 0, label};
+  };
+  std::vector<trace::Mark> marks;
+  marks.push_back(at(0.05, "single"));
+  for (int i = 0; i < 3; ++i) marks.push_back(at(0.15, "triple"));
+  for (int i = 0; i < 12; ++i) marks.push_back(at(0.25, "dozen"));
   const std::string row = trace::ascii_marks(marks, 0.0, 1.0, 10);
   ASSERT_EQ(row.size(), 10u);
   EXPECT_EQ(row[0], '^');
@@ -485,34 +488,36 @@ TEST(RecorderMarks, AsciiMarksRenderCountsPerBin) {
 
 TEST(RecorderMarks, OutOfOrderMarkAssertsInDebugAndClampsInRelease) {
   trace::Recorder rec(1, 1);
-  rec.mark(1.0, "first");
-  EXPECT_DEBUG_DEATH(rec.mark(0.5, "earlier"), "");
+  rec.mark(1.0, trace::MarkKind::Generic, 0, "first");
+  EXPECT_DEBUG_DEATH(rec.mark(0.5, trace::MarkKind::Generic, 0, "earlier"),
+                     "");
 #ifdef NDEBUG
   // Release build: the statement above executed and clamped.
   ASSERT_EQ(rec.marks().size(), 2u);
-  EXPECT_EQ(rec.marks()[1].first, 1.0);
-  EXPECT_EQ(rec.marks()[1].second, "earlier");
+  EXPECT_EQ(rec.marks()[1].t, 1.0);
+  EXPECT_EQ(rec.marks()[1].label, "earlier");
 #endif
 }
 
 TEST(RecorderMarks, TypedMarksCarryKindAndValue) {
   trace::Recorder rec(2, 1);
-  rec.mark(0.5, "net congestion: spine0", trace::MarkKind::NetCongestion, 7);
-  rec.mark(0.9, "net cleared: spine0", trace::MarkKind::NetCleared, 7);
-  ASSERT_EQ(rec.marks().size(), 2u);  // the labelled channel sees both
-  ASSERT_EQ(rec.typed_marks().size(), 2u);
-  EXPECT_EQ(rec.typed_marks()[0].kind, trace::MarkKind::NetCongestion);
-  EXPECT_EQ(rec.typed_marks()[0].value, 7);
-  EXPECT_EQ(rec.typed_marks()[1].kind, trace::MarkKind::NetCleared);
+  rec.mark(0.5, trace::MarkKind::NetCongestion, 7, "net congestion: spine0");
+  rec.mark(0.9, trace::MarkKind::NetCleared, 7, "net cleared: spine0");
+  ASSERT_EQ(rec.marks().size(), 2u);
+  EXPECT_EQ(rec.marks()[0].kind, trace::MarkKind::NetCongestion);
+  EXPECT_EQ(rec.marks()[0].value, 7);
+  EXPECT_EQ(rec.marks()[0].label, "net congestion: spine0");
+  EXPECT_EQ(rec.marks()[1].kind, trace::MarkKind::NetCleared);
 }
 
 TEST(Paraver, TypedMarksExportAsDedicatedEventTypes) {
   trace::Recorder rec(1, 1);
   rec.busy_delta(0.0, 0, 0, 1);
-  rec.mark(0.25, "sched steer: task 3 -> worker 2",
-           trace::MarkKind::SchedSteer, 2);
-  rec.mark(0.5, "net congestion: nic0", trace::MarkKind::NetCongestion, 0);
-  rec.mark(0.75, "plain mark");  // Generic: labelled channel only
+  rec.mark(0.25, trace::MarkKind::SchedSteer, 2,
+           "sched steer: task 3 -> worker 2");
+  rec.mark(0.5, trace::MarkKind::NetCongestion, 0, "net congestion: nic0");
+  rec.mark(0.75, trace::MarkKind::Generic, 0, "plain mark");  // no type
+  rec.mark(0.8, trace::MarkKind::FaultInjected, 0, "slowdown");  // no type
   const std::string prv = trace::to_paraver(rec, 1.0);
   EXPECT_NE(prv.find(":90000003:2\n"), std::string::npos);
   EXPECT_NE(prv.find(":90000005:0\n"), std::string::npos);

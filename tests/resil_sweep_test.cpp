@@ -21,7 +21,6 @@
 #include "core/runtime.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
-#include "metrics/recovery.hpp"
 
 namespace tlb {
 namespace {
@@ -140,8 +139,7 @@ TEST(ResilSweep, RandomFaultScenariosPreserveInvariants) {
     SCOPED_TRACE("round " + std::to_string(round) + ": " + s.describe);
     apps::SyntheticWorkload wl(s.app);
     fault::FaultInjector injector(std::move(plan));
-    metrics::RecoverySeries recovery;
-    injector.attach(rt, &recovery);
+    injector.attach(rt);
     const core::RunResult r = rt.run(wl);
 
     // The run terminated with every iteration accounted for (no deadlock;
@@ -166,10 +164,16 @@ TEST(ResilSweep, RandomFaultScenariosPreserveInvariants) {
     }
 
     // Counter consistency.
-    EXPECT_EQ(r.detections + r.false_suspicions,
-              recovery.detections().size());
-    EXPECT_EQ(recovery.false_positive_count(),
-              static_cast<int>(r.false_suspicions));
+    std::uint64_t detected = 0;
+    std::uint64_t false_suspected = 0;
+    for (const trace::Mark& m : rt.recorder().marks()) {
+      if (m.label.rfind("detected crash of worker ", 0) == 0) ++detected;
+      if (m.label.rfind("false suspicion of worker ", 0) == 0) {
+        ++false_suspected;
+      }
+    }
+    EXPECT_EQ(detected, r.detections);
+    EXPECT_EQ(false_suspected, r.false_suspicions);
     EXPECT_GE(r.quarantine_ejections, r.detections + r.false_suspicions);
     EXPECT_LE(r.quarantine_readmissions, r.quarantine_ejections);
     if (r.detections > 0) {
@@ -245,7 +249,6 @@ TEST(ResilSweep, ConcurrentJoinLeaveAndCrashPreserveExactlyOnce) {
       });
     }
 
-    metrics::RecoverySeries recovery;
     fault::FaultInjector injector = [&] {
       fault::FaultPlan plan;
       if (with_crash) {
@@ -257,7 +260,7 @@ TEST(ResilSweep, ConcurrentJoinLeaveAndCrashPreserveExactlyOnce) {
       }
       return fault::FaultInjector(std::move(plan));
     }();
-    injector.attach(rt, &recovery);
+    injector.attach(rt);
 
     engine.run();
     const core::RunResult r = rt.finalize();

@@ -3,15 +3,19 @@
 // backend on), exporter equivalence (the reader-reconstructed view
 // produces byte-identical Chrome traces and flame folds and the same
 // critical path as the in-memory collector, with and without a crash),
-// one Chrome event per rescue in either backend, the bounded working set,
+// one Chrome event per rescue in either backend, one timeline of marks
+// read by every exporter, the bounded working set,
 // windowed metric snapshots, and spill-file validation diagnostics
 // (truncation / corruption throw with the exact byte offset).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,12 +24,14 @@
 #include "core/runtime.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "metrics/recovery.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flame.hpp"
 #include "obs/span.hpp"
 #include "stream/reader.hpp"
 #include "stream/sink.hpp"
+#include "trace/paraver.hpp"
 
 namespace {
 
@@ -242,6 +248,165 @@ TEST(StreamEquivalence, ExportersMatchCollectorByteForByte) {
     EXPECT_EQ(from_file.instants().size(), live.instants().size());
     std::remove(path.c_str());
   }
+}
+
+// --- one timeline ------------------------------------------------------------
+
+/// The congestion-policy fat-tree of CongestionPolicy.DeviatesFrom-
+/// BaselineOnSaturatedFatTree: it steers, suppresses and congests.
+core::RuntimeConfig congested_config() {
+  core::RuntimeConfig cfg = net_config();
+  cfg.cluster = sim::ClusterSpec::homogeneous(8, 4);
+  cfg.degree = 3;
+  cfg.net.uplink_bandwidth = 2e8;
+  cfg.sched.policy = "congestion";
+  return cfg;
+}
+
+apps::SyntheticConfig congested_workload() {
+  apps::SyntheticConfig cfg;
+  cfg.appranks = 8;
+  cfg.iterations = 3;
+  cfg.tasks_per_rank = 40;
+  cfg.imbalance = 2.5;
+  cfg.bytes_per_task = 4 << 20;
+  return cfg;
+}
+
+/// Runs the congested scenario with a node slowdown (recovering) and a
+/// helper crash planted on the timeline.
+core::RunResult run_perturbed(core::ClusterRuntime& rt) {
+  apps::SyntheticWorkload wl(congested_workload());
+  fault::FaultPlan plan;
+  plan.slow_node(/*node=*/1, 0.5, /*at=*/0.05, /*until=*/0.3);
+  plan.crash_worker(rt.topology().workers_of_apprank(0)[1], /*at=*/0.1);
+  fault::FaultInjector injector(std::move(plan));
+  injector.attach(rt);
+  return rt.run(wl);
+}
+
+int paraver_type(trace::MarkKind kind) {
+  switch (kind) {
+    case trace::MarkKind::SchedSteer:
+      return trace::kParaverSchedSteerEvent;
+    case trace::MarkKind::SchedSuppress:
+      return trace::kParaverSchedSuppressEvent;
+    case trace::MarkKind::NetCongestion:
+      return trace::kParaverNetCongestionEvent;
+    case trace::MarkKind::NetCleared:
+      return trace::kParaverNetClearedEvent;
+    case trace::MarkKind::Generic:
+    case trace::MarkKind::FaultInjected:
+      break;
+  }
+  return 0;
+}
+
+// Every runtime event is recorded once, in the recorder's mark list, and
+// each exporter reads that list: Chrome instants carry every mark's label
+// in mark order, Paraver carries every typed mark, the recovery analysis
+// reports every injection mark, and the spill file holds one instant per
+// mark.
+TEST(Timeline, EveryMarkReachesEveryExporter) {
+  core::RuntimeConfig cfg = congested_config();
+  cfg.obs.spans = true;
+  core::ClusterRuntime rt(cfg);
+  const core::RunResult r = run_perturbed(rt);
+  const std::vector<trace::Mark>& marks = rt.recorder().marks();
+
+  // The run exercises every emitting site.
+  EXPECT_EQ(r.workers_crashed, 1u);
+  const auto count = [&marks](trace::MarkKind kind) {
+    return std::count_if(marks.begin(), marks.end(),
+                         [kind](const trace::Mark& m) {
+                           return m.kind == kind;
+                         });
+  };
+  EXPECT_GT(count(trace::MarkKind::SchedSteer) +
+                count(trace::MarkKind::SchedSuppress),
+            0);
+  EXPECT_GT(count(trace::MarkKind::NetCongestion), 0);
+  ASSERT_EQ(count(trace::MarkKind::FaultInjected), 2);
+  EXPECT_GT(count(trace::MarkKind::Generic), 0);  // the slowdown's recovery
+
+  // Chrome: one global instant per mark, same labels, same order. Rescue
+  // instants are span-derived and drawn on the attempt's own track.
+  ASSERT_NE(rt.spans(), nullptr);
+  std::vector<std::pair<std::int64_t, std::string>> chrome;
+  for (const obs::ChromeEvent& e :
+       obs::chrome_events(*rt.spans(), rt.topology().node_count(),
+                          rt.topology().apprank_count())) {
+    if (e.ph == 'i' && e.name.rfind("rescue task ", 0) != 0) {
+      chrome.emplace_back(e.ts_us, e.name);
+    }
+  }
+  ASSERT_EQ(chrome.size(), marks.size());
+  for (std::size_t i = 0; i < marks.size(); ++i) {
+    EXPECT_EQ(chrome[i].second, marks[i].label) << "mark " << i;
+    EXPECT_EQ(chrome[i].first,
+              static_cast<std::int64_t>(marks[i].t * 1e6 + 0.5));
+  }
+
+  // Paraver: the typed marks, in order, as (type, value) events.
+  const sim::SimTime end = std::max(r.makespan, marks.back().t);
+  std::vector<std::pair<int, std::int64_t>> expected;
+  for (const trace::Mark& m : marks) {
+    if (const int type = paraver_type(m.kind)) {
+      expected.emplace_back(type, m.value);
+    }
+  }
+  std::vector<std::pair<int, std::int64_t>> exported;
+  std::istringstream prv(trace::to_paraver(rt.recorder(), end));
+  std::string line;
+  std::getline(prv, line);  // header
+  while (std::getline(prv, line)) {
+    // 2:cpu:appl:task:thread:time:type:value
+    std::vector<std::string> fields;
+    std::istringstream in(line);
+    for (std::string f; std::getline(in, f, ':');) fields.push_back(f);
+    ASSERT_EQ(fields.size(), 8u) << line;
+    const int type = std::stoi(fields[6]);
+    if (type >= trace::kParaverSchedSteerEvent &&
+        type <= trace::kParaverNetClearedEvent) {
+      exported.emplace_back(type, std::stoll(fields[7]));
+    }
+  }
+  EXPECT_EQ(exported, expected);
+
+  // Recovery analysis: one report per injection mark.
+  std::vector<const trace::StepSeries*> busy;
+  for (int n = 0; n < rt.topology().node_count(); ++n) {
+    busy.push_back(&rt.recorder().node_busy(n));
+  }
+  const auto reports =
+      metrics::recovery_reports(marks, busy, 0.0, r.makespan, 8, 1.10, 2);
+  std::vector<std::pair<double, std::string>> injected;
+  for (const trace::Mark& m : marks) {
+    if (m.kind == trace::MarkKind::FaultInjected) {
+      injected.emplace_back(m.t, m.label);
+    }
+  }
+  ASSERT_EQ(reports.size(), injected.size());
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i].at, injected[i].first);
+    EXPECT_EQ(reports[i].label, injected[i].second);
+  }
+
+  // Spill file: the same run with the stream backend spills one instant
+  // per mark, labels in mark order.
+  const std::string path = spill_path("timeline");
+  core::ClusterRuntime srt(with_stream(congested_config(), path));
+  run_perturbed(srt);
+  const stream::StreamReader reader(path);
+  const auto& instants = reader.spans().instants();
+  const std::vector<trace::Mark>& stream_marks = srt.recorder().marks();
+  EXPECT_EQ(stream_marks, marks);
+  ASSERT_EQ(instants.size(), stream_marks.size());
+  for (std::size_t i = 0; i < instants.size(); ++i) {
+    EXPECT_EQ(instants[i].t, stream_marks[i].t);
+    EXPECT_EQ(instants[i].name, stream_marks[i].label);
+  }
+  std::remove(path.c_str());
 }
 
 // A rescue is drawn once, on the voided attempt's track — not a second

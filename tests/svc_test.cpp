@@ -130,7 +130,8 @@ TEST(Arrivals, ShapeNamesRoundTrip) {
   EXPECT_EQ(svc::parse_arrival_shape("poisson"), svc::ArrivalShape::Poisson);
   EXPECT_EQ(svc::parse_arrival_shape("bursty"), svc::ArrivalShape::Bursty);
   EXPECT_EQ(svc::parse_arrival_shape("diurnal"), svc::ArrivalShape::Diurnal);
-  EXPECT_THROW(svc::parse_arrival_shape("weekly"), std::invalid_argument);
+  EXPECT_THROW((void)svc::parse_arrival_shape("weekly"),
+               std::invalid_argument);
 }
 
 // --- admission primitives ----------------------------------------------------
