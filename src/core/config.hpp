@@ -66,7 +66,7 @@ struct RuntimeConfig {
   net::NetConfig net;
 
   /// Task scheduler policy (tlb::sched), selected by name from the policy
-  /// registry. The default "locality" reproduces the paper's §5.5 rule
+  /// table (core/sched_table.hpp). The default "locality" reproduces the paper's §5.5 rule
   /// bit-identically; "congestion" feeds fabric link utilization and
   /// per-helper FCT estimates into victim selection; "waittime" throttles
   /// offloading on observed task waits. Unknown names are rejected at
@@ -84,12 +84,10 @@ struct RuntimeConfig {
   /// registry is always on — it has no toggle to get wrong).
   obs::ObsConfig obs;
 
-  /// Elasticity (tlb::elastic). Off by default and the disabled path reads
-  /// nothing — plain runs stay bit-identical to a build without the
-  /// subsystem. When enabled, ClusterRuntime samples its backlog per
-  /// usable core on eval_period ticks and grows / retires helper-only
-  /// nodes; svc::JobManager instead uses the same controller to decide how
-  /// many cluster nodes are powered on (billed in node-seconds).
+  /// Elastic node pool (tlb::elastic). Never read by ClusterRuntime, which
+  /// runs one job on a fixed cluster — an enabled config is consumed by
+  /// svc::JobManager, whose controller decides how many cluster nodes are
+  /// powered on (billed in node-seconds).
   elastic::ElasticConfig elastic;
 
   /// Host-side engine self-profiling (tlb::prof). Off by default; the
@@ -108,7 +106,10 @@ struct RuntimeConfig {
   svc::SvcConfig svc;
 
   std::uint64_t seed = 42;       ///< expander generation seed
-  bool record_traces = true;     ///< keep busy/owned series for figures
+  /// Keep the busy / owned / node-busy step series for the trace figures.
+  /// False records none of them (timeline marks and offload statistics are
+  /// kept either way); the schedule is the same.
+  bool record_traces = true;
 
   [[nodiscard]] bool drom_active() const {
     return drom && policy != PolicyKind::None;

@@ -128,9 +128,8 @@ OwnershipPlan local_convergence_plan(const Topology& topo,
         residents.push_back(w);
       }
     }
-    // A node with no usable resident (retired by elastic scale-in, or every
-    // helper dead on a helper-only node) gets an empty node plan; DROM
-    // leaves its ownership untouched and the scheduler never picks it.
+    // A node with no usable resident gets an empty node plan; DROM leaves
+    // its ownership untouched and the scheduler never picks it.
     if (residents.empty()) continue;
     std::vector<double> weight;
     weight.reserve(residents.size());
@@ -158,7 +157,7 @@ OwnershipPlan static_ownership_plan(const Topology& topo,
         residents.push_back(w);
       }
     }
-    if (residents.empty()) continue;  // retired / fully-lost node: no plan
+    if (residents.empty()) continue;  // no usable resident: no plan
     // All-zero weights make proportional_split fall back to an even split.
     const std::vector<double> weight(residents.size(), 0.0);
     const auto counts =

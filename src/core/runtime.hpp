@@ -28,8 +28,12 @@
 //     over budget; and the expander is re-wired with a fresh helper when a
 //     crash disconnects an apprank from all of its helpers.
 //
-// One ClusterRuntime instance performs one execution (construct anew per
-// run); traces and statistics remain readable afterwards.
+// One ClusterRuntime instance performs one execution of one job on a fixed
+// cluster (construct anew per run); traces and statistics remain readable
+// afterwards. The node set and the scheduling policy never change mid-run:
+// after the startup expander build only DLB moves cores (and a crash
+// rewire may add a helper). Node-pool elasticity and the control plane
+// live in svc::JobManager.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +52,6 @@
 #include "dlb/drom.hpp"
 #include "dlb/lewi.hpp"
 #include "dlb/talp.hpp"
-#include "elastic/controller.hpp"
-#include "elastic/xds.hpp"
 #include "graph/expander.hpp"
 #include "nanos/data_location.hpp"
 #include "nanos/dependency_graph.hpp"
@@ -123,38 +125,10 @@ class ClusterRuntime : private sched::RuntimeView {
   [[nodiscard]] sim::SimTime now() const override { return engine_.now(); }
   [[nodiscard]] const nanos::TaskPool& tasks() const { return pool_; }
 
-  /// The active scheduling policy (tlb::sched; never null after
-  /// construction). Post-run inspection of per-policy counters — note
-  /// that after a mid-run hot-swap (set_sched_policy) this is only the
-  /// *current* policy; RunResult::sched accumulates across swaps.
+  /// The scheduling policy (tlb::sched; never null after construction),
+  /// for post-run inspection of per-policy counters.
   [[nodiscard]] const sched::Scheduler& scheduler() const {
     return *scheduler_;
-  }
-
-  /// Hot-swaps the victim-selection policy mid-run, without a restart:
-  /// the replacement is constructed first (an unknown name throws
-  /// std::invalid_argument and the running policy is untouched), the
-  /// retiring policy's counters are folded into the run-level
-  /// accumulator, and every later pick_worker goes through the new
-  /// policy. "hier" swaps in the two-level scheduler with
-  /// RuntimeConfig::hier's tuning. In-flight assignments are unaffected
-  /// (policies only choose victims; the offload mechanics live in the
-  /// runtime).
-  void set_sched_policy(const std::string& name);
-
-  /// Number of successful set_sched_policy swaps so far.
-  [[nodiscard]] std::uint64_t sched_policy_swaps() const {
-    return sched_swaps_;
-  }
-
-  /// xDS-style control plane (tlb::elastic): push versioned typed
-  /// resources; invalid payloads are NACKed with the previous resource
-  /// re-applied, so a bad push can never wedge the run. Subscribed types:
-  ///   - "tlb.sched.policy" (payload "policy=<name>") — validates the
-  ///     name against the sched registry, then set_sched_policy().
-  [[nodiscard]] elastic::ControlPlane& control_plane() { return control_; }
-  [[nodiscard]] const elastic::ControlPlane& control_plane() const {
-    return control_;
   }
 
   // --- observability (tlb::obs) ---------------------------------------------
@@ -267,38 +241,6 @@ class ClusterRuntime : private sched::RuntimeView {
   void mark_trace(std::string label,
                   trace::MarkKind kind = trace::MarkKind::Generic,
                   std::int64_t value = 0);
-
-  // --- elasticity (tlb::elastic) --------------------------------------------
-
-  /// Provisions one new node mid-run: the crash-recovery rewire path run in
-  /// reverse. The expander's right partition grows by one vertex, `helpers`
-  /// helper ranks (0 = one per apprank, capped by the core count) are
-  /// epoch-stamped into the topology / control plane / DLB exactly like a
-  /// rewire replacement, and an immediate policy re-solve makes the node
-  /// schedulable. Only valid after start() (the initial ownership split
-  /// must exist), with the analytic interconnect (the fabric topology is
-  /// fixed), and before completion. Returns the new node id.
-  int grow_node(const sim::NodeSpec& spec, int helpers = 0);
-
-  /// Drains and retires a helper-only node: its workers stop taking new
-  /// work immediately (usable() goes false), queued-but-unstarted
-  /// assignments are rescued exactly once (under Heartbeat detection their
-  /// leases are revoked; executions already computing finish normally and
-  /// report valid completions), and the node's cores leave the balance
-  /// policies' capacity. Idempotent; throws if the node hosts an apprank
-  /// process.
-  void retire_node(int node);
-
-  [[nodiscard]] bool node_retired(int node) const {
-    return node_retired_.at(static_cast<std::size_t>(node)) != 0;
-  }
-  [[nodiscard]] bool worker_retired(WorkerId w) const {
-    return retired_.at(static_cast<std::size_t>(w)) != 0;
-  }
-  /// Nodes added by grow_node (in join order), for post-run inspection.
-  [[nodiscard]] const std::vector<int>& grown_nodes() const {
-    return grown_nodes_;
-  }
 
  private:
   struct WorkerState {
@@ -414,19 +356,26 @@ class ClusterRuntime : private sched::RuntimeView {
   [[nodiscard]] bool resil_active() const {
     return config_.resil.heartbeat_active();
   }
-  /// Alive, not quarantined, and not draining towards retirement: eligible
-  /// for pick_worker / LeWI backlog. (Also part of the sched::RuntimeView
-  /// window.)
+  /// Alive and not quarantined: eligible for pick_worker / LeWI backlog.
+  /// (Also part of the sched::RuntimeView window.)
   [[nodiscard]] bool usable(WorkerId w) const override {
     return alive_[static_cast<std::size_t>(w)] != 0 &&
-           suspected_[static_cast<std::size_t>(w)] == 0 &&
-           retired_[static_cast<std::size_t>(w)] == 0;
+           suspected_[static_cast<std::size_t>(w)] == 0;
   }
   [[nodiscard]] bool any_worker_unusable() const;
   void start_heartbeats();
   void send_heartbeat(WorkerId w);
   void on_heartbeat(WorkerId w);
   void detector_sweep();
+  /// Sends one runtime control message from worker `from` to worker `to`
+  /// over the control plane; `on_delivery` runs at its arrival. The
+  /// receiver's matching recv is posted here too, so mailboxes never
+  /// accumulate.
+  template <class F>
+  void send_control(WorkerId from, WorkerId to, int tag, F on_delivery);
+  /// Reports a completion of `id` by `w` under lease `epoch` to the
+  /// apprank's home (heartbeat mode, ghost and zombie executions).
+  void send_completion(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
   void send_offload(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
   void on_offload_delivered(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
   void send_ack(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
@@ -447,7 +396,7 @@ class ClusterRuntime : private sched::RuntimeView {
   void maybe_rewire(int apprank);
   /// Registers one new helper of `apprank` on `node` in every layer (graph
   /// edge, topology slot, control-plane rank, TALP / detector / quarantine
-  /// state, per-worker runtime vectors); shared by rewire and grow_node.
+  /// state, per-worker runtime vectors).
   WorkerId add_worker(int apprank, int node);
 
   // Observability (tlb::obs).
@@ -460,26 +409,12 @@ class ClusterRuntime : private sched::RuntimeView {
   }
   void register_metrics();
 
-  // Elastic scaling loop (tlb::elastic; scheduled only when
-  // config_.elastic.enabled — the disabled path reads nothing).
-  void schedule_elastic_tick();
-  void elastic_tick();
-
-  // Scheduler construction / hot-swap (tlb::sched + tlb::hier).
-  /// Builds the policy named `name` over this runtime ("hier" gets
-  /// RuntimeConfig::hier's tuning; everything else resolves through the
-  /// sched registry). Throws std::invalid_argument on an unknown name.
-  [[nodiscard]] std::unique_ptr<sched::Scheduler> make_policy(
-      const std::string& name);
-  /// Registers the control-plane appliers (constructor tail).
-  void subscribe_control_types();
-
   // DROM policy loop (§5.4).
   void schedule_policy_tick();
   void policy_tick();
   /// Re-solves ownership now instead of at the next periodic tick (after a
-  /// crash, suspicion, readmission, grow or retire); no-op without DROM or
-  /// once the run is done.
+  /// crash, suspicion or readmission); no-op without DROM or once the run
+  /// is done.
   void resolve_now();
   void apply_plan(const OwnershipPlan& plan);
   void record_ownership();
@@ -526,8 +461,6 @@ class ClusterRuntime : private sched::RuntimeView {
     obs::Counter* quarantine_readmissions = nullptr;
     obs::Counter* policy_downshifts = nullptr;
     obs::Counter* rewired_edges = nullptr;
-    obs::Counter* nodes_joined = nullptr;
-    obs::Counter* nodes_retired = nullptr;
     obs::Gauge* detection_latency_sum = nullptr;
     obs::Gauge* perfect_time = nullptr;
     obs::Histogram* iteration_time = nullptr;
@@ -539,15 +472,9 @@ class ClusterRuntime : private sched::RuntimeView {
   /// scheduling; non-null iff fabric_ is.
   std::unique_ptr<net::LinkLoadView> link_load_view_;
   /// The victim-selection policy (tlb::sched), built from config_.sched by
-  /// the policy registry. Declared after the state it reads through the
+  /// the policy table. Declared after the state it reads through the
   /// RuntimeView window.
   std::unique_ptr<sched::Scheduler> scheduler_;
-  /// Counters of schedulers retired by set_sched_policy; finalize() folds
-  /// the live policy's stats on top for RunResult::sched.
-  sched::SchedStats sched_retired_;
-  std::uint64_t sched_swaps_ = 0;
-  /// Hot-swap control plane (versioned typed resources, ACK/NACK).
-  elastic::ControlPlane control_;
   std::map<nanos::TaskId, PendingData> pending_data_;
   nanos::TaskPool pool_;
   std::vector<ApprankState> appranks_;
@@ -577,12 +504,6 @@ class ClusterRuntime : private sched::RuntimeView {
   // Fault state (tlb::fault).
   std::vector<double> node_speed_;  ///< current speed factor per node
   std::vector<char> alive_;         ///< per-worker liveness (1 = alive)
-  // Elastic state (tlb::elastic). retired_ is per worker, node_retired_
-  // per node; both stay all-zero unless retire_node runs.
-  std::vector<char> retired_;       ///< 1 = draining / drained (scale-in)
-  std::vector<char> node_retired_;
-  std::vector<int> grown_nodes_;    ///< nodes added by grow_node, join order
-  std::unique_ptr<elastic::ElasticController> elastic_ctrl_;
   std::map<std::uint64_t, RunningExec> running_;  ///< keyed by exec id
   std::uint64_t next_exec_ = 0;
   vmpi::LinkFault link_fault_;

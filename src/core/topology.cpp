@@ -45,13 +45,6 @@ WorkerId Topology::add_worker(int apprank, int node) {
   return w;
 }
 
-int Topology::add_node() {
-  by_node_.emplace_back();
-  assert(node_count() <= graph_->right_count() &&
-         "grow the graph's right partition before registering the node");
-  return node_count() - 1;
-}
-
 WorkerId Topology::worker_of(int apprank, int node) const {
   for (WorkerId w : workers_of_apprank(apprank)) {
     if (worker(w).node == node) return w;

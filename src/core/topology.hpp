@@ -58,11 +58,6 @@ class Topology {
   /// the new worker's id.
   WorkerId add_worker(int apprank, int node);
 
-  /// Registers a node added mid-run by elastic scale-out. The bipartite
-  /// graph must already have grown its right partition to cover the new
-  /// id. Returns the new node id; workers land on it via add_worker.
-  int add_node();
-
   [[nodiscard]] const graph::BipartiteGraph& graph() const { return *graph_; }
 
  private:

@@ -9,8 +9,8 @@ namespace tlb::dlb {
 int DromModule::apply(const std::vector<std::pair<WorkerId, int>>& target) {
   if (!enabled_) return 0;
   // An empty target means the balance policy excluded this node entirely
-  // (retired by elastic scale-in, or every resident unusable): ownership
-  // stays as-is rather than asserting full coverage.
+  // (every resident unusable): ownership stays as-is rather than asserting
+  // full coverage.
   if (target.empty()) return 0;
 #ifndef NDEBUG
   int sum = 0;

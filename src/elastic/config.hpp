@@ -1,21 +1,15 @@
 // Configuration of the elasticity subsystem (tlb::elastic).
 //
-// Elasticity turns the resilience machinery (expander rewire, mid-run
-// DLB/topology growth, epoch-stamped leases) from a crash-recovery path
-// into a capacity feature: the cluster scales out on sustained queue
-// pressure and scales back in on idle, mid-run, without a restart.
-//
-// Two consumers share this config:
-//   - core::ClusterRuntime (single-app runs): when `enabled`, an elastic
-//     tick samples the runtime's task backlog per usable core and grows /
-//     retires helper-only nodes between min_nodes and max_nodes.
-//   - svc::JobManager (service scenario): the same controller decides how
-//     many of the cluster's nodes are powered on; jobs only dispatch onto
-//     provisioned nodes and the run is billed in node-seconds.
+// Elasticity is a service-level capacity feature: the cluster scales out
+// on sustained queue pressure and scales back in on idle, without a
+// restart. Its one consumer is svc::JobManager (service scenario): the
+// controller decides how many of the cluster's nodes are powered on; jobs
+// only dispatch onto provisioned nodes and the run is billed in
+// node-seconds. A single ClusterRuntime balances one job on a fixed node
+// allocation, as in the paper, and never reads this config.
 //
 // RuntimeConfig::elastic carries this struct. The default (enabled =
-// false) is inert — no tick is scheduled, no code path reads the knobs —
-// so plain runs stay bit-identical to a build without the subsystem.
+// false) is inert — no tick is scheduled, no code path reads the knobs.
 #pragma once
 
 namespace tlb::elastic {
@@ -24,10 +18,9 @@ struct ElasticConfig {
   /// Master switch. False (the default) schedules nothing.
   bool enabled = false;
 
-  /// Node-count bounds the controller honours. For the JobManager these
-  /// are powered-on node counts within the configured cluster (max_nodes
-  /// is clamped to the cluster size); for ClusterRuntime they bound the
-  /// total node count including elastic grow_node() additions.
+  /// Node-count bounds the controller honours: powered-on node counts
+  /// within the configured cluster (max_nodes is clamped to the cluster
+  /// size).
   int min_nodes = 1;
   int max_nodes = 64;
 
@@ -35,8 +28,7 @@ struct ElasticConfig {
   double eval_period = 0.25;
 
   /// Pressure thresholds with hysteresis. Pressure is demand over
-  /// capacity: for the JobManager, (queued node demand + busy nodes) /
-  /// powered nodes; for ClusterRuntime, backlogged tasks per usable core.
+  /// capacity: (queued node demand + busy nodes) / powered nodes.
   /// Sustained pressure >= high_pressure for sustain_ticks consecutive
   /// samples scales out; pressure <= low_pressure for idle_ticks samples
   /// scales in. The dead band in between holds.
@@ -54,17 +46,8 @@ struct ElasticConfig {
 
   /// Boot time of a provisioned node: it counts towards capacity (and
   /// node-seconds) immediately but becomes schedulable only after this
-  /// delay (svc::JobManager; ClusterRuntime grows synchronously — the
-  /// simulated runtime attach is the analogue of this handshake).
+  /// delay.
   double provision_delay = 0.5;
-
-  /// Shape of nodes added by ClusterRuntime::grow_node when driven by the
-  /// elastic tick: cores per node (0 = clone node 0) and speed factor.
-  int node_cores = 0;
-  double node_speed = 1.0;
-  /// Helper ranks to place on a grown node (0 = as many as fit: one per
-  /// apprank, capped by the node's core count).
-  int helpers_per_node = 0;
 };
 
 }  // namespace tlb::elastic

@@ -22,11 +22,6 @@ bool BipartiteGraph::add_edge(int left, int right) {
   return true;
 }
 
-int BipartiteGraph::add_right_vertex() {
-  adj_right_.emplace_back();
-  return right_count() - 1;
-}
-
 bool BipartiteGraph::has_edge(int left, int right) const {
   const auto& nb = adj_left_.at(static_cast<std::size_t>(left));
   return std::find(nb.begin(), nb.end(), right) != nb.end();

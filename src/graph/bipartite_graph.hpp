@@ -22,10 +22,6 @@ class BipartiteGraph {
 
   /// Adds an edge; returns false (and does nothing) if it already exists.
   bool add_edge(int left, int right);
-
-  /// Grows the right partition by one vertex (an elastic node joining
-  /// mid-run); returns its index. Edges are added separately.
-  int add_right_vertex();
   [[nodiscard]] bool has_edge(int left, int right) const;
 
   /// Neighbours of a left vertex, in insertion order (home node first, by

@@ -7,7 +7,7 @@
 // HierConfig::summary_period per node, amortized across all decisions in
 // that window. Summaries are kept honest between refreshes by optimistic
 // slack decrements for the balancer's own placements; liveness
-// (crash/quarantine/retirement) is always checked against the runtime
+// (crash/quarantine) is always checked against the runtime
 // (RuntimeView::usable is O(1)), so a stale summary can delay a placement
 // but never target an unusable worker.
 #pragma once
@@ -47,8 +47,7 @@ class GlobalBalancer {
   /// the task started on.
   void on_task_started(core::WorkerId w, sim::SimTime wait);
 
-  /// The node's master (lazily created: elastic scale-out grows the
-  /// topology mid-run).
+  /// The node's master (created on first use).
   [[nodiscard]] LocalMaster& master(int node);
   [[nodiscard]] std::size_t master_count() const { return masters_.size(); }
   /// Total summary rebuilds across all masters (obs: hier.summary_refreshes).

@@ -20,10 +20,9 @@
 // comparable fingerprint-wise to "locality". Any other policy name
 // constructs nothing from this library and stays bit-identical.
 //
-// Layering: tlb_hier links tlb_sched (Scheduler base, registry), never
-// the other way. The "hier" registry name is an *extension*, added by
-// register_policies() — call it before sched::make_scheduler can resolve
-// the name (ClusterRuntime does this in its constructor).
+// Layering: tlb_hier links tlb_sched (Scheduler base), never the other
+// way; the "hier" name resolves through core's policy table
+// (core/sched_table.hpp), which links both.
 #pragma once
 
 #include <cstdint>
@@ -62,11 +61,5 @@ class HierScheduler final : public sched::Scheduler {
  private:
   GlobalBalancer balancer_;
 };
-
-/// Adds "hier" to the sched policy registry (with a default HierConfig —
-/// the runtime builds HierScheduler directly when RuntimeConfig::hier
-/// carries tuning). Idempotent: safe to call from every ClusterRuntime /
-/// JobManager construction.
-void register_policies();
 
 }  // namespace tlb::hier

@@ -1,7 +1,7 @@
 // Configuration of the pluggable scheduler subsystem (tlb::sched).
 //
 // RuntimeConfig::sched selects the victim-selection policy by *name*
-// (registry lookup, see sched/registry.hpp). Unknown names are rejected
+// (table lookup, see core/sched_table.hpp). Unknown names are rejected
 // at ClusterRuntime construction with an error listing the valid values —
 // a typo never silently falls back to the default.
 #pragma once

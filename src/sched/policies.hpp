@@ -1,5 +1,5 @@
 // The shipped scheduling policies (see sched/scheduler.hpp for the
-// interface and sched/registry.hpp for name-based construction).
+// interface and core/sched_table.hpp for name-based construction).
 #pragma once
 
 #include <vector>

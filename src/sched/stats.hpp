@@ -29,8 +29,8 @@ struct SchedStats {
   /// state_touched / decisions is the per-decision victim-selection cost.
   std::uint64_t state_touched = 0;
 
-  /// Accumulates `other` into this (mid-run policy hot-swap: the retired
-  /// scheduler's counters fold into the run total).
+  /// Accumulates `other` into this (the adaptive portfolio folds its
+  /// member policies' counters into one total).
   void merge(const SchedStats& other) {
     decisions += other.decisions;
     offloads_considered += other.offloads_considered;

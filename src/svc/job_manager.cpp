@@ -6,7 +6,7 @@
 #include <string>
 
 #include "apps/synthetic.hpp"
-#include "sched/registry.hpp"
+#include "core/sched_table.hpp"
 
 namespace tlb::svc {
 
@@ -142,11 +142,8 @@ void JobManager::subscribe_control_types() {
           const auto kv = elastic::parse_kv(res.payload);
           const auto it = kv.find("policy");
           if (it == kv.end()) return "missing key 'policy'";
-          const auto known = sched::known_policies();
-          if (std::find(known.begin(), known.end(), it->second) ==
-              known.end()) {
-            return "unknown scheduler policy '" + it->second + "'";
-          }
+          std::string error = core::sched_policy_error(it->second);
+          if (!error.empty()) return error;
           base_.sched.policy = it->second;  // affects subsequent launches
           return "";
         } catch (const std::exception& e) {
@@ -644,7 +641,6 @@ core::RuntimeConfig JobManager::job_config(const JobTemplate& tpl,
   cfg.seed = job_seed;
   cfg.record_traces = false;
   cfg.svc = SvcConfig{};  // jobs are batch instances, never nested services
-  cfg.elastic = elastic::ElasticConfig{};  // pool elasticity is ours alone
   return cfg;
 }
 

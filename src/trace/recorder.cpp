@@ -7,30 +7,24 @@
 
 namespace tlb::trace {
 
-Recorder::Recorder(int nodes, int appranks)
+Recorder::Recorder(int nodes, int appranks, bool series)
     : nodes_(nodes),
       appranks_(appranks),
+      series_(series),
       busy_(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(appranks)),
       owned_(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(appranks)),
       node_busy_(static_cast<std::size_t>(nodes)) {
   assert(nodes > 0 && appranks > 0);
 }
 
-void Recorder::add_node() {
-  for (int a = 0; a < appranks_; ++a) {
-    busy_.emplace_back();
-    owned_.emplace_back();
-  }
-  node_busy_.emplace_back();
-  ++nodes_;
-}
-
 void Recorder::busy_delta(sim::SimTime t, int node, int apprank, int delta) {
+  if (!series_) return;
   busy_[idx(node, apprank)].add(t, delta);
   node_busy_[static_cast<std::size_t>(node)].add(t, delta);
 }
 
 void Recorder::set_owned(sim::SimTime t, int node, int apprank, int count) {
+  if (!series_) return;
   owned_[idx(node, apprank)].set(t, count);
 }
 

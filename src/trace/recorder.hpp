@@ -6,7 +6,9 @@
 //   - owned cores: DROM ownership (the right-hand traces of Fig 9);
 // plus per-node totals, offload statistics and the one list of timeline
 // marks. Renderers below turn the series into ASCII timelines and CSV for
-// the paper's trace figures.
+// the paper's trace figures. The three series kinds are optional
+// (RuntimeConfig::record_traces); marks and offload statistics are always
+// kept.
 #pragma once
 
 #include <cstdint>
@@ -46,15 +48,12 @@ struct Mark {
 
 class Recorder {
  public:
-  Recorder(int nodes, int appranks);
+  /// With `series` false, busy_delta and set_owned record nothing and every
+  /// busy / owned / node-busy series stays empty.
+  Recorder(int nodes, int appranks, bool series = true);
 
   [[nodiscard]] int nodes() const { return nodes_; }
   [[nodiscard]] int appranks() const { return appranks_; }
-
-  /// Grows the recorder by one node (elastic scale-out). The node-major
-  /// series layout makes this append-only: existing (node, apprank)
-  /// indices are unchanged.
-  void add_node();
 
   void busy_delta(sim::SimTime t, int node, int apprank, int delta);
   void set_owned(sim::SimTime t, int node, int apprank, int count);
@@ -99,6 +98,7 @@ class Recorder {
 
   int nodes_;
   int appranks_;
+  bool series_;
   std::vector<StepSeries> busy_;
   std::vector<StepSeries> owned_;
   std::vector<StepSeries> node_busy_;

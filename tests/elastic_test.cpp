@@ -1,10 +1,8 @@
 // Tests of the elasticity subsystem (tlb::elastic): the hysteresis scale
-// controller, the xDS-style hot-swap control plane, the ClusterRuntime
-// grow_node / retire_node hooks (crash-recovery rewire run in reverse),
-// and the svc::JobManager powered-node pool with its node-seconds
-// billing. Also pins the inertness contract: an elastic config with
-// enabled=false must leave every run bit-identical to one that never
-// heard of the subsystem.
+// controller, the xDS-style control plane, and the svc::JobManager
+// powered-node pool with its node-seconds billing and control-plane
+// appliers. Also pins the inertness contract: a single ClusterRuntime
+// never reads the elastic config, enabled or not.
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -17,7 +15,7 @@
 #include "core/runtime.hpp"
 #include "elastic/controller.hpp"
 #include "elastic/xds.hpp"
-#include "sim/engine.hpp"
+#include "fingerprint.hpp"
 #include "svc/job_manager.hpp"
 
 namespace {
@@ -194,7 +192,7 @@ TEST(ControlPlane, KvParsersAreStrict) {
   EXPECT_THROW((void)elastic::kv_int(kv, "b", 0), std::invalid_argument);
 }
 
-// --- ClusterRuntime grow_node / retire_node ----------------------------------
+// --- ClusterRuntime ignores the pool config -----------------------------------
 
 core::RuntimeConfig small_cluster() {
   core::RuntimeConfig cfg;
@@ -216,124 +214,34 @@ apps::SyntheticConfig small_app() {
   return app;
 }
 
-TEST(RuntimeElastic, GrowBeforeStartThrows) {
-  core::ClusterRuntime rt(small_cluster());
-  sim::NodeSpec spec;
-  spec.cores = 4;
-  EXPECT_THROW(rt.grow_node(spec), std::logic_error);
-}
-
-TEST(RuntimeElastic, RetireApprankNodeThrows) {
-  sim::Engine engine;
-  core::ClusterRuntime rt(small_cluster(), &engine);
-  apps::SyntheticConfig app = small_app();
-  apps::SyntheticWorkload wl(app);
-  rt.start(wl);
-  EXPECT_THROW(rt.retire_node(0), std::invalid_argument);
-  engine.run();
-  (void)rt.finalize();
-}
-
-TEST(RuntimeElastic, GrowAndRetireMidRunPreserveExactlyOnce) {
-  sim::Engine engine;
-  core::ClusterRuntime rt(small_cluster(), &engine);
-  apps::SyntheticConfig app = small_app();
-  apps::SyntheticWorkload wl(app);
-  bool done = false;
-  rt.start(wl, [&] { done = true; });
-
-  sim::NodeSpec spec;
-  spec.cores = 4;
-  int grown = -1;
-  engine.at(0.3, [&] {
-    if (!done) grown = rt.grow_node(spec);
-  });
-  engine.at(1.2, [&] {
-    if (!done && grown >= 0 && !rt.node_retired(grown)) {
-      rt.retire_node(grown);
-    }
-  });
-  engine.run();
-  const core::RunResult r = rt.finalize();
-
-  ASSERT_TRUE(done);
-  ASSERT_GE(grown, 0);
-  EXPECT_EQ(rt.grown_nodes(), std::vector<int>{grown});
-  ASSERT_EQ(r.iteration_times.size(),
-            static_cast<std::size_t>(app.iterations));
-  // Exactly-once execution across join and leave: every task finished,
-  // re-executions only account for rescued assignments.
-  const auto& pool = rt.tasks();
-  for (nanos::TaskId id = 0; id < pool.size(); ++id) {
-    const nanos::Task& t = pool.get(id);
-    ASSERT_EQ(t.state, nanos::TaskState::Finished) << "task " << id;
-    ASSERT_GE(t.executions, 1) << "task " << id;
-    ASSERT_LE(t.executions, 1 + t.reexecutions) << "task " << id;
-  }
-  EXPECT_EQ(rt.outstanding_leases(), 0u);
-  for (int w = 0; w < rt.topology().worker_count(); ++w) {
-    EXPECT_EQ(rt.worker_pending(w), 0) << "worker " << w;
-    EXPECT_EQ(rt.worker_inflight(w), 0) << "worker " << w;
-  }
-}
-
-TEST(RuntimeElastic, ElasticTickGrowsUnderPressure) {
-  core::RuntimeConfig cfg = small_cluster();
-  cfg.elastic.enabled = true;
-  cfg.elastic.min_nodes = 3;
-  cfg.elastic.max_nodes = 5;
-  cfg.elastic.eval_period = 0.05;
-  cfg.elastic.high_pressure = 0.5;  // backlogged tasks per core
-  cfg.elastic.low_pressure = 0.1;
-  cfg.elastic.sustain_ticks = 1;
-  cfg.elastic.idle_ticks = 4;
-  cfg.elastic.cooldown = 0.1;
-  cfg.elastic.step = 1;
-
-  apps::SyntheticConfig app = small_app();
-  app.tasks_per_rank = 120;  // enough backlog to sustain the pressure
-  apps::SyntheticWorkload wl(app);
-
-  core::ClusterRuntime rt(cfg);
-  const core::RunResult r = rt.run(wl);
-  EXPECT_FALSE(rt.grown_nodes().empty());
-  EXPECT_LE(static_cast<int>(rt.grown_nodes().size()), 2);  // max - initial
-  ASSERT_EQ(r.iteration_times.size(),
-            static_cast<std::size_t>(app.iterations));
-  const auto& pool = rt.tasks();
-  for (nanos::TaskId id = 0; id < pool.size(); ++id) {
-    ASSERT_EQ(pool.get(id).state, nanos::TaskState::Finished) << id;
-  }
-}
-
-TEST(RuntimeElastic, DisabledConfigIsInert) {
+TEST(RuntimeElastic, ElasticConfigIsInertInClusterRuntime) {
   apps::SyntheticConfig app = small_app();
 
   apps::SyntheticWorkload wl_a(app);
   core::ClusterRuntime rt_a(small_cluster());
   const core::RunResult ra = rt_a.run(wl_a);
 
-  // enabled=false with wild knobs must not read any of them: the run is
+  // A ClusterRuntime runs one job on a fixed cluster: even an enabled pool
+  // config with thresholds that would scale out on the first sample is
+  // never read (it belongs to svc::JobManager), so the run is
   // bit-identical to the default config.
   core::RuntimeConfig cfg = small_cluster();
-  cfg.elastic.enabled = false;
-  cfg.elastic.min_nodes = 5;
+  cfg.elastic.enabled = true;
+  cfg.elastic.min_nodes = 3;
   cfg.elastic.max_nodes = 9;
   cfg.elastic.eval_period = 0.01;
   cfg.elastic.high_pressure = 0.01;
+  cfg.elastic.low_pressure = 0.0;
+  cfg.elastic.sustain_ticks = 1;
+  cfg.elastic.cooldown = 0.0;
+  cfg.elastic.step = 2;
   apps::SyntheticWorkload wl_b(app);
   core::ClusterRuntime rt_b(cfg);
   const core::RunResult rb = rt_b.run(wl_b);
 
-  EXPECT_EQ(ra.makespan, rb.makespan);  // bitwise
-  ASSERT_EQ(ra.iteration_times.size(), rb.iteration_times.size());
-  for (std::size_t i = 0; i < ra.iteration_times.size(); ++i) {
-    EXPECT_EQ(ra.iteration_times[i], rb.iteration_times[i]);
-  }
-  EXPECT_EQ(ra.tasks_total, rb.tasks_total);
-  EXPECT_EQ(ra.tasks_offloaded, rb.tasks_offloaded);
+  EXPECT_EQ(schedule_fingerprint(rt_a, ra), schedule_fingerprint(rt_b, rb));
+  EXPECT_EQ(rt_b.topology().node_count(), 3);
   EXPECT_EQ(ra.control_messages, rb.control_messages);
-  EXPECT_TRUE(rt_b.grown_nodes().empty());
 }
 
 // --- JobManager powered-node pool --------------------------------------------
@@ -486,6 +394,22 @@ TEST(JobManagerControl, PolicyPushValidatesAgainstRegistry) {
   EXPECT_EQ(bad.status, elastic::PushStatus::Nacked);
   EXPECT_TRUE(bad.rolled_back);  // back to policy=congestion
   EXPECT_EQ(cp.last_acked("tlb.sched.policy")->payload, "policy=congestion");
+}
+
+TEST(JobManagerControl, HierPushAckedWithoutPriorRuntime) {
+  // Every policy name resolves from the static table, whether or not a
+  // ClusterRuntime has been built in this process yet.
+  svc::JobManager mgr(service_base(1.0, 2.0));
+  elastic::ControlPlane& cp = mgr.control();
+  EXPECT_EQ(cp.push({"tlb.sched.policy", 1, "policy=hier"}).status,
+            elastic::PushStatus::Acked);
+  const elastic::PushResult bad =
+      cp.push({"tlb.sched.policy", 2, "policy=bogus"});
+  EXPECT_EQ(bad.status, elastic::PushStatus::Nacked);
+  for (const char* name :
+       {"bogus", "locality", "congestion", "waittime", "adaptive", "hier"}) {
+    EXPECT_NE(bad.detail.find(name), std::string::npos) << bad.detail;
+  }
 }
 
 TEST(JobManagerControl, AdmissionPushRejectsInvalidLimits) {

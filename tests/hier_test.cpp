@@ -2,12 +2,8 @@
 // summary maintenance, GlobalBalancer victim selection over summaries,
 // end-to-end runs proving the disabled default stays bit-identical to the
 // golden schedule while the enabled path completes with a bounded
-// per-decision probe cost, and the xDS control-plane hot-swap of the
-// scheduling policy (ACK / NACK / rollback, mid-run).
-#include <cstring>
+// per-decision probe cost.
 #include <memory>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,7 +11,7 @@
 #include "apps/synthetic.hpp"
 #include "core/policies.hpp"
 #include "core/runtime.hpp"
-#include "elastic/xds.hpp"
+#include "fingerprint.hpp"
 #include "graph/expander.hpp"
 #include "hier/global_balancer.hpp"
 #include "hier/hier_scheduler.hpp"
@@ -88,42 +84,8 @@ class FakeView final : public sched::RuntimeView {
   std::vector<std::unique_ptr<nanos::DataLocations>> locs_;
 };
 
-// Golden fingerprint (same FNV-1a as sched_test.cpp): proves the hier
+// Golden fingerprint (captured in sched_test.cpp): proves the hier
 // subsystem's *presence* changes nothing while it is disabled.
-std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ull;
-  return h;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t b;
-  std::memcpy(&b, &d, sizeof(b));
-  return b;
-}
-
-std::uint64_t schedule_fingerprint(const core::ClusterRuntime& rt,
-                                   const core::RunResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  const nanos::TaskPool& pool = rt.tasks();
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    const nanos::Task& t = pool.get(static_cast<nanos::TaskId>(i));
-    h = fp_mix(h, t.id);
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.scheduled_node)));
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.executed_worker)));
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.executed_core)));
-    h = fp_mix(h, static_cast<std::uint64_t>(t.executions));
-    h = fp_mix(h, bits_of(t.start_at));
-    h = fp_mix(h, bits_of(t.finish_at));
-  }
-  h = fp_mix(h, bits_of(r.makespan));
-  h = fp_mix(h, r.events_fired);
-  return h;
-}
-
 constexpr std::uint64_t kGoldenPlain = 0x5515139c5bf2c300ull;
 
 core::RuntimeConfig plain_config() {
@@ -326,78 +288,6 @@ TEST(HierScheduler, EnabledRunCompletesWithBoundedProbeCost) {
       rt.metrics().find_counter("hier.summary_refreshes");
   ASSERT_NE(refreshes, nullptr);
   EXPECT_GT(refreshes->value(), 0u);
-}
-
-// --- control-plane hot swap ---------------------------------------------------
-
-TEST(HotSwap, MidRunPolicySwapIsAckedAndStatsAccumulate) {
-  core::ClusterRuntime rt(plain_config());
-  elastic::PushResult pushed;
-  rt.schedule_external(0.3, [&] {
-    pushed = rt.control_plane().push(
-        {"tlb.sched.policy", 1, "policy=waittime"});
-  });
-  apps::SyntheticWorkload wl(plain_workload());
-  const auto r = rt.run(wl);
-
-  EXPECT_EQ(pushed.status, elastic::PushStatus::Acked);
-  EXPECT_EQ(rt.sched_policy_swaps(), 1u);
-  EXPECT_EQ(r.sched_policy, "waittime");
-  // Decisions made by the retired locality scheduler before t=0.3 are
-  // folded into the final counters, not lost with the old instance.
-  EXPECT_GT(r.sched.decisions, 0u);
-  EXPECT_GT(r.tasks_total, 0u);
-}
-
-TEST(HotSwap, MidRunSwapToHierarchicalWorks) {
-  core::ClusterRuntime rt(plain_config());
-  rt.schedule_external(0.3, [&] {
-    (void)rt.control_plane().push({"tlb.sched.policy", 1, "policy=hier"});
-  });
-  apps::SyntheticWorkload wl(plain_workload());
-  const auto r = rt.run(wl);
-  EXPECT_EQ(r.sched_policy, "hier");
-  EXPECT_EQ(rt.sched_policy_swaps(), 1u);
-}
-
-TEST(HotSwap, UnknownPolicyIsNackedAndRolledBack) {
-  core::ClusterRuntime rt(plain_config());
-  elastic::ControlPlane& cp = rt.control_plane();
-
-  const auto r1 = cp.push({"tlb.sched.policy", 1, "policy=congestion"});
-  ASSERT_EQ(r1.status, elastic::PushStatus::Acked);
-
-  const auto r2 = cp.push({"tlb.sched.policy", 2, "policy=bogus"});
-  EXPECT_EQ(r2.status, elastic::PushStatus::Nacked);
-  EXPECT_TRUE(r2.rolled_back);
-  EXPECT_NE(r2.detail.find("bogus"), std::string::npos) << r2.detail;
-  // The rollback re-applied the last ACKed resource.
-  ASSERT_TRUE(cp.last_acked("tlb.sched.policy").has_value());
-  EXPECT_EQ(cp.last_acked("tlb.sched.policy")->payload, "policy=congestion");
-
-  // A replayed (stale) version is refused without touching the applier.
-  const auto r3 = cp.push({"tlb.sched.policy", 1, "policy=waittime"});
-  EXPECT_EQ(r3.status, elastic::PushStatus::StaleVersion);
-  // The NACKed version number was never ACKed, so it is still usable.
-  const auto r4 = cp.push({"tlb.sched.policy", 2, "policy=waittime"});
-  EXPECT_EQ(r4.status, elastic::PushStatus::Acked);
-}
-
-TEST(HotSwap, MalformedPayloadIsNackedWithoutSideEffects) {
-  core::ClusterRuntime rt(plain_config());
-  elastic::ControlPlane& cp = rt.control_plane();
-
-  // No ACKed resource yet: the NACK has nothing to roll back to.
-  const auto r1 = cp.push({"tlb.sched.policy", 1, "no-equals-sign"});
-  EXPECT_EQ(r1.status, elastic::PushStatus::Nacked);
-  EXPECT_FALSE(r1.rolled_back);
-  const auto r2 = cp.push({"tlb.sched.policy", 2, "knob=value"});
-  EXPECT_EQ(r2.status, elastic::PushStatus::Nacked);
-  EXPECT_NE(r2.detail.find("policy"), std::string::npos) << r2.detail;
-  EXPECT_EQ(rt.sched_policy_swaps(), 0u);
-
-  const auto r3 = cp.push({"tlb.unknown.type", 1, "x=1"});
-  EXPECT_EQ(r3.status, elastic::PushStatus::UnknownType);
 }
 
 }  // namespace

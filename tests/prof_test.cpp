@@ -15,6 +15,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/runtime.hpp"
+#include "fingerprint.hpp"
 #include "prof/prof.hpp"
 
 namespace {
@@ -22,40 +23,6 @@ namespace {
 using namespace tlb;
 
 // --- golden fingerprints (shared with tests/sched_test.cpp) ------------------
-
-std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ull;
-  return h;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t b;
-  std::memcpy(&b, &d, sizeof(b));
-  return b;
-}
-
-std::uint64_t schedule_fingerprint(const core::ClusterRuntime& rt,
-                                   const core::RunResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  const nanos::TaskPool& pool = rt.tasks();
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    const nanos::Task& t = pool.get(static_cast<nanos::TaskId>(i));
-    h = fp_mix(h, t.id);
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.scheduled_node)));
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.executed_worker)));
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.executed_core)));
-    h = fp_mix(h, static_cast<std::uint64_t>(t.executions));
-    h = fp_mix(h, bits_of(t.start_at));
-    h = fp_mix(h, bits_of(t.finish_at));
-  }
-  h = fp_mix(h, bits_of(r.makespan));
-  h = fp_mix(h, r.events_fired);
-  return h;
-}
 
 // Captured in tests/sched_test.cpp from the pre-obs binary; the profiler
 // only records host time — it must not move them.

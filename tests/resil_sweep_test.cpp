@@ -182,116 +182,5 @@ TEST(ResilSweep, RandomFaultScenariosPreserveInvariants) {
   }
 }
 
-// Elastic membership sweep: random join (grow_node) and leave
-// (retire_node) events race a helper crash on a heartbeat-mode run. The
-// same exactly-once invariants must hold — elasticity reuses the
-// crash-recovery rewire machinery, so a node leaving voluntarily and a
-// node dying must be indistinguishable to the completion accounting.
-TEST(ResilSweep, ConcurrentJoinLeaveAndCrashPreserveExactlyOnce) {
-  const std::uint64_t seed = sweep_seed() ^ 0x9e3779b97f4a7c15ull;
-  std::printf("[resil_sweep] elastic seed=%llu\n",
-              static_cast<unsigned long long>(seed));
-  std::mt19937_64 rng(seed);
-
-  constexpr int kScenarios = 8;
-  for (int round = 0; round < kScenarios; ++round) {
-    std::uniform_int_distribution<int> nodes_d(3, 4);
-    std::uniform_int_distribution<int> cores_d(4, 8);
-    const int nodes = nodes_d(rng);
-
-    core::RuntimeConfig cfg;
-    cfg.cluster = sim::ClusterSpec::homogeneous(nodes, cores_d(rng));
-    cfg.appranks_per_node = 1;
-    cfg.degree = 2;
-    cfg.policy = (rng() % 2 == 0) ? core::PolicyKind::Global
-                                  : core::PolicyKind::Local;
-    cfg.resil.detection = resil::DetectionMode::Heartbeat;
-
-    apps::SyntheticConfig app;
-    app.appranks = nodes;
-    std::uniform_int_distribution<int> iters_d(4, 6);
-    std::uniform_int_distribution<int> tasks_d(60, 140);
-    std::uniform_real_distribution<double> imb_d(1.5, 2.5);
-    app.iterations = iters_d(rng);
-    app.tasks_per_rank = tasks_d(rng);
-    app.imbalance = imb_d(rng);
-
-    const int joins = 1 + static_cast<int>(rng() % 2);
-    const bool with_crash = (rng() % 2 == 0);
-    SCOPED_TRACE("round " + std::to_string(round) +
-                 ": nodes=" + std::to_string(nodes) +
-                 " joins=" + std::to_string(joins) +
-                 (with_crash ? " +crash" : ""));
-
-    sim::Engine engine;
-    core::ClusterRuntime rt(cfg, &engine);
-    apps::SyntheticWorkload wl(app);
-    bool done = false;
-    rt.start(wl, [&] { done = true; });
-
-    // Joins at random early times; each joined node leaves again a random
-    // interval later — so a leave can race the crash-recovery rewire, the
-    // heartbeat detector, and other membership churn.
-    std::uniform_real_distribution<double> join_d(0.2, 1.5);
-    std::uniform_real_distribution<double> stay_d(0.4, 1.5);
-    std::vector<int> joined(static_cast<std::size_t>(joins), -1);
-    for (int j = 0; j < joins; ++j) {
-      const double at = join_d(rng);
-      const double leave_at = at + stay_d(rng);
-      sim::NodeSpec spec;
-      spec.cores = cfg.cluster.nodes.front().cores;
-      engine.at(at, [&rt, &joined, &done, j, spec] {
-        if (!done) joined[static_cast<std::size_t>(j)] = rt.grow_node(spec);
-      });
-      engine.at(leave_at, [&rt, &joined, &done, j] {
-        const int n = joined[static_cast<std::size_t>(j)];
-        if (!done && n >= 0 && !rt.node_retired(n)) rt.retire_node(n);
-      });
-    }
-
-    fault::FaultInjector injector = [&] {
-      fault::FaultPlan plan;
-      if (with_crash) {
-        std::uniform_real_distribution<double> crash_d(0.3, 2.0);
-        const int apprank =
-            static_cast<int>(rng() % static_cast<unsigned>(nodes));
-        plan.crash_worker(rt.topology().workers_of_apprank(apprank)[1],
-                          crash_d(rng));
-      }
-      return fault::FaultInjector(std::move(plan));
-    }();
-    injector.attach(rt);
-
-    engine.run();
-    const core::RunResult r = rt.finalize();
-    ASSERT_TRUE(done);
-    ASSERT_EQ(r.iteration_times.size(),
-              static_cast<std::size_t>(app.iterations));
-
-    // Exactly-once completion across joins, leaves, and the crash.
-    const auto& pool = rt.tasks();
-    for (nanos::TaskId id = 0; id < pool.size(); ++id) {
-      const nanos::Task& t = pool.get(id);
-      ASSERT_EQ(t.state, nanos::TaskState::Finished) << "task " << id;
-      ASSERT_GE(t.executions, 1) << "task " << id;
-      ASSERT_LE(t.executions, 1 + t.reexecutions) << "task " << id;
-    }
-    EXPECT_EQ(rt.outstanding_leases(), 0u);
-    for (int w = 0; w < rt.topology().worker_count(); ++w) {
-      EXPECT_EQ(rt.worker_pending(w), 0) << "worker " << w;
-      EXPECT_EQ(rt.worker_inflight(w), 0) << "worker " << w;
-    }
-    // Retired nodes' workers must be flagged and never counted as crashed.
-    for (int j = 0; j < joins; ++j) {
-      const int n = joined[static_cast<std::size_t>(j)];
-      if (n >= 0 && rt.node_retired(n)) {
-        for (core::WorkerId w : rt.topology().workers_on_node(n)) {
-          EXPECT_TRUE(rt.worker_retired(w)) << "worker " << w;
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace tlb

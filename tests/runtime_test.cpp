@@ -3,6 +3,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/runtime.hpp"
+#include "fingerprint.hpp"
 
 namespace tlb::core {
 namespace {
@@ -263,6 +264,35 @@ TEST(Runtime, RecorderBusyNeverExceedsNodeCores) {
     EXPECT_LE(rt.recorder().node_busy(n).max_value(), 4.0);
   }
   (void)r;
+}
+
+TEST(Runtime, RecordTracesOffDropsSeriesOnly) {
+  // The busy / owned / node-busy series are record-only: turning them off
+  // leaves the schedule, the timeline marks and the offload statistics
+  // untouched, and every series empty.
+  auto cfg = base_config(2, 4, 2, 2);
+  apps::SyntheticWorkload wl_on(synth(4, 1.6, 3));
+  ClusterRuntime on(cfg);
+  const auto r_on = on.run(wl_on);
+
+  cfg.record_traces = false;
+  apps::SyntheticWorkload wl_off(synth(4, 1.6, 3));
+  ClusterRuntime off(cfg);
+  const auto r_off = off.run(wl_off);
+
+  EXPECT_EQ(schedule_fingerprint(on, r_on), schedule_fingerprint(off, r_off));
+  EXPECT_EQ(on.recorder().marks(), off.recorder().marks());
+  EXPECT_GT(r_on.tasks_offloaded, 0u);
+  EXPECT_EQ(r_on.tasks_offloaded, r_off.tasks_offloaded);
+  EXPECT_EQ(r_on.work_offloaded, r_off.work_offloaded);
+  for (int n = 0; n < 2; ++n) {
+    EXPECT_FALSE(on.recorder().node_busy(n).empty());
+    EXPECT_TRUE(off.recorder().node_busy(n).empty());
+    for (int a = 0; a < 4; ++a) {
+      EXPECT_TRUE(off.recorder().busy(n, a).empty());
+      EXPECT_TRUE(off.recorder().owned(n, a).empty());
+    }
+  }
 }
 
 TEST(Runtime, EmptyIterationCompletes) {

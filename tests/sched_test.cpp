@@ -1,8 +1,7 @@
 // Tests of the pluggable scheduler subsystem (tlb::sched): golden-schedule
 // regressions proving the extraction of the §5.5 rule out of the runtime
-// kept placements bit-identical, policy registry error paths, and the
+// kept placements bit-identical, policy table error paths, and the
 // behaviour of the congestion / waittime feedback policies.
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -13,15 +12,15 @@
 #include "apps/synthetic.hpp"
 #include "core/policies.hpp"
 #include "core/runtime.hpp"
+#include "core/sched_table.hpp"
 #include "dlb/report.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "fingerprint.hpp"
 #include "graph/expander.hpp"
-#include "hier/hier_scheduler.hpp"
 #include "net/config.hpp"
 #include "sched/ewma.hpp"
 #include "sched/policies.hpp"
-#include "sched/registry.hpp"
 
 namespace {
 
@@ -84,45 +83,10 @@ class FakeView final : public sched::RuntimeView {
 
 // --- golden schedule fingerprints --------------------------------------------
 //
-// FNV-1a over every task's placement and timing plus the makespan and
-// event count. The constants below were captured from the pre-refactor
+// core::schedule_fingerprint (tests/fingerprint.hpp). The constants below were captured from the pre-refactor
 // binary (the §5.5 rule still hard-coded in core/runtime.cpp) and must
 // never change for sched=locality: they prove the extraction is
 // bit-identical, including crash/rescue re-queues and net-mode runs.
-
-std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ull;
-  return h;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t b;
-  std::memcpy(&b, &d, sizeof(b));
-  return b;
-}
-
-std::uint64_t schedule_fingerprint(const core::ClusterRuntime& rt,
-                                   const core::RunResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  const nanos::TaskPool& pool = rt.tasks();
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    const nanos::Task& t = pool.get(static_cast<nanos::TaskId>(i));
-    h = fp_mix(h, t.id);
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.scheduled_node)));
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.executed_worker)));
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.executed_core)));
-    h = fp_mix(h, static_cast<std::uint64_t>(t.executions));
-    h = fp_mix(h, bits_of(t.start_at));
-    h = fp_mix(h, bits_of(t.finish_at));
-  }
-  h = fp_mix(h, bits_of(r.makespan));
-  h = fp_mix(h, r.events_fired);
-  return h;
-}
 
 constexpr std::uint64_t kGoldenPlain = 0x5515139c5bf2c300ull;
 constexpr std::uint64_t kGoldenCrash = 0x58b761ad63ad7735ull;
@@ -233,15 +197,18 @@ TEST(GoldenSchedule, CongestionWithoutFabricDecaysToLocality) {
   EXPECT_EQ(r.sched.offloads_suppressed, 0u);
 }
 
-// --- registry / config validation (no silent fallbacks) ----------------------
+// --- policy table / config validation (no silent fallbacks) ------------------
 
 TEST(SchedRegistry, KnownPoliciesListsBuiltinsInOrder) {
-  const auto names = sched::known_policies();
-  ASSERT_GE(names.size(), 4u);  // extensions (e.g. "hier") may follow
-  EXPECT_EQ(names[0], "locality");  // first = default
-  EXPECT_EQ(names[1], "congestion");
-  EXPECT_EQ(names[2], "waittime");
-  EXPECT_EQ(names[3], "adaptive");
+  for (const char* name :
+       {"locality", "congestion", "waittime", "adaptive", "hier"}) {
+    EXPECT_EQ(core::sched_policy_error(name), "") << name;
+  }
+  const std::string error = core::sched_policy_error("bogus");
+  EXPECT_NE(error.find("'bogus'; valid values: locality, congestion, "
+                       "waittime, adaptive, hier"),  // first = default
+            std::string::npos)
+      << error;
 }
 
 TEST(SchedRegistry, UnknownPolicyNameThrowsListingValidValues) {
@@ -256,6 +223,8 @@ TEST(SchedRegistry, UnknownPolicyNameThrowsListingValidValues) {
     EXPECT_NE(msg.find("locality"), std::string::npos) << msg;
     EXPECT_NE(msg.find("congestion"), std::string::npos) << msg;
     EXPECT_NE(msg.find("waittime"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("adaptive"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("hier"), std::string::npos) << msg;
   }
 }
 
@@ -372,32 +341,6 @@ TEST(SchedReport, ZeroConsideredDoesNotDivide) {
   const std::string report = dlb::sched_report("locality", {});
   EXPECT_NE(report.find("policy: locality"), std::string::npos);
   EXPECT_NE(report.find("0.0%"), std::string::npos);
-}
-
-// --- registry extension error paths -------------------------------------------
-
-std::unique_ptr<sched::Scheduler> dummy_factory(const sched::SchedConfig&,
-                                                const sched::RuntimeView& v) {
-  return std::make_unique<sched::LocalityScheduler>(v);
-}
-
-TEST(SchedRegistry, DuplicateRegistrationThrows) {
-  // Builtins can never be shadowed...
-  EXPECT_THROW(sched::register_policy("locality", dummy_factory),
-               std::invalid_argument);
-  EXPECT_THROW(sched::register_policy("adaptive", dummy_factory),
-               std::invalid_argument);
-  // ...and neither can an already-registered extension. register_policies
-  // itself is idempotent (guarded), but a raw re-registration must throw.
-  hier::register_policies();
-  hier::register_policies();  // idempotent, no throw
-  EXPECT_THROW(sched::register_policy("hier", dummy_factory),
-               std::invalid_argument);
-}
-
-TEST(SchedRegistry, NullFactoryThrows) {
-  EXPECT_THROW(sched::register_policy("null-policy", nullptr),
-               std::invalid_argument);
 }
 
 // --- wait-estimate decay ------------------------------------------------------
