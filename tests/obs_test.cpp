@@ -25,6 +25,7 @@
 namespace {
 
 using namespace tlb;
+using namespace tlb::golden;
 
 // --- histogram ---------------------------------------------------------------
 
@@ -118,55 +119,8 @@ TEST(Registry, ToJsonIsWellFormedAndOrdered) {
 
 // --- golden fingerprints (determinism contract) -------------------------------
 
-// Captured in tests/sched_test.cpp from the pre-obs binary; span
+// The golden runs and fingerprints are shared (tests/fingerprint.hpp); span
 // collection must not move them (it records, it never schedules).
-constexpr std::uint64_t kGoldenPlain = 0x5515139c5bf2c300ull;
-constexpr std::uint64_t kGoldenNet = 0xb613ed57f79b2e8aull;
-
-core::RuntimeConfig plain_config() {
-  core::RuntimeConfig cfg;
-  cfg.cluster = sim::ClusterSpec::homogeneous(4, 8);
-  cfg.appranks_per_node = 2;
-  cfg.degree = 3;
-  cfg.policy = core::PolicyKind::Global;
-  cfg.global_period = 0.2;
-  cfg.local_period = 0.05;
-  return cfg;
-}
-
-apps::SyntheticConfig plain_workload() {
-  apps::SyntheticConfig cfg;
-  cfg.appranks = 8;
-  cfg.imbalance = 1.8;
-  cfg.iterations = 3;
-  cfg.tasks_per_rank = 40;
-  return cfg;
-}
-
-core::RuntimeConfig net_config() {
-  core::RuntimeConfig cfg;
-  cfg.cluster = sim::ClusterSpec::homogeneous(4, 4);
-  cfg.appranks_per_node = 1;
-  cfg.degree = 2;
-  cfg.policy = core::PolicyKind::Global;
-  cfg.global_period = 0.2;
-  cfg.local_period = 0.05;
-  cfg.net.enabled = true;
-  cfg.net.leaf_radix = 2;
-  cfg.net.spines = 1;
-  return cfg;
-}
-
-apps::SyntheticConfig net_workload() {
-  apps::SyntheticConfig cfg;
-  cfg.appranks = 4;
-  cfg.iterations = 2;
-  cfg.tasks_per_rank = 24;
-  cfg.imbalance = 2.0;
-  cfg.bytes_per_task = 1 << 20;
-  return cfg;
-}
-
 TEST(ObsDeterminism, SpanCollectionKeepsPlainScheduleBitIdentical) {
   core::RuntimeConfig cfg = plain_config();
   cfg.obs.spans = true;

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +23,7 @@
 #include "core/runtime.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "fingerprint.hpp"
 #include "metrics/recovery.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
@@ -36,91 +36,10 @@
 namespace {
 
 using namespace tlb;
+using namespace tlb::golden;
 
-// --- golden fingerprints (shared with tests/sched_test.cpp) ------------------
-
-std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ull;
-  return h;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t b;
-  std::memcpy(&b, &d, sizeof(b));
-  return b;
-}
-
-std::uint64_t schedule_fingerprint(const core::ClusterRuntime& rt,
-                                   const core::RunResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  const nanos::TaskPool& pool = rt.tasks();
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    const nanos::Task& t = pool.get(static_cast<nanos::TaskId>(i));
-    h = fp_mix(h, t.id);
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.scheduled_node)));
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.executed_worker)));
-    h = fp_mix(h, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(t.executed_core)));
-    h = fp_mix(h, static_cast<std::uint64_t>(t.executions));
-    h = fp_mix(h, bits_of(t.start_at));
-    h = fp_mix(h, bits_of(t.finish_at));
-  }
-  h = fp_mix(h, bits_of(r.makespan));
-  h = fp_mix(h, r.events_fired);
-  return h;
-}
-
-// Captured in tests/sched_test.cpp from the pre-obs binary; the stream
-// backend only records — it must not move them.
-constexpr std::uint64_t kGoldenPlain = 0x5515139c5bf2c300ull;
-constexpr std::uint64_t kGoldenNet = 0xb613ed57f79b2e8aull;
-
-core::RuntimeConfig plain_config() {
-  core::RuntimeConfig cfg;
-  cfg.cluster = sim::ClusterSpec::homogeneous(4, 8);
-  cfg.appranks_per_node = 2;
-  cfg.degree = 3;
-  cfg.policy = core::PolicyKind::Global;
-  cfg.global_period = 0.2;
-  cfg.local_period = 0.05;
-  return cfg;
-}
-
-apps::SyntheticConfig plain_workload() {
-  apps::SyntheticConfig cfg;
-  cfg.appranks = 8;
-  cfg.imbalance = 1.8;
-  cfg.iterations = 3;
-  cfg.tasks_per_rank = 40;
-  return cfg;
-}
-
-core::RuntimeConfig net_config() {
-  core::RuntimeConfig cfg;
-  cfg.cluster = sim::ClusterSpec::homogeneous(4, 4);
-  cfg.appranks_per_node = 1;
-  cfg.degree = 2;
-  cfg.policy = core::PolicyKind::Global;
-  cfg.global_period = 0.2;
-  cfg.local_period = 0.05;
-  cfg.net.enabled = true;
-  cfg.net.leaf_radix = 2;
-  cfg.net.spines = 1;
-  return cfg;
-}
-
-apps::SyntheticConfig net_workload() {
-  apps::SyntheticConfig cfg;
-  cfg.appranks = 4;
-  cfg.iterations = 2;
-  cfg.tasks_per_rank = 24;
-  cfg.imbalance = 2.0;
-  cfg.bytes_per_task = 1 << 20;
-  return cfg;
-}
+// The golden runs and fingerprints are shared (tests/fingerprint.hpp); the
+// stream backend only records — it must not move them.
 
 /// Spill files land in the test's working directory and are removed by
 /// the fixture that created them.
