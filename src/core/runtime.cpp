@@ -111,11 +111,10 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   if (resil_active()) {
     detectors_.reserve(static_cast<std::size_t>(topology_->worker_count()));
     for (int w = 0; w < topology_->worker_count(); ++w) {
-      detectors_.emplace_back(config_.resil.phi_window,
-                              config_.resil.phi_min_std);
+      detectors_.emplace_back(resil::kPhiWindow, resil::kPhiMinStd);
     }
-    quarantine_ = std::make_unique<resil::Quarantine>(
-        topology_->worker_count(), config_.resil);
+    quarantine_ =
+        std::make_unique<resil::Quarantine>(topology_->worker_count());
   }
   policy_level_ = config_.policy == PolicyKind::Global ? 0 : 1;
 
@@ -168,14 +167,12 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
     net::NetTopology topo =
         nconf.topology == net::TopologyKind::Crossbar
             ? net::NetTopology::crossbar(topology_->node_count(),
-                                         nconf.nic_bw(link),
-                                         nconf.base_latency(link))
+                                         link.bandwidth, link.latency)
             : net::NetTopology::fat_tree(
                   topology_->node_count(), nconf.leaf_radix, nconf.spines,
-                  nconf.nic_bw(link), nconf.uplink_bw(link),
-                  nconf.base_latency(link), nconf.per_hop_latency);
+                  link.bandwidth, nconf.uplink_bw(link), link.latency,
+                  net::kPerHopLatency);
     fabric_ = std::make_unique<net::Fabric>(engine_, std::move(topo));
-    fabric_->set_congestion_threshold(nconf.congestion_threshold);
     fabric_->set_recorder(recorder_.get());
     app_comm_->attach_fabric(fabric_.get());
     ctrl_comm_->attach_fabric(fabric_.get());
@@ -629,7 +626,7 @@ void ClusterRuntime::assign_to_worker(nanos::TaskId id, WorkerId w) {
     resil::LeaseRecord& lease = leases_.grant(id, w, engine_.now());
     send_offload(id, w, lease.epoch);
     lease.timer =
-        engine_.after(resil::LeaseTable::backoff_delay(config_.resil, 1),
+        engine_.after(resil::LeaseTable::backoff_delay(1),
                       [this, id] { on_lease_timeout(id); });
     return;
   }
@@ -1297,8 +1294,8 @@ void ClusterRuntime::crash_worker(WorkerId w) {
 // --- failure detection / graceful degradation (tlb::resil) --------------------
 
 void ClusterRuntime::start_heartbeats() {
-  const sim::SimTime period = config_.resil.heartbeat_period;
-  assert(period > 0.0);
+  constexpr sim::SimTime period = resil::kHeartbeatPeriod;
+  static_assert(period > 0.0);
   for (int w = 0; w < topology_->worker_count(); ++w) {
     if (topology_->worker(w).is_home) continue;
     // Deterministic stagger: first beats spread over one period so the
@@ -1316,8 +1313,7 @@ void ClusterRuntime::send_heartbeat(WorkerId w) {
   m_.heartbeat_messages->inc();
   send_control(w, topology_->home_worker(topology_->worker(w).apprank),
                kTagHeartbeat, [this, w] { on_heartbeat(w); });
-  engine_.after(config_.resil.heartbeat_period,
-                [this, w] { send_heartbeat(w); });
+  engine_.after(resil::kHeartbeatPeriod, [this, w] { send_heartbeat(w); });
 }
 
 void ClusterRuntime::on_heartbeat(WorkerId w) {
@@ -1338,20 +1334,19 @@ void ClusterRuntime::detector_sweep() {
     const resil::PhiAccrualDetector& det =
         detectors_[static_cast<std::size_t>(w)];
     if (det.started()) {
-      if (det.phi(now) > config_.resil.phi_threshold) suspect_worker(w);
+      if (det.phi(now) > resil::kPhiThreshold) suspect_worker(w);
     } else {
       // Bootstrap: no inter-arrival distribution yet (the worker died —
       // or its link degraded — before two heartbeats arrived). Judge the
       // silence against the configured period instead.
       const sim::SimTime since =
           now - std::max(0.0, last_heartbeat_[static_cast<std::size_t>(w)]);
-      if (since >
-          config_.resil.phi_threshold * config_.resil.heartbeat_period) {
+      if (since > resil::kPhiThreshold * resil::kHeartbeatPeriod) {
         suspect_worker(w);
       }
     }
   }
-  engine_.after(config_.resil.heartbeat_period, [this] { detector_sweep(); });
+  engine_.after(resil::kHeartbeatPeriod, [this] { detector_sweep(); });
 }
 
 void ClusterRuntime::send_completion(nanos::TaskId id, WorkerId w,
@@ -1427,13 +1422,13 @@ void ClusterRuntime::on_lease_timeout(nanos::TaskId id) {
   resil::LeaseRecord* lease = leases_.find(id);
   if (lease == nullptr || lease->acked) return;  // settled meanwhile
   const WorkerId w = lease->worker;
-  if (lease->attempts < config_.resil.lease_max_attempts) {
+  if (lease->attempts < resil::kLeaseMaxAttempts) {
     lease->attempts += 1;
     m_.lease_retransmits->inc();
     m_.control_messages->inc();
     send_offload(id, w, lease->epoch);
     lease->timer = engine_.after(
-        resil::LeaseTable::backoff_delay(config_.resil, lease->attempts),
+        resil::LeaseTable::backoff_delay(lease->attempts),
         [this, id] { on_lease_timeout(id); });
     return;
   }
@@ -1617,10 +1612,9 @@ WorkerId ClusterRuntime::add_worker(int apprank, int node) {
   crashed_at_.push_back(-1.0);
   if (!busy_smoothed_.empty()) busy_smoothed_.push_back(0.0);
   if (resil_active()) {
-    detectors_.emplace_back(config_.resil.phi_window, config_.resil.phi_min_std);
+    detectors_.emplace_back(resil::kPhiWindow, resil::kPhiMinStd);
     quarantine_->add_worker();
-    engine_.after(config_.resil.heartbeat_period,
-                  [this, w] { send_heartbeat(w); });
+    engine_.after(resil::kHeartbeatPeriod, [this, w] { send_heartbeat(w); });
   }
   return w;
 }

@@ -24,24 +24,24 @@ constexpr Entry kPolicies[] = {
        return std::make_unique<sched::LocalityScheduler>(view);
      }},
     {"congestion",
-     [](const RuntimeConfig& c, const sched::RuntimeView& view)
+     [](const RuntimeConfig&, const sched::RuntimeView& view)
          -> std::unique_ptr<sched::Scheduler> {
-       return std::make_unique<sched::CongestionScheduler>(c.sched, view);
+       return std::make_unique<sched::CongestionScheduler>(view);
      }},
     {"waittime",
-     [](const RuntimeConfig& c, const sched::RuntimeView& view)
+     [](const RuntimeConfig&, const sched::RuntimeView& view)
          -> std::unique_ptr<sched::Scheduler> {
-       return std::make_unique<sched::WaittimeScheduler>(c.sched, view);
+       return std::make_unique<sched::WaittimeScheduler>(view);
      }},
     {"adaptive",
-     [](const RuntimeConfig& c, const sched::RuntimeView& view)
+     [](const RuntimeConfig&, const sched::RuntimeView& view)
          -> std::unique_ptr<sched::Scheduler> {
-       return std::make_unique<sched::AdaptiveScheduler>(c.sched, view);
+       return std::make_unique<sched::AdaptiveScheduler>(view);
      }},
     {"hier",
      [](const RuntimeConfig& c, const sched::RuntimeView& view)
          -> std::unique_ptr<sched::Scheduler> {
-       return std::make_unique<hier::HierScheduler>(c.hier, c.sched, view);
+       return std::make_unique<hier::HierScheduler>(c.hier, view);
      }},
 };
 

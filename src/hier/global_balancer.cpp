@@ -21,7 +21,7 @@ std::uint64_t GlobalBalancer::summary_refreshes() const {
 const LocalMaster& GlobalBalancer::consult(int node,
                                            sched::SchedStats& stats) {
   LocalMaster& m = master(node);
-  if (!m.fresh(view_.now(), hconf_.summary_period)) {
+  if (!m.fresh(view_.now(), kSummaryPeriod)) {
     stats.state_touched += m.refresh(view_, view_.now());
   }
   stats.state_touched += 1;  // the summary read itself
@@ -53,13 +53,10 @@ sched::Decision GlobalBalancer::pick(const nanos::Task& task,
   if (view_.usable(home) && slack_of(hm.summary(), home) > 0) {
     LocalMaster& m = master(home_node);
     m.note_placed(home);
-    m.observe_residency(task.apprank, input_bytes, view_.now(),
-                        hconf_.residency_smoothing,
-                        hconf_.residency_halflife);
+    m.observe_residency(task.apprank, input_bytes, view_.now());
     return {home, sched::DecisionKind::Baseline};
   }
-  const double home_wait =
-      hm.wait_estimate(view_.now(), sconf_.wait_halflife);
+  const double home_wait = hm.wait_estimate(view_.now());
 
   // Level 2: balance across the apprank's helper nodes by summary. The
   // candidate set is the expander adjacency (O(degree) nodes), each
@@ -84,18 +81,17 @@ sched::Decision GlobalBalancer::pick(const nanos::Task& task,
     considered = true;
     // Veto 1: the path from home is saturated — streaming input bytes
     // into it deepens the queue (same rule as the congestion policy).
-    if (net != nullptr && sconf_.congestion_avoid > 0.0 &&
-        net->path_load(home_node, node) >= sconf_.congestion_avoid) {
+    if (net != nullptr &&
+        net->path_load(home_node, node) >= sched::kCongestionAvoid) {
       vetoed = true;
       continue;
     }
     // Veto 2: tasks queue on that node far longer than at home — the
     // offload moves the wait instead of removing it (per-helper wait
     // estimate, decayed so a drained node becomes a candidate again).
-    if (sconf_.wait_helper_factor > 0.0 &&
-        m.wait_estimate(view_.now(), sconf_.wait_halflife) >
-            sconf_.wait_helper_factor *
-                std::max(home_wait, sconf_.wait_offload_min)) {
+    if (m.wait_estimate(view_.now()) >
+        sched::kWaitHelperFactor *
+            std::max(home_wait, sched::kWaitOffloadMin)) {
       vetoed = true;
       continue;
     }
@@ -103,8 +99,7 @@ sched::Decision GlobalBalancer::pick(const nanos::Task& task,
     c.worker = w;
     c.node = node;
     c.ratio = m.summary().load_ratio;
-    c.residency =
-        m.residency(task.apprank, view_.now(), hconf_.residency_halflife);
+    c.residency = m.residency(task.apprank, view_.now());
     best_ratio = std::min(best_ratio, c.ratio);
     candidates.push_back(c);
   }
@@ -125,9 +120,7 @@ sched::Decision GlobalBalancer::pick(const nanos::Task& task,
   if (best != nullptr) {
     LocalMaster& m = master(best->node);
     m.note_placed(best->worker);
-    m.observe_residency(task.apprank, input_bytes, view_.now(),
-                        hconf_.residency_smoothing,
-                        hconf_.residency_halflife);
+    m.observe_residency(task.apprank, input_bytes, view_.now());
     ++stats.offloads_steered;
     return {best->worker, sched::DecisionKind::Steered};
   }
@@ -142,8 +135,7 @@ sched::Decision GlobalBalancer::pick(const nanos::Task& task,
 
 void GlobalBalancer::on_task_started(core::WorkerId w, sim::SimTime wait) {
   const int node = view_.topology().worker(w).node;
-  master(node).observe_wait(wait, view_.now(), sconf_.wait_smoothing,
-                            sconf_.wait_halflife);
+  master(node).observe_wait(wait, view_.now());
 }
 
 }  // namespace tlb::hier

@@ -4,7 +4,7 @@
 // NodeSummaries. A decision touches O(nodes-adjacent-to-the-apprank)
 // summaries — each an O(1) read — instead of the O(cores) global state a
 // flat policy walks; the per-worker refresh walk happens at most once per
-// HierConfig::summary_period per node, amortized across all decisions in
+// kSummaryPeriod per node, amortized across all decisions in
 // that window. Summaries are kept honest between refreshes by optimistic
 // slack decrements for the balancer's own placements; liveness
 // (crash/quarantine) is always checked against the runtime
@@ -24,9 +24,8 @@ namespace tlb::hier {
 
 class GlobalBalancer {
  public:
-  GlobalBalancer(const HierConfig& hconf, const sched::SchedConfig& sconf,
-                 const sched::RuntimeView& view)
-      : hconf_(hconf), sconf_(sconf), view_(view) {}
+  GlobalBalancer(const HierConfig& hconf, const sched::RuntimeView& view)
+      : hconf_(hconf), view_(view) {}
 
   /// One victim selection over summaries. Charges every summary read and
   /// refresh walk to `stats.state_touched` and keeps the offload
@@ -60,7 +59,6 @@ class GlobalBalancer {
   [[nodiscard]] static int slack_of(const NodeSummary& s, core::WorkerId w);
 
   HierConfig hconf_;
-  sched::SchedConfig sconf_;
   const sched::RuntimeView& view_;
   std::vector<LocalMaster> masters_;  ///< indexed by node id
 };

@@ -10,12 +10,12 @@
 // (slack, load ratio, decayed queue-wait estimate), and a GlobalBalancer
 // decides from summaries only — O(adjacent nodes) summary reads per
 // decision, with the per-worker refresh walk amortized over
-// HierConfig::summary_period.
+// kSummaryPeriod (hier/config.hpp).
 //
 // Divergence from the flat baseline, by design: placement is balance- and
 // headroom-driven (no per-decision resident-bytes scan of the dependency
 // graph — near-ties in load are broken by a decayed per-apprank
-// residency EWMA, HierConfig::residency_*), so Steered counts every
+// residency EWMA, hier/config.hpp), so Steered counts every
 // remote placement and schedules are NOT
 // comparable fingerprint-wise to "locality". Any other policy name
 // constructs nothing from this library and stays bit-identical.
@@ -36,9 +36,8 @@ namespace tlb::hier {
 
 class HierScheduler final : public sched::Scheduler {
  public:
-  HierScheduler(const HierConfig& hconf, const sched::SchedConfig& sconf,
-                const sched::RuntimeView& view)
-      : Scheduler(view), balancer_(hconf, sconf, view) {}
+  HierScheduler(const HierConfig& hconf, const sched::RuntimeView& view)
+      : Scheduler(view), balancer_(hconf, view) {}
 
   [[nodiscard]] const char* name() const override { return "hier"; }
   [[nodiscard]] sched::Decision pick(const nanos::Task& task) override {

@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "hier/config.hpp"
 #include "hier/summary.hpp"
+#include "sched/config.hpp"
 #include "sched/ewma.hpp"
 #include "sched/scheduler.hpp"
 
@@ -46,34 +48,32 @@ class LocalMaster {
   void note_placed(core::WorkerId w);
 
   /// Folds one observed queue wait of a task that started on this node
-  /// into the decayed per-node estimate.
-  void observe_wait(double wait, sim::SimTime now, double smoothing,
-                    double half_life) {
-    wait_ewma_.observe(wait, now, smoothing, half_life);
+  /// into the decayed per-node estimate (the flat policies' kWait*
+  /// smoothing and half-life).
+  void observe_wait(double wait, sim::SimTime now) {
+    wait_ewma_.observe(wait, now, sched::kWaitSmoothing,
+                       sched::kWaitHalflife);
   }
   /// Smoothed queue wait on this node (seconds), decayed to `now`.
-  [[nodiscard]] double wait_estimate(sim::SimTime now,
-                                     double half_life) const {
-    return wait_ewma_.read(now, half_life);
+  [[nodiscard]] double wait_estimate(sim::SimTime now) const {
+    return wait_ewma_.read(now, sched::kWaitHalflife);
   }
 
   /// Folds a placement of `bytes` input bytes for `apprank` into the
-  /// node's decayed residency signal (HierConfig residency_*).
-  void observe_residency(int apprank, double bytes, sim::SimTime now,
-                         double smoothing, double half_life) {
+  /// node's decayed residency signal (kResidency*, hier/config.hpp).
+  void observe_residency(int apprank, double bytes, sim::SimTime now) {
     if (residency_.size() <= static_cast<std::size_t>(apprank)) {
       residency_.resize(static_cast<std::size_t>(apprank) + 1);
     }
-    residency_[static_cast<std::size_t>(apprank)].observe(bytes, now,
-                                                          smoothing,
-                                                          half_life);
+    residency_[static_cast<std::size_t>(apprank)].observe(
+        bytes, now, kResidencySmoothing, kResidencyHalflife);
   }
   /// Decayed input-byte residency of `apprank` on this node; 0 when the
   /// apprank never placed here.
-  [[nodiscard]] double residency(int apprank, sim::SimTime now,
-                                 double half_life) const {
+  [[nodiscard]] double residency(int apprank, sim::SimTime now) const {
     if (residency_.size() <= static_cast<std::size_t>(apprank)) return 0.0;
-    return residency_[static_cast<std::size_t>(apprank)].read(now, half_life);
+    return residency_[static_cast<std::size_t>(apprank)].read(
+        now, kResidencyHalflife);
   }
 
  private:

@@ -7,9 +7,9 @@
 // (net::Fabric) where bandwidth is divided max-min fairly, so the
 // degree-vs-congestion trade-off of paper §5 becomes observable.
 //
-// Fields left at 0 inherit their value from the cluster's LinkSpec, so a
-// bare `net.enabled = true` models the same hardware as the analytic
-// formula — just with contention.
+// NICs inject and eject at LinkSpec::bandwidth and the first hop costs
+// LinkSpec::latency, so a bare `net.enabled = true` models the same
+// hardware as the analytic formula — just with contention.
 #pragma once
 
 #include <string>
@@ -18,6 +18,9 @@
 #include "sim/time.hpp"
 
 namespace tlb::net {
+
+/// Extra latency per switch-to-switch hop (cross-leaf routes pay two).
+inline constexpr sim::SimTime kPerHopLatency = 5e-7;
 
 enum class TopologyKind {
   /// Every node connects through one non-blocking crossbar switch: the
@@ -52,30 +55,13 @@ struct NetConfig {
   /// per-(src,dst) hash (FatTree only).
   int spines = 2;
 
-  /// Per-NIC injection/ejection cap, bytes/s. 0 = LinkSpec::bandwidth.
-  double nic_bandwidth = 0.0;
   /// Per leaf<->spine link bandwidth, bytes/s. 0 = LinkSpec::bandwidth.
-  /// Setting this below leaf_radix * nic_bandwidth / spines models an
-  /// oversubscribed tree.
+  /// Setting this below leaf_radix * LinkSpec::bandwidth / spines models
+  /// an oversubscribed tree.
   double uplink_bandwidth = 0.0;
 
-  /// Base first-hop latency (NIC + first switch). 0 = LinkSpec::latency.
-  sim::SimTime latency = 0.0;
-  /// Extra latency per switch-to-switch hop (cross-leaf routes pay two).
-  sim::SimTime per_hop_latency = 5e-7;
-
-  /// A link whose utilization reaches this fraction of capacity while
-  /// carrying at least two flows is marked congested in the trace.
-  double congestion_threshold = 0.95;
-
-  [[nodiscard]] double nic_bw(const sim::LinkSpec& link) const {
-    return nic_bandwidth > 0.0 ? nic_bandwidth : link.bandwidth;
-  }
   [[nodiscard]] double uplink_bw(const sim::LinkSpec& link) const {
     return uplink_bandwidth > 0.0 ? uplink_bandwidth : link.bandwidth;
-  }
-  [[nodiscard]] sim::SimTime base_latency(const sim::LinkSpec& link) const {
-    return latency > 0.0 ? latency : link.latency;
   }
 };
 

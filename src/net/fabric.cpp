@@ -240,7 +240,7 @@ void Fabric::solve() {
       last_util_[sl] = util;
     }
     const bool congested =
-        util >= congestion_threshold_ && link_fill_[sl].crossing >= 2;
+        util >= kCongestionThreshold && link_fill_[sl].crossing >= 2;
     if (congested != (congested_[sl] != 0)) {
       congested_[sl] = congested ? 1 : 0;
       if (recorder_ != nullptr) {

@@ -141,12 +141,13 @@ class Fabric {
     return solver_links_touched_;
   }
 
+  /// A link whose utilization reaches this fraction of capacity while
+  /// carrying at least two flows is marked congested in the trace.
+  static constexpr double kCongestionThreshold = 0.95;
+
   /// Attaches a recorder that receives "net congestion"/"net cleared"
-  /// timeline marks for links crossing `congestion_threshold`.
+  /// timeline marks for links crossing kCongestionThreshold.
   void set_recorder(trace::Recorder* recorder) { recorder_ = recorder; }
-  void set_congestion_threshold(double threshold) {
-    congestion_threshold_ = threshold;
-  }
 
  private:
   struct Flow {
@@ -203,7 +204,6 @@ class Fabric {
   std::vector<trace::StepSeries> util_series_;
   std::vector<double> last_util_;
   std::vector<char> congested_;
-  double congestion_threshold_ = 0.95;
   trace::Recorder* recorder_ = nullptr;
   std::vector<double> fcts_;
   std::uint64_t started_ = 0;

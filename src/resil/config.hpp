@@ -2,9 +2,11 @@
 //
 // All parameters are plain data consumed by ClusterRuntime; together with
 // RuntimeConfig::seed they make detection fully deterministic. The default
-// DetectionMode::Oracle preserves the PR-1 behaviour bit-for-bit: crashes
-// are announced to the runtime directly and none of the machinery below
-// (heartbeats, leases, quarantine) is instantiated.
+// DetectionMode::Oracle preserves the original behaviour bit-for-bit:
+// crashes are announced to the runtime directly and none of the heartbeat,
+// lease or quarantine machinery is instantiated. Their tuning is fixed:
+// see the constants in resil/phi_detector.hpp, resil/lease.hpp and
+// resil/quarantine.hpp.
 #pragma once
 
 #include "sim/time.hpp"
@@ -22,45 +24,6 @@ enum class DetectionMode {
 
 struct ResilConfig {
   DetectionMode detection = DetectionMode::Oracle;
-
-  // --- phi-accrual heartbeat detector (per helper rank) ---------------------
-  /// Interval between heartbeats a helper sends to its apprank's home
-  /// runtime over the control plane (so heartbeats see link faults).
-  sim::SimTime heartbeat_period = 0.05;
-  /// Suspicion threshold: a worker is suspected when
-  /// phi = -log10 P(silence this long | past arrivals) exceeds this.
-  double phi_threshold = 8.0;
-  /// Sliding window of inter-arrival samples kept per detector.
-  int phi_window = 32;
-  /// Lower bound on the inter-arrival standard deviation. The simulator is
-  /// deterministic, so observed variance can collapse to zero; the floor
-  /// keeps the normal tail well-defined (and models clock/scheduling skew
-  /// a real deployment always has).
-  sim::SimTime phi_min_std = 0.01;
-
-  // --- task lease / acknowledgment protocol ---------------------------------
-  /// A remote assignment must be acknowledged by the helper within this
-  /// time, or the offload message is retransmitted.
-  sim::SimTime lease_timeout = 0.05;
-  /// Exponential backoff factor between lease retransmits (>= 1).
-  double lease_backoff = 2.0;
-  /// Upper bound on the backoff delay (the "capped" in capped exponential
-  /// backoff). 0 disables the cap.
-  sim::SimTime lease_timeout_cap = 0.4;
-  /// Offload transmissions before the lease is declared expired and the
-  /// task is re-queued elsewhere (>= 1).
-  int lease_max_attempts = 5;
-
-  // --- outlier quarantine (Envoy-style ejection) ----------------------------
-  /// Consecutive lease expiries that eject a worker from pick_worker
-  /// candidacy (phi crossings eject immediately).
-  int quarantine_threshold = 3;
-  /// Initial cooling period before an ejected worker is probed back in.
-  sim::SimTime quarantine_cooling = 1.0;
-  /// Cooling grows by this factor on every consecutive re-ejection.
-  double quarantine_backoff = 2.0;
-  /// Upper bound on the cooling period.
-  sim::SimTime quarantine_cooling_cap = 8.0;
 
   // --- solver fallback chain ------------------------------------------------
   /// Wall-clock budget for one global solve; when the modelled

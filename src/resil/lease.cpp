@@ -39,14 +39,10 @@ std::vector<std::uint64_t> LeaseTable::tasks_on(int worker) const {
   return out;  // std::map iteration: ascending task id
 }
 
-sim::SimTime LeaseTable::backoff_delay(const ResilConfig& cfg, int attempt) {
+sim::SimTime LeaseTable::backoff_delay(int attempt) {
   assert(attempt >= 1);
-  sim::SimTime wait =
-      cfg.lease_timeout * std::pow(cfg.lease_backoff, attempt - 1);
-  if (cfg.lease_timeout_cap > 0.0) {
-    wait = std::min(wait, cfg.lease_timeout_cap);
-  }
-  return wait;
+  return std::min(kLeaseTimeout * std::pow(kLeaseBackoff, attempt - 1),
+                  kLeaseTimeoutCap);
 }
 
 }  // namespace tlb::resil

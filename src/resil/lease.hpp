@@ -19,11 +19,22 @@
 #include <map>
 #include <vector>
 
-#include "resil/config.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace tlb::resil {
+
+/// A remote assignment must be acknowledged by the helper within this
+/// time, or the offload message is retransmitted.
+inline constexpr sim::SimTime kLeaseTimeout = 0.05;
+/// Exponential backoff factor between lease retransmits.
+inline constexpr double kLeaseBackoff = 2.0;
+/// Upper bound on the backoff delay (the "capped" in capped exponential
+/// backoff).
+inline constexpr sim::SimTime kLeaseTimeoutCap = 0.4;
+/// Offload transmissions before the lease is declared expired and the
+/// task is re-queued elsewhere.
+inline constexpr int kLeaseMaxAttempts = 5;
 
 struct LeaseRecord {
   int worker = -1;            ///< helper holding the lease
@@ -60,8 +71,7 @@ class LeaseTable {
 
   /// Retransmit delay before attempt `attempt` (1-based count of
   /// transmissions already made): timeout * backoff^(attempt-1), capped.
-  [[nodiscard]] static sim::SimTime backoff_delay(const ResilConfig& cfg,
-                                                  int attempt);
+  [[nodiscard]] static sim::SimTime backoff_delay(int attempt);
 
  private:
   std::map<std::uint64_t, LeaseRecord> leases_;

@@ -20,6 +20,23 @@
 
 namespace tlb::resil {
 
+// Heartbeat-mode tuning (ResilConfig::detection == Heartbeat), one fixed
+// value per knob.
+
+/// Interval between heartbeats a helper sends to its apprank's home
+/// runtime over the control plane (so heartbeats see link faults).
+inline constexpr sim::SimTime kHeartbeatPeriod = 0.05;
+/// Suspicion threshold: a worker is suspected when
+/// phi = -log10 P(silence this long | past arrivals) exceeds this.
+inline constexpr double kPhiThreshold = 8.0;
+/// Sliding window of inter-arrival samples kept per detector.
+inline constexpr int kPhiWindow = 32;
+/// Lower bound on the inter-arrival standard deviation. The simulator is
+/// deterministic, so observed variance can collapse to zero; the floor
+/// keeps the normal tail well-defined (and models clock/scheduling skew
+/// a real deployment always has).
+inline constexpr sim::SimTime kPhiMinStd = 0.01;
+
 class PhiAccrualDetector {
  public:
   PhiAccrualDetector(int window, double min_std);

@@ -6,15 +6,20 @@
 
 namespace tlb::resil {
 
-Quarantine::Quarantine(int worker_count, const ResilConfig& cfg)
-    : state_(static_cast<std::size_t>(worker_count)), cfg_(cfg) {}
+Quarantine::Quarantine(int worker_count)
+    : state_(static_cast<std::size_t>(worker_count)) {}
+
+sim::SimTime Quarantine::cooling(int ejections) {
+  return std::min(kQuarantineCooling * std::pow(kQuarantineBackoff, ejections),
+                  kQuarantineCoolingCap);
+}
 
 void Quarantine::add_worker() { state_.emplace_back(); }
 
 bool Quarantine::record_expiry(int w) {
   State& s = state_.at(static_cast<std::size_t>(w));
   s.streak += 1;
-  return s.streak >= cfg_.quarantine_threshold;
+  return s.streak >= kQuarantineThreshold;
 }
 
 void Quarantine::record_success(int w) {
@@ -24,28 +29,18 @@ void Quarantine::record_success(int w) {
 sim::SimTime Quarantine::eject(int w, sim::SimTime now) {
   State& s = state_.at(static_cast<std::size_t>(w));
   assert(!s.ejected && "worker is already quarantined");
-  sim::SimTime cooling =
-      cfg_.quarantine_cooling * std::pow(cfg_.quarantine_backoff, s.ejections);
-  if (cfg_.quarantine_cooling_cap > 0.0) {
-    cooling = std::min(cooling, cfg_.quarantine_cooling_cap);
-  }
   s.ejected = true;
-  s.ejections += 1;
   s.ejected_at = now;
-  s.cooled_until = now + cooling;
+  s.cooled_until = now + cooling(s.ejections);
+  s.ejections += 1;
   return s.cooled_until;
 }
 
 sim::SimTime Quarantine::extend(int w, sim::SimTime now) {
   State& s = state_.at(static_cast<std::size_t>(w));
   assert(s.ejected && "extending a worker that is not quarantined");
-  sim::SimTime cooling =
-      cfg_.quarantine_cooling * std::pow(cfg_.quarantine_backoff, s.ejections);
-  if (cfg_.quarantine_cooling_cap > 0.0) {
-    cooling = std::min(cooling, cfg_.quarantine_cooling_cap);
-  }
+  s.cooled_until = now + cooling(s.ejections);
   s.ejections += 1;
-  s.cooled_until = now + cooling;
   return s.cooled_until;
 }
 

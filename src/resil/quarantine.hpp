@@ -12,14 +12,23 @@
 #include <cstdint>
 #include <vector>
 
-#include "resil/config.hpp"
 #include "sim/time.hpp"
 
 namespace tlb::resil {
 
+/// Consecutive lease expiries that eject a worker from pick_worker
+/// candidacy (phi crossings eject immediately).
+inline constexpr int kQuarantineThreshold = 3;
+/// Initial cooling period before an ejected worker is probed back in.
+inline constexpr sim::SimTime kQuarantineCooling = 1.0;
+/// Cooling grows by this factor on every consecutive re-ejection.
+inline constexpr double kQuarantineBackoff = 2.0;
+/// Upper bound on the cooling period.
+inline constexpr sim::SimTime kQuarantineCoolingCap = 8.0;
+
 class Quarantine {
  public:
-  Quarantine(int worker_count, const ResilConfig& cfg);
+  explicit Quarantine(int worker_count);
 
   /// Grows the tables when the topology gains a worker (expander rewire).
   void add_worker();
@@ -67,8 +76,11 @@ class Quarantine {
     sim::SimTime ejected_at = 0.0;
     sim::SimTime cooled_until = 0.0;
   };
+  /// Cooling period of the next ejection of a worker ejected
+  /// `ejections` times before.
+  [[nodiscard]] static sim::SimTime cooling(int ejections);
+
   std::vector<State> state_;
-  ResilConfig cfg_;
 };
 
 }  // namespace tlb::resil

@@ -92,7 +92,7 @@ void AdaptiveScheduler::elect() {
   const double incumbent_rate =
       probe_rate_[static_cast<std::size_t>(incumbent_)];
   if (best != incumbent_ &&
-      best_rate <= (1.0 + config_.adaptive_margin) * incumbent_rate) {
+      best_rate <= (1.0 + kMargin) * incumbent_rate) {
     best = incumbent_;
   }
   incumbent_ = best;
@@ -115,14 +115,14 @@ void AdaptiveScheduler::step(const nanos::Task& task) {
   // Pressure regime with a dead band: only a crossing of the high or low
   // threshold moves it; values inside [low, high) leave it latched.
   const double pressure = sampled_pressure(task);
-  if (pressure >= config_.adaptive_pressure_high) {
+  if (pressure >= kPressureHigh) {
     regime_ = 1;
-  } else if (pressure <= config_.adaptive_pressure_low) {
+  } else if (pressure <= kPressureLow) {
     regime_ = -1;
   }
 
   const sim::SimTime elapsed = view_.now() - window_start_;
-  if (elapsed < config_.adaptive_window) return;
+  if (elapsed < kWindow) return;
 
   // Window boundary: fold the window's measurements into the active
   // mode's scores. A window with no observed starts measured nothing —
@@ -147,7 +147,7 @@ void AdaptiveScheduler::step(const nanos::Task& task) {
     if (probe_index_ < 2) {
       ++probe_index_;
       const Mode next = static_cast<Mode>(probe_index_);
-      if (next == Mode::Waittime && config_.adaptive_cold_probe) {
+      if (next == Mode::Waittime) {
         // Cold probe: the always-warm estimators (on_task_started above)
         // hand the waittime probe the *previous* mode's high waits, so
         // suppression never engages and the window measures
@@ -166,11 +166,9 @@ void AdaptiveScheduler::step(const nanos::Task& task) {
   // Exploit: keep scoring the incumbent, re-explore only after the
   // minimum dwell (hysteresis #2) and only on a real trigger.
   ++exploit_windows_;
-  if (exploit_windows_ < config_.adaptive_dwell) return;
-  const double drift_floor =
-      std::max(elected_wait_, config_.wait_offload_min);
-  const bool wait_drift =
-      mean_wait > config_.adaptive_wait_exit * drift_floor;
+  if (exploit_windows_ < kDwell) return;
+  const double drift_floor = std::max(elected_wait_, kWaitOffloadMin);
+  const bool wait_drift = mean_wait > kWaitExit * drift_floor;
   const bool regime_shift = regime_ != elected_regime_;
   if (wait_drift || regime_shift) {
     exploring_ = true;

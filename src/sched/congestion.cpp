@@ -32,13 +32,13 @@ Decision CongestionScheduler::pick(const nanos::Task& task) {
     const int node = topo.worker(w).node;
     const std::uint64_t missing =
         loc.missing_input_bytes(task.accesses, node);
-    double cost = config_.fct_penalty * fct_estimate(w);
+    double cost = kFctPenalty * fct_estimate(w);
     if (missing > 0 && node != home_node) {
       // Input bytes overwhelmingly stream from the home node (the apprank
       // allocated its regions there), so the home -> candidate path is
       // the first-order transfer estimate.
       const double load = net->path_load(home_node, node);
-      if (load >= config_.congestion_avoid) continue;  // saturated: veto
+      if (load >= kCongestionAvoid) continue;  // saturated: veto
       const double residual =
           net->path_capacity(home_node, node) * (1.0 - load);
       cost += static_cast<double>(missing) / residual;
@@ -68,8 +68,7 @@ void CongestionScheduler::on_inputs_landed(core::WorkerId w,
   }
   double& ewma = fct_ewma_[static_cast<std::size_t>(w)];
   ewma = ewma == 0.0 ? fct
-                     : config_.fct_smoothing * ewma +
-                           (1.0 - config_.fct_smoothing) * fct;
+                     : kFctSmoothing * ewma + (1.0 - kFctSmoothing) * fct;
 }
 
 }  // namespace tlb::sched

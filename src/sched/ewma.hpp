@@ -5,9 +5,8 @@
 // that stops producing samples (idle, drained, or simply not chosen)
 // keeps its last estimate forever, and a burst that ended seconds ago
 // still reads as "busy". DecayEwma fixes that by decaying the estimate
-// towards zero with a configurable half-life between observations, so a
-// read at time t sees value * 2^-((t - last_observation) / half_life).
-// half_life <= 0 disables the decay (legacy last-seen behaviour).
+// towards zero with a positive half-life between observations, so a read
+// at time t sees value * 2^-((t - last_observation) / half_life).
 #pragma once
 
 #include <cmath>
@@ -22,7 +21,7 @@ class DecayEwma {
   /// since the last observation. Pure — repeated reads at the same time
   /// return the same value.
   [[nodiscard]] double read(sim::SimTime now, double half_life) const {
-    if (half_life <= 0.0 || value_ == 0.0 || now <= updated_) return value_;
+    if (value_ == 0.0 || now <= updated_) return value_;
     return value_ * std::exp2(-(now - updated_) / half_life);
   }
 

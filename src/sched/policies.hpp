@@ -2,6 +2,7 @@
 // interface and core/sched_table.hpp for name-based construction).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sched/ewma.hpp"
@@ -23,7 +24,7 @@ class LocalityScheduler final : public Scheduler {
 /// candidate is costed by its estimated input-transfer time over the
 /// *currently loaded* path (net::LinkLoadView) plus an EWMA of the flow
 /// completion times this helper's past offloads observed. Candidates
-/// whose path is saturated (>= SchedConfig::congestion_avoid) with input
+/// whose path is saturated (>= kCongestionAvoid) with input
 /// bytes still to move are vetoed, steering offloads away from hot
 /// uplinks; when every remote option is vetoed the task is held centrally
 /// (idle workers pull it later — deferring beats streaming into a full
@@ -31,8 +32,20 @@ class LocalityScheduler final : public Scheduler {
 /// policy decays to the locality rule exactly.
 class CongestionScheduler final : public Scheduler {
  public:
-  CongestionScheduler(const SchedConfig& config, const RuntimeView& view)
-      : Scheduler(view), config_(config) {}
+  /// EWMA factor for the per-helper flow-completion-time estimate:
+  /// ewma = smoothing * ewma + (1 - smoothing) * observed.
+  static constexpr double kFctSmoothing = 0.7;
+  /// Weight of the per-helper FCT estimate in the candidate cost
+  /// (seconds of penalty per second of smoothed FCT). Deliberately small:
+  /// observed FCTs include whole-transfer queueing and run ~100x the
+  /// instantaneous per-task transfer estimates, and the EWMA lags the
+  /// fabric state — as a primary signal it causes anti-locality
+  /// ping-ponging (steering to whichever helper was not used recently).
+  /// At this scale it breaks ties between similarly-loaded paths while
+  /// the live link utilization leads the decision.
+  static constexpr double kFctPenalty = 0.02;
+
+  explicit CongestionScheduler(const RuntimeView& view) : Scheduler(view) {}
   [[nodiscard]] const char* name() const override { return "congestion"; }
   [[nodiscard]] Decision pick(const nanos::Task& task) override;
   void on_inputs_landed(core::WorkerId w, sim::SimTime fct) override;
@@ -46,25 +59,23 @@ class CongestionScheduler final : public Scheduler {
   }
 
  private:
-  SchedConfig config_;
   std::vector<double> fct_ewma_;  ///< per worker (lazily grown on rewires)
 };
 
 /// "waittime" — offload aggressiveness throttled by observed task waits
 /// (Samfass et al., "Lightweight Task Offloading Exploiting MPI Wait
 /// Times"): while the apprank's smoothed ready-to-start wait is below
-/// SchedConfig::wait_offload_min its tasks barely queue at home, so a
-/// remote placement would pay transfer cost for nothing and the offload
-/// is suppressed. Once waits build up the locality rule resumes — unless
-/// the chosen helper's *own* smoothed queue wait exceeds the home wait
-/// (wait_helper_factor), in which case the offload is equally pointless
-/// and is suppressed too. All estimates decay with wait_halflife between
+/// kWaitOffloadMin its tasks barely queue at home, so a remote placement
+/// would pay transfer cost for nothing and the offload is suppressed.
+/// Once waits build up the locality rule resumes — unless the chosen
+/// helper's *own* smoothed queue wait exceeds the home wait
+/// (kWaitHelperFactor), in which case the offload is equally pointless
+/// and is suppressed too. All estimates decay with kWaitHalflife between
 /// observations so an idle-then-bursty worker is never judged by stale
 /// samples.
 class WaittimeScheduler final : public Scheduler {
  public:
-  WaittimeScheduler(const SchedConfig& config, const RuntimeView& view)
-      : Scheduler(view), config_(config) {}
+  explicit WaittimeScheduler(const RuntimeView& view) : Scheduler(view) {}
   [[nodiscard]] const char* name() const override { return "waittime"; }
   [[nodiscard]] Decision pick(const nanos::Task& task) override;
   void on_task_started(const nanos::Task& task, core::WorkerId w,
@@ -75,7 +86,7 @@ class WaittimeScheduler final : public Scheduler {
   [[nodiscard]] double wait_estimate(int apprank) const {
     return static_cast<std::size_t>(apprank) < wait_ewma_.size()
                ? wait_ewma_[static_cast<std::size_t>(apprank)].read(
-                     view_.now(), config_.wait_halflife)
+                     view_.now(), kWaitHalflife)
                : 0.0;
   }
   /// Smoothed queue wait of tasks that started on worker `w` (seconds),
@@ -83,22 +94,21 @@ class WaittimeScheduler final : public Scheduler {
   [[nodiscard]] double helper_wait_estimate(core::WorkerId w) const {
     return static_cast<std::size_t>(w) < helper_ewma_.size()
                ? helper_ewma_[static_cast<std::size_t>(w)].read(
-                     view_.now(), config_.wait_halflife)
+                     view_.now(), kWaitHalflife)
                : 0.0;
   }
 
   /// Drops every wait/helper estimate back to the never-observed state.
-  /// Used by the adaptive portfolio's cold probe
-  /// (SchedConfig::adaptive_cold_probe): waittime's suppression fixed
-  /// point is only reachable from low estimates, so the probe window
-  /// starts from cold instead of inheriting the previous mode's waits.
+  /// Used by the adaptive portfolio's cold probe: waittime's suppression
+  /// fixed point is only reachable from low estimates, so the probe
+  /// window starts from cold instead of inheriting the previous mode's
+  /// waits.
   void reset_estimates() {
     wait_ewma_.clear();
     helper_ewma_.clear();
   }
 
  private:
-  SchedConfig config_;
   std::vector<DecayEwma> wait_ewma_;    ///< per apprank
   std::vector<DecayEwma> helper_ewma_;  ///< per worker (grown on rewires)
 };
@@ -109,7 +119,7 @@ class WaittimeScheduler final : public Scheduler {
 /// each fixed policy and delegates every victim selection to the active
 /// *mode*. Selection is explore/exploit on measured throughput:
 ///   - explore: each mode is probed over one window of at least
-///     SchedConfig::adaptive_window simulated seconds while its
+///     kWindow simulated seconds while its
 ///     task-start rate (starts per simulated second) and mean observed
 ///     ready-to-start wait are recorded. In barrier-paced programs
 ///     decisions arrive in same-instant bursts, so a window stretches to
@@ -119,27 +129,53 @@ class WaittimeScheduler final : public Scheduler {
 ///     *every* mode — waits cannot: suppression (waittime) deliberately
 ///     trades longer individual waits for fewer pointless transfers;
 ///   - elect: the highest-throughput mode wins, but the incumbent is
-///     displaced only if the challenger beats it by adaptive_margin
+///     displaced only if the challenger beats it by kMargin
 ///     (a relative dead band — hysteresis #1);
-///   - exploit: the elected mode runs for at least adaptive_dwell probe
+///   - exploit: the elected mode runs for at least kDwell probe
 ///     windows (hysteresis #2) and then indefinitely, until a re-explore
 ///     trigger fires: the rolling observed wait drifts past
-///     adaptive_wait_exit x the wait measured at election, or the
+///     kWaitExit x the wait measured at election, or the
 ///     fabric-pressure regime crosses to the opposite side of the
-///     [adaptive_pressure_low, adaptive_pressure_high] dead band
+///     [kPressureLow, kPressureHigh] dead band
 ///     (hysteresis #3 — oscillation inside the band never re-triggers).
 /// All feedback hooks are forwarded to every sub-policy so their
-/// estimators stay warm across switches.
+/// estimators stay warm across switches, except that the waittime probe
+/// opens cold (see step()).
 class AdaptiveScheduler : public Scheduler {
  public:
   enum class Mode { Locality = 0, Congestion = 1, Waittime = 2 };
 
-  AdaptiveScheduler(const SchedConfig& config, const RuntimeView& view)
-      : Scheduler(view),
-        config_(config),
-        locality_(view),
-        congestion_(config, view),
-        waittime_(config, view) {}
+  /// Probe window length in simulated seconds: each mode is measured
+  /// over windows of this length during an explore cycle, and the same
+  /// window paces the rolling drift check during exploit. Time-based on
+  /// purpose — decisions arrive in same-instant bursts (a scheduler
+  /// sweep places a whole iteration's ready tasks at one sim time), so a
+  /// decision-counted window can close with zero elapsed time and
+  /// measure nothing.
+  static constexpr sim::SimTime kWindow = 0.1;
+  /// Election margin (relative dead band): a challenger displaces the
+  /// incumbent mode only if its measured task-start rate exceeds
+  /// (1 + kMargin) x the incumbent's. Equivalent measurements keep the
+  /// incumbent — no flapping between modes that tie.
+  static constexpr double kMargin = 0.05;
+  /// Fabric-pressure dead band (hottest candidate-path utilization): the
+  /// latched pressure regime moves only when a sample crosses
+  /// >= kPressureHigh or <= kPressureLow. A regime crossing to the
+  /// opposite side of the band from where the incumbent was elected
+  /// triggers re-exploration; oscillation inside the band never does.
+  static constexpr double kPressureHigh = 0.50;
+  static constexpr double kPressureLow = 0.25;
+  /// Wait-drift trigger: during exploit, a rolling window whose mean
+  /// observed wait exceeds kWaitExit x the elected mode's measured wait
+  /// (floored at kWaitOffloadMin) triggers re-exploration.
+  static constexpr double kWaitExit = 2.0;
+  /// Minimum exploit length in probe windows before any re-explore
+  /// trigger is honoured (dwell): even a genuine regime change cannot
+  /// flip the portfolio back immediately.
+  static constexpr std::uint64_t kDwell = 16;
+
+  explicit AdaptiveScheduler(const RuntimeView& view)
+      : Scheduler(view), locality_(view), congestion_(view), waittime_(view) {}
 
   [[nodiscard]] const char* name() const override { return "adaptive"; }
   [[nodiscard]] Decision pick(const nanos::Task& task) override;
@@ -204,7 +240,6 @@ class AdaptiveScheduler : public Scheduler {
     return locality_;
   }
 
-  SchedConfig config_;
   LocalityScheduler locality_;
   CongestionScheduler congestion_;
   WaittimeScheduler waittime_;

@@ -10,7 +10,7 @@ Decision WaittimeScheduler::pick(const nanos::Task& task) {
 
   if (base >= 0 && base != home) {
     const double home_wait = wait_estimate(task.apprank);
-    if (home_wait < config_.wait_offload_min) {
+    if (home_wait < kWaitOffloadMin) {
       // The apprank's tasks barely wait at home: a remote placement would
       // pay the input transfer for no queueing relief. Keep the task local
       // (or central, where an idle worker can still steal it once real
@@ -20,14 +20,12 @@ Decision WaittimeScheduler::pick(const nanos::Task& task) {
     }
     // Per-helper throttle: tasks queue at the chosen helper far longer
     // than at home (its observed end-to-end waits exceed the home
-    // estimate by wait_helper_factor), so the offload moves the wait
+    // estimate by kWaitHelperFactor), so the offload moves the wait
     // instead of removing it — and pays the transfer on top. Hold the
-    // task instead. The estimate decays with wait_halflife, so a helper
+    // task instead. The estimate decays with kWaitHalflife, so a helper
     // that has drained its backlog becomes a candidate again without
     // needing a fresh sample.
-    if (config_.wait_helper_factor > 0.0 &&
-        helper_wait_estimate(base) >
-            config_.wait_helper_factor * home_wait) {
+    if (helper_wait_estimate(base) > kWaitHelperFactor * home_wait) {
       ++stats_.offloads_suppressed;
       return {under_threshold(home) ? home : -1, DecisionKind::Suppressed};
     }
@@ -41,12 +39,12 @@ void WaittimeScheduler::on_task_started(const nanos::Task& task,
     wait_ewma_.resize(static_cast<std::size_t>(task.apprank) + 1);
   }
   wait_ewma_[static_cast<std::size_t>(task.apprank)].observe(
-      wait, view_.now(), config_.wait_smoothing, config_.wait_halflife);
+      wait, view_.now(), kWaitSmoothing, kWaitHalflife);
   if (static_cast<std::size_t>(w) >= helper_ewma_.size()) {
     helper_ewma_.resize(static_cast<std::size_t>(w) + 1);  // rewires grow
   }
   helper_ewma_[static_cast<std::size_t>(w)].observe(
-      wait, view_.now(), config_.wait_smoothing, config_.wait_halflife);
+      wait, view_.now(), kWaitSmoothing, kWaitHalflife);
 }
 
 }  // namespace tlb::sched

@@ -111,7 +111,7 @@ AdmissionController::AdmissionController(const AdmissionConfig& config)
     : config_(config),
       bucket_(config.bucket_rate, config.bucket_burst),
       limiter_(config),
-      retry_budget_(config.retry_ratio, config.retry_base) {}
+      retry_budget_(kRetryRatio, kRetryBase) {}
 
 int AdmissionController::class_cap(int deadline_class) const {
   double fraction = 1.0;

@@ -72,6 +72,11 @@ class GradientLimiter {
   int updates_ = 0;
 };
 
+/// The admission controller's retry budget: retries may be at most
+/// kRetryRatio of the in-flight jobs plus kRetryBase.
+inline constexpr double kRetryRatio = 0.2;
+inline constexpr int kRetryBase = 3;
+
 /// Envoy-style retry budget: a retry may start only while
 /// active_retries < ratio * in_flight + base.
 class RetryBudget {

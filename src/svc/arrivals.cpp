@@ -72,23 +72,23 @@ ArrivalGenerator::ArrivalGenerator(ArrivalConfig config,
           "ArrivalGenerator: burst_fraction must be in (0, 1)");
     }
     // Start in the normal state; first toggle after one normal dwell.
-    switch_at_ = rng_.exponential(
-        config_.burst_dwell * (1.0 - config_.burst_fraction) /
-        config_.burst_fraction);
+    switch_at_ = rng_.exponential(kBurstDwell *
+                                  (1.0 - config_.burst_fraction) /
+                                  config_.burst_fraction);
   }
 }
 
 double ArrivalGenerator::burst_rate_high() const {
-  return config_.rate * config_.burst_factor;
+  return config_.rate * kBurstFactor;
 }
 
 double ArrivalGenerator::burst_rate_low() const {
   // Chosen so fraction * high + (1 - fraction) * low == rate; clamped when
-  // burst_factor * burst_fraction >= 1 would push it negative (the mean
+  // kBurstFactor * burst_fraction >= 1 would push it negative (the mean
   // then exceeds the nominal rate — the knobs over-ask, not a crash).
   const double f = config_.burst_fraction;
   const double low =
-      config_.rate * (1.0 - f * config_.burst_factor) / (1.0 - f);
+      config_.rate * (1.0 - f * kBurstFactor) / (1.0 - f);
   return low > 1e-3 * config_.rate ? low : 1e-3 * config_.rate;
 }
 
@@ -114,8 +114,8 @@ void ArrivalGenerator::advance() {
         now_ = switch_at_;
         in_burst_ = !in_burst_;
         const double dwell =
-            in_burst_ ? config_.burst_dwell
-                      : config_.burst_dwell * (1.0 - config_.burst_fraction) /
+            in_burst_ ? kBurstDwell
+                      : kBurstDwell * (1.0 - config_.burst_fraction) /
                             config_.burst_fraction;
         switch_at_ = now_ + rng_.exponential(dwell);
       }

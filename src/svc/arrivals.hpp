@@ -32,6 +32,11 @@ namespace tlb::svc {
 [[nodiscard]] std::vector<Arrival> parse_arrivals_jsonl(
     const std::string& text);
 
+/// Bursty shape: burst-state rate multiplier.
+inline constexpr double kBurstFactor = 4.0;
+/// Bursty shape: mean burst-state dwell, seconds.
+inline constexpr double kBurstDwell = 2.0;
+
 class ArrivalGenerator {
  public:
   /// `template_weights` must be non-empty with non-negative entries and a

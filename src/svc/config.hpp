@@ -29,8 +29,9 @@ enum class ArrivalShape {
   /// Homogeneous Poisson process at ArrivalConfig::rate.
   Poisson,
   /// Two-state Markov-modulated Poisson process: a burst state at
-  /// rate * burst_factor entered for an exponentially-distributed dwell,
-  /// tuned so the long-run mean rate stays ArrivalConfig::rate.
+  /// rate * kBurstFactor entered for an exponentially-distributed dwell
+  /// (svc/arrivals.hpp), tuned so the long-run mean rate stays
+  /// ArrivalConfig::rate.
   Bursty,
   /// Non-homogeneous Poisson (thinning) with a sinusoidal rate
   /// rate * (1 + amplitude * sin(2*pi*t / period)) — the compressed
@@ -109,9 +110,7 @@ struct ArrivalConfig {
   int max_arrivals = 0;
 
   // Bursty (MMPP-2) shape.
-  double burst_factor = 4.0;    ///< burst-state rate multiplier
   double burst_fraction = 0.2;  ///< long-run fraction of time in burst
-  double burst_dwell = 2.0;     ///< mean burst-state dwell, seconds
 
   // Diurnal shape.
   double diurnal_period = 30.0;
@@ -154,12 +153,11 @@ struct AdmissionConfig {
   /// overload the batch tier sheds first — priority load shedding.
   std::vector<double> class_fractions = {1.0, 0.9, 0.7};
 
-  /// Retry budget (Envoy: retries may be at most `retry_ratio` of the
-  /// in-flight jobs plus `retry_base`): a shed arrival whose budget allows
-  /// it re-arrives after `retry_backoff * 2^attempt` seconds, at most
-  /// `retry_max` times. Bounds retry amplification during overload.
-  double retry_ratio = 0.2;
-  int retry_base = 3;
+  /// Retry budget (Envoy: retries may be at most kRetryRatio of the
+  /// in-flight jobs plus kRetryBase, svc/admission.hpp): a shed arrival
+  /// whose budget allows it re-arrives after `retry_backoff * 2^attempt`
+  /// seconds, at most `retry_max` times. Bounds retry amplification
+  /// during overload.
   double retry_backoff = 0.5;
   int retry_max = 2;
 };

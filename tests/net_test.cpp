@@ -387,7 +387,7 @@ TEST(NetRuntime, WorkerCrashMidTransferTearsDownFlows) {
   // a helper while payloads are streaming towards it: its flows must be
   // cancelled and the tasks re-executed elsewhere.
   core::RuntimeConfig cfg = net_config(4, 4, 3);
-  cfg.net.nic_bandwidth = 4.0 * (1 << 20);  // ~1 s per 4 MiB transfer
+  cfg.cluster.link.bandwidth = 4.0 * (1 << 20);  // ~1 s per 4 MiB transfer
   cfg.net.uplink_bandwidth = 8.0 * (1 << 20);
   apps::SyntheticWorkload wl(net_workload(4, 4 << 20));
   core::ClusterRuntime rt(cfg);
