@@ -27,10 +27,13 @@ struct SweepCase {
 std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   const auto& c = info.param;
   const std::string p = core::to_string(c.policy);
-  return "n" + std::to_string(c.nodes) + "x" + std::to_string(c.cores) +
-         "_r" + std::to_string(c.per_node) + "_d" +
-         std::to_string(c.degree) + "_" + p + "_i" +
-         std::to_string(static_cast<int>(c.imbalance * 10));
+  // Built by appending to a named string: GCC 12 at -O3 raises a false
+  // -Wrestrict on `"literal" + std::to_string(...)`.
+  std::string name = "n";
+  name += std::to_string(c.nodes) + "x" + std::to_string(c.cores) + "_r" +
+          std::to_string(c.per_node) + "_d" + std::to_string(c.degree) +
+          "_" + p + "_i" + std::to_string(static_cast<int>(c.imbalance * 10));
+  return name;
 }
 
 class RuntimeSweep : public ::testing::TestWithParam<SweepCase> {};
