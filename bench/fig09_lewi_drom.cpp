@@ -83,8 +83,7 @@ int main() {
         .set("pop_parallel_efficiency", pop.parallel_efficiency)
         .set("pop_load_balance", pop.load_balance)
         .set("pop_communication_efficiency", pop.communication_efficiency)
-        .set("pop_transfer_efficiency", pop.transfer_efficiency)
-        .set_raw("metrics", rt.metrics().to_json());
+        .set("pop_transfer_efficiency", pop.transfer_efficiency);
 
     std::fputs(tlb::obs::render_pop(pop).c_str(), stdout);
     const tlb::obs::CriticalPath cp =
