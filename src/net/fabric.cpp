@@ -19,8 +19,9 @@ Fabric::Fabric(sim::Engine& engine, NetTopology topology)
     : engine_(engine), topo_(std::move(topology)) {
   const std::size_t links = static_cast<std::size_t>(topo_.link_count());
   link_mult_.assign(links, 1.0);
-  util_series_.resize(links);
   last_util_.assign(links, 0.0);
+  util_at_.assign(links, 0.0);
+  peak_util_.assign(links, 0.0);
   congested_.assign(links, 0);
   link_fill_.resize(links);
 }
@@ -236,8 +237,12 @@ void Fabric::solve() {
     const double util =
         std::min(1.0, link_fill_[sl].load / effective_capacity(l));
     if (util != last_util_[sl]) {
-      util_series_[sl].set(now, util);
+      // The old value survived its instant only if this change is later.
+      if (now != util_at_[sl]) {
+        peak_util_[sl] = std::max(peak_util_[sl], last_util_[sl]);
+      }
       last_util_[sl] = util;
+      util_at_[sl] = now;
     }
     const bool congested =
         util >= kCongestionThreshold && link_fill_[sl].crossing >= 2;

@@ -31,12 +31,13 @@
 // physical links can additionally be degraded with degrade_link(), which
 // slows exactly the flows whose routes cross them.
 //
-// Observability: per-link utilization StepSeries, flow-completion-time
+// Observability: per-link current and peak utilization, flow-completion-time
 // samples with quantiles (p50/p99), and — when a trace::Recorder is
 // attached — timeline marks at the instants a link becomes congested
 // (utilization >= threshold with >= 2 competing flows) and clears.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -46,7 +47,6 @@
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
 #include "trace/recorder.hpp"
-#include "trace/step_series.hpp"
 
 namespace tlb::net {
 
@@ -100,13 +100,12 @@ class Fabric {
 
   // --- observability -----------------------------------------------------------
 
-  /// Utilization (load / effective capacity, in [0, 1]) of a link over
-  /// time, recorded at every rate recomputation.
-  [[nodiscard]] const trace::StepSeries& link_utilization(LinkId link) const {
-    return util_series_.at(static_cast<std::size_t>(link));
-  }
+  /// Highest utilization (load / effective capacity, in [0, 1]) a link
+  /// held at the end of any simulated instant so far. A value that a later
+  /// recomputation at the same instant overwrote never counts.
   [[nodiscard]] double peak_utilization(LinkId link) const {
-    return util_series_.at(static_cast<std::size_t>(link)).max_value();
+    const auto l = static_cast<std::size_t>(link);
+    return std::max(peak_util_.at(l), last_util_.at(l));
   }
   /// Utilization of a link as of the last rate recomputation (the live
   /// congestion signal consumed by net::LinkLoadView / tlb::sched).
@@ -201,8 +200,11 @@ class Fabric {
   double latency_mult_ = 1.0;
   double bandwidth_mult_ = 1.0;
   std::vector<double> link_mult_;      ///< per-link degradation
-  std::vector<trace::StepSeries> util_series_;
   std::vector<double> last_util_;
+  /// Per link: the time last_util_ was last changed, and the peak over the
+  /// values it held at the end of earlier instants (see peak_utilization).
+  std::vector<sim::SimTime> util_at_;
+  std::vector<double> peak_util_;
   std::vector<char> congested_;
   trace::Recorder* recorder_ = nullptr;
   std::vector<double> fcts_;
