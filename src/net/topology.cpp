@@ -59,7 +59,6 @@ NetTopology NetTopology::crossbar(int nodes, double nic_bandwidth,
   NetTopology t;
   t.nodes_ = nodes;
   t.leaves_ = 1;
-  t.spines_ = 0;
   t.leaf_radix_ = nodes;
   // Link layout: inject[n] = 2n, eject[n] = 2n + 1.
   t.links_.reserve(static_cast<std::size_t>(nodes) * 2);
@@ -98,7 +97,6 @@ NetTopology NetTopology::fat_tree(int nodes, int leaf_radix, int spines,
   t.nodes_ = nodes;
   t.leaf_radix_ = leaf_radix;
   t.leaves_ = (nodes + leaf_radix - 1) / leaf_radix;
-  t.spines_ = spines;
   // Link layout: inject[n] = 2n, eject[n] = 2n + 1, then for each
   // (leaf l, spine s): up = base + 2 * (l * spines + s), down = up + 1.
   for (int n = 0; n < nodes; ++n) {

@@ -33,8 +33,6 @@ class DecayEwma {
     updated_ = now;
   }
 
-  [[nodiscard]] sim::SimTime last_updated() const { return updated_; }
-
  private:
   double value_ = 0.0;
   sim::SimTime updated_ = 0.0;

@@ -199,10 +199,6 @@ class AdaptiveScheduler : public Scheduler {
   [[nodiscard]] double probe_rate(Mode m) const {
     return probe_rate_[static_cast<std::size_t>(m)];
   }
-  /// Mean observed wait measured during `m`'s last probe window (seconds).
-  [[nodiscard]] double probe_wait(Mode m) const {
-    return probe_wait_[static_cast<std::size_t>(m)];
-  }
   /// Victim selections delegated while in `m` (portfolio mix).
   [[nodiscard]] std::uint64_t decisions_in(Mode m) const {
     return mode_decisions_[static_cast<std::size_t>(m)];

@@ -45,11 +45,6 @@ class Rng {
     return std::exponential_distribution<double>(1.0 / mean)(gen_);
   }
 
-  /// Normal with the given mean and standard deviation.
-  double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(gen_);
-  }
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

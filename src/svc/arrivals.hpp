@@ -52,8 +52,6 @@ class ArrivalGenerator {
   /// determinism tests).
   [[nodiscard]] std::vector<Arrival> all();
 
-  [[nodiscard]] int emitted() const { return emitted_; }
-
  private:
   [[nodiscard]] double burst_rate_high() const;
   [[nodiscard]] double burst_rate_low() const;

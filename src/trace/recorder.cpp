@@ -134,11 +134,4 @@ std::string ascii_marks(const std::vector<Mark>& marks, sim::SimTime t0,
   return row;
 }
 
-std::string marks_csv(const std::vector<Mark>& marks) {
-  std::ostringstream out;
-  out << "time,mark\n";
-  for (const Mark& m : marks) out << m.t << ',' << m.label << '\n';
-  return out.str();
-}
-
 }  // namespace tlb::trace

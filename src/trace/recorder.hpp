@@ -130,7 +130,4 @@ std::string to_csv(
 std::string ascii_marks(const std::vector<Mark>& marks, sim::SimTime t0,
                         sim::SimTime t1, int bins);
 
-/// "t,label" CSV of timeline marks.
-std::string marks_csv(const std::vector<Mark>& marks);
-
 }  // namespace tlb::trace
