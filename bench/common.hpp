@@ -185,12 +185,6 @@ class JsonObject {
   JsonObject& set(const std::string& key, const char* v) {
     return set(key, std::string(v));
   }
-  /// Inserts pre-rendered JSON verbatim (nested objects — e.g. the
-  /// obs::Registry serialization). The caller guarantees validity.
-  JsonObject& set_raw(const std::string& key, const std::string& json) {
-    kv_.emplace_back(key, json);
-    return *this;
-  }
 
   [[nodiscard]] std::string render() const {
     std::string out = "{";

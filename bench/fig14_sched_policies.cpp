@@ -39,6 +39,7 @@
 #include "apps/synthetic.hpp"
 #include "bench/common.hpp"
 #include "dlb/report.hpp"
+#include "hier/hier_scheduler.hpp"
 
 namespace {
 
@@ -198,11 +199,11 @@ void scaling_arm(bench::JsonReport& report) {
               : 0.0;
       const double decisions_per_sec =
           wall > 0.0 ? static_cast<double>(r.sched.decisions) / wall : 0.0;
-      const obs::Counter* refresh_counter =
-          rt.metrics().find_counter("hier.summary_refreshes");
+      const auto* hier_sched =
+          dynamic_cast<const hier::HierScheduler*>(&rt.scheduler());
       const double refreshes =
-          refresh_counter != nullptr
-              ? static_cast<double>(refresh_counter->value())
+          hier_sched != nullptr
+              ? static_cast<double>(hier_sched->summary_refreshes())
               : 0.0;
 
       print_cell(nodes);

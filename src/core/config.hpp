@@ -80,8 +80,7 @@ struct RuntimeConfig {
   hier::HierConfig hier;
 
   /// Observability (tlb::obs). Off by default; enabling span collection is
-  /// pure recording and keeps schedules bit-identical (the metrics
-  /// registry is always on — it has no toggle to get wrong).
+  /// pure recording and keeps schedules bit-identical.
   obs::ObsConfig obs;
 
   /// Elastic node pool (tlb::elastic). Never read by ClusterRuntime, which

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/sched_table.hpp"
-#include "hier/hier_scheduler.hpp"
 #include "prof/prof.hpp"
 #include "solver/allocation.hpp"
 
@@ -145,7 +144,6 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   recorder_ = std::make_unique<trace::Recorder>(topology_->node_count(),
                                                 topology_->apprank_count(),
                                                 config_.record_traces);
-  register_metrics();
   if (config_.obs.stream.enabled) {
     // Streaming store: finished spans spill to disk. Supersedes the
     // in-memory collector when both are requested (same events, bounded
@@ -223,29 +221,6 @@ ClusterRuntime::~ClusterRuntime() {
   }
 }
 
-void ClusterRuntime::register_metrics() {
-  m_.control_messages = &metrics_.counter("core.control_messages");
-  m_.transfer_bytes = &metrics_.counter("core.transfer_bytes");
-  m_.tasks_reexecuted = &metrics_.counter("fault.tasks_reexecuted");
-  m_.workers_crashed = &metrics_.counter("fault.workers_crashed");
-  m_.heartbeat_messages = &metrics_.counter("resil.heartbeat_messages");
-  m_.detections = &metrics_.counter("resil.detections");
-  m_.false_suspicions = &metrics_.counter("resil.false_suspicions");
-  m_.lease_retransmits = &metrics_.counter("resil.lease_retransmits");
-  m_.lease_expiries = &metrics_.counter("resil.lease_expiries");
-  m_.duplicates_suppressed = &metrics_.counter("resil.duplicates_suppressed");
-  m_.quarantine_ejections = &metrics_.counter("resil.quarantine_ejections");
-  m_.quarantine_readmissions =
-      &metrics_.counter("resil.quarantine_readmissions");
-  m_.policy_downshifts = &metrics_.counter("resil.policy_downshifts");
-  m_.rewired_edges = &metrics_.counter("resil.rewired_edges");
-  m_.detection_latency_sum = &metrics_.gauge("resil.detection_latency_sum_s");
-  m_.perfect_time = &metrics_.gauge("core.perfect_time_s");
-  m_.iteration_time = &metrics_.histogram(
-      "core.iteration_time_s",
-      {0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0});
-}
-
 obs::PopReport ClusterRuntime::pop() const {
   std::vector<int> worker_apprank;
   worker_apprank.reserve(static_cast<std::size_t>(topology_->worker_count()));
@@ -312,24 +287,6 @@ void ClusterRuntime::start(Workload& workload,
 
 RunResult ClusterRuntime::finalize() {
   PROF_SCOPE("core.finalize");
-  // Collect statistics. Runtime-event counters were incremented into the
-  // registry live; RunResult is the stable compatibility view over it.
-  result_.control_messages = m_.control_messages->value();
-  result_.transfer_bytes = m_.transfer_bytes->value();
-  result_.tasks_reexecuted = m_.tasks_reexecuted->value();
-  result_.workers_crashed = m_.workers_crashed->value();
-  result_.heartbeat_messages = m_.heartbeat_messages->value();
-  result_.detections = m_.detections->value();
-  result_.false_suspicions = m_.false_suspicions->value();
-  result_.detection_latency_sum = m_.detection_latency_sum->value();
-  result_.lease_retransmits = m_.lease_retransmits->value();
-  result_.lease_expiries = m_.lease_expiries->value();
-  result_.duplicates_suppressed = m_.duplicates_suppressed->value();
-  result_.quarantine_ejections = m_.quarantine_ejections->value();
-  result_.quarantine_readmissions = m_.quarantine_readmissions->value();
-  result_.policy_downshifts = m_.policy_downshifts->value();
-  result_.rewired_edges = m_.rewired_edges->value();
-  result_.perfect_time = m_.perfect_time->value();
   result_.tasks_total = recorder_->tasks_total();
   result_.tasks_offloaded = recorder_->tasks_offloaded();
   result_.work_total = recorder_->work_total();
@@ -348,70 +305,11 @@ RunResult ClusterRuntime::finalize() {
   result_.sched = scheduler_->stats();
   result_.events_fired = engine_.events_fired();
 
-  // Snapshot the remaining subsystem statistics into the registry so one
-  // serialization (Registry::to_json) covers the whole run.
-  metrics_.counter("core.tasks_total").inc(result_.tasks_total);
-  metrics_.counter("core.tasks_offloaded").inc(result_.tasks_offloaded);
-  metrics_.gauge("core.work_total").set(result_.work_total);
-  metrics_.gauge("core.work_offloaded").set(result_.work_offloaded);
-  metrics_.gauge("core.makespan_s").set(result_.makespan);
-  metrics_.counter("dlb.lewi_lends").inc(result_.lewi_lends);
-  metrics_.counter("dlb.lewi_borrows").inc(result_.lewi_borrows);
-  metrics_.counter("dlb.lewi_reclaims").inc(result_.lewi_reclaims);
-  metrics_.counter("dlb.drom_moves").inc(result_.drom_moves);
-  metrics_.counter("vmpi.messages_lost").inc(result_.messages_lost);
-  metrics_.counter("vmpi.retransmissions").inc(result_.retransmissions);
-  metrics_.counter("sched.decisions").inc(result_.sched.decisions);
-  metrics_.counter("sched.offloads_considered")
-      .inc(result_.sched.offloads_considered);
-  metrics_.counter("sched.offloads_steered")
-      .inc(result_.sched.offloads_steered);
-  metrics_.counter("sched.offloads_suppressed")
-      .inc(result_.sched.offloads_suppressed);
-  metrics_.counter("sched.switches").inc(result_.sched.switches);
-  metrics_.counter("sched.state_touched").inc(result_.sched.state_touched);
-  if (const auto* h =
-          dynamic_cast<const hier::HierScheduler*>(scheduler_.get())) {
-    metrics_.counter("hier.summary_refreshes").inc(h->summary_refreshes());
-    metrics_.gauge("hier.masters")
-        .set(static_cast<double>(h->balancer().master_count()));
-  }
-  metrics_.counter("sim.events_fired").inc(result_.events_fired);
-  if (fabric_ != nullptr) {
-    metrics_.counter("net.flows_started").inc(fabric_->flows_started());
-    metrics_.counter("net.flows_completed").inc(fabric_->flows_completed());
-    metrics_.counter("net.flows_cancelled").inc(fabric_->flows_cancelled());
-    metrics_.counter("net.bytes_delivered").inc(fabric_->bytes_delivered());
-    metrics_.counter("net.solver_runs").inc(fabric_->solver_runs());
-    metrics_.counter("net.solver_flows_touched")
-        .inc(fabric_->solver_flows_touched());
-    metrics_.counter("net.solver_links_touched")
-        .inc(fabric_->solver_links_touched());
-    obs::Histogram& fct = metrics_.histogram(
-        "net.fct_s",
-        {1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0});
-    for (const double f : fabric_->completion_times()) fct.add(f);
-  }
-  const obs::PopReport pr = pop();
-  metrics_.gauge("pop.parallel_efficiency").set(pr.parallel_efficiency);
-  metrics_.gauge("pop.load_balance").set(pr.load_balance);
-  metrics_.gauge("pop.communication_efficiency")
-      .set(pr.communication_efficiency);
-  metrics_.gauge("pop.transfer_efficiency").set(pr.transfer_efficiency);
   if (span_recorder_ != nullptr) {
-    metrics_.counter("obs.rescues").inc(span_recorder_->rescues());
-    metrics_.gauge("obs.transfer_wait_core_s")
-        .set(span_recorder_->transfer_wait_core_seconds());
-    // Close before snapshotting: the collector then holds the unfinished
-    // spans too, and the spill file (footer + trailer) is complete with
-    // its byte count final when the bench reads it.
+    // Closing moves the unfinished spans into the collector and completes
+    // the spill file (footer + trailer), its byte count final when the
+    // bench reads it.
     span_recorder_->close();
-  }
-  if (const stream::StreamSink* sink = stream_sink()) {
-    metrics_.counter("stream.spans_spilled").inc(sink->spans_spilled());
-    metrics_.counter("stream.bytes_written").inc(sink->bytes_written());
-    metrics_.gauge("stream.peak_open_spans")
-        .set(static_cast<double>(sink->peak_open_spans()));
   }
   return result_;
 }
@@ -440,7 +338,7 @@ void ClusterRuntime::start_iteration_all() {
     }
     if (st.outstanding == 0) enter_barrier(a);
   }
-  m_.perfect_time->add(iteration_work / config_.cluster.total_capacity());
+  result_.perfect_time += iteration_work / config_.cluster.total_capacity();
   for (int n = 0; n < topology_->node_count(); ++n) kick_node(n);
 }
 
@@ -467,7 +365,7 @@ void ClusterRuntime::enter_barrier(int apprank) {
     const auto sources = st.locations->pull_by_source(regions, home);
     auto remaining = std::make_shared<int>(0);
     for (const auto& [src, bytes] : sources) {
-      m_.transfer_bytes->inc(bytes);
+      result_.transfer_bytes += bytes;
       *remaining += 1;
       fabric_->start_flow(src, home, bytes, [remaining, do_barrier] {
         if (--*remaining == 0) do_barrier();
@@ -480,7 +378,7 @@ void ClusterRuntime::enter_barrier(int apprank) {
   sim::SimTime delay = 0.0;
   if (bytes > 0) {
     delay = faulted_transfer_time(bytes);
-    m_.transfer_bytes->inc(bytes);
+    result_.transfer_bytes += bytes;
   }
   engine_.after(delay, do_barrier);
 }
@@ -488,7 +386,6 @@ void ClusterRuntime::enter_barrier(int apprank) {
 void ClusterRuntime::on_barrier_done() {
   const int iteration = appranks_.front().iteration;
   result_.iteration_times.push_back(engine_.now() - last_barrier_time_);
-  m_.iteration_time->add(engine_.now() - last_barrier_time_);
   last_barrier_time_ = engine_.now();
   if (config_.obs.pop_windows) capture_pop_window(iteration);
   if (auto* sink = dynamic_cast<stream::StreamSink*>(span_recorder_.get())) {
@@ -617,7 +514,7 @@ void ClusterRuntime::assign_to_worker(nanos::TaskId id, WorkerId w) {
     finish_assignment(id, w);
     return;
   }
-  m_.control_messages->inc();
+  ++result_.control_messages;
   workers_[static_cast<std::size_t>(w)].pending += 1;
   if (resil_active()) {
     // Lease/ACK protocol (tlb::resil): the assignment is covered by an
@@ -664,7 +561,7 @@ void ClusterRuntime::finish_assignment(nanos::TaskId id, WorkerId w) {
     task.transfer_bytes = bytes;
     task.data_ready_at = engine_.now();
     if (bytes > 0) {
-      m_.transfer_bytes->inc(bytes);
+      result_.transfer_bytes += bytes;
       sink().transfer_begin(id, bytes, info.node, engine_.now());
       pd.remaining = static_cast<int>(pd.flows.size());
       pd.worker = w;
@@ -683,7 +580,7 @@ void ClusterRuntime::finish_assignment(nanos::TaskId id, WorkerId w) {
   sim::SimTime cost = 0.0;
   if (bytes > 0) {
     cost = faulted_transfer_time(bytes);
-    m_.transfer_bytes->inc(bytes);
+    result_.transfer_bytes += bytes;
     // The analytic model resolves the transfer window up front; record
     // both edges now (the end timestamp lies in the future, which the
     // span record represents exactly).
@@ -898,7 +795,7 @@ void ClusterRuntime::on_task_finished(std::uint64_t exec_id) {
     }
     send_completion(run.task, w, run.epoch);
   } else if (node != home) {
-    m_.control_messages->inc();
+    ++result_.control_messages;
     send_control(w, topology_->home_worker(apprank), kTagComplete,
                  [this, id = run.task] { complete_task(id); });
   } else {
@@ -1072,7 +969,7 @@ void ClusterRuntime::policy_tick() {
   }
   if (level != policy_level_) {
     if (level > policy_level_) {
-      m_.policy_downshifts->inc();
+      ++result_.policy_downshifts;
       mark_trace(level == 1 ? "policy downshift: global -> local"
                             : "policy downshift: -> static ownership");
     } else {
@@ -1120,13 +1017,6 @@ void ClusterRuntime::record_ownership() {
 }
 
 // --- perturbation / resilience (tlb::fault) -----------------------------------
-
-bool ClusterRuntime::any_worker_dead() const {
-  for (char a : alive_) {
-    if (!a) return true;
-  }
-  return false;
-}
 
 bool ClusterRuntime::any_worker_unusable() const {
   for (std::size_t w = 0; w < alive_.size(); ++w) {
@@ -1185,7 +1075,7 @@ void ClusterRuntime::rescue_task(nanos::TaskId id, WorkerId from,
   task.scheduled_node = -1;
   task.data_ready_at = 0.0;
   task.reexecutions += 1;
-  m_.tasks_reexecuted->inc();
+  ++result_.tasks_reexecuted;
   sink().task_rescued(id, from, engine_.now());
   on_task_ready(id);
 }
@@ -1198,7 +1088,7 @@ void ClusterRuntime::crash_worker(WorkerId w) {
   if (!alive_[static_cast<std::size_t>(w)] || done_) return;
   alive_[static_cast<std::size_t>(w)] = 0;
   crashed_at_[static_cast<std::size_t>(w)] = engine_.now();
-  m_.workers_crashed->inc();
+  ++result_.workers_crashed;
 
   const int node = info.node;
   dlb::NodeCores& nc = *node_cores_[static_cast<std::size_t>(node)];
@@ -1310,7 +1200,7 @@ void ClusterRuntime::start_heartbeats() {
 
 void ClusterRuntime::send_heartbeat(WorkerId w) {
   if (done_ || !alive_[static_cast<std::size_t>(w)]) return;  // fell silent
-  m_.heartbeat_messages->inc();
+  ++result_.heartbeat_messages;
   send_control(w, topology_->home_worker(topology_->worker(w).apprank),
                kTagHeartbeat, [this, w] { on_heartbeat(w); });
   engine_.after(resil::kHeartbeatPeriod, [this, w] { send_heartbeat(w); });
@@ -1351,7 +1241,7 @@ void ClusterRuntime::detector_sweep() {
 
 void ClusterRuntime::send_completion(nanos::TaskId id, WorkerId w,
                                      std::uint64_t epoch) {
-  m_.control_messages->inc();
+  ++result_.control_messages;
   send_control(w, topology_->home_worker(pool_.get(id).apprank), kTagComplete,
                [this, id, w, epoch] { on_completion(id, w, epoch); });
 }
@@ -1398,7 +1288,7 @@ void ClusterRuntime::on_offload_delivered(nanos::TaskId id, WorkerId w,
 
 void ClusterRuntime::send_ack(nanos::TaskId id, WorkerId w,
                               std::uint64_t epoch) {
-  m_.control_messages->inc();
+  ++result_.control_messages;
   send_control(w, topology_->home_worker(pool_.get(id).apprank), kTagAck,
                [this, id, w, epoch] { on_ack(id, w, epoch); });
 }
@@ -1424,8 +1314,8 @@ void ClusterRuntime::on_lease_timeout(nanos::TaskId id) {
   const WorkerId w = lease->worker;
   if (lease->attempts < resil::kLeaseMaxAttempts) {
     lease->attempts += 1;
-    m_.lease_retransmits->inc();
-    m_.control_messages->inc();
+    ++result_.lease_retransmits;
+    ++result_.control_messages;
     send_offload(id, w, lease->epoch);
     lease->timer = engine_.after(
         resil::LeaseTable::backoff_delay(lease->attempts),
@@ -1434,7 +1324,7 @@ void ClusterRuntime::on_lease_timeout(nanos::TaskId id) {
   }
   // Attempts exhausted: the lease expires. The task moves elsewhere; the
   // worker moves towards quarantine.
-  m_.lease_expiries->inc();
+  ++result_.lease_expiries;
   lease->timer = sim::kInvalidEvent;
   if (quarantine_->record_expiry(w) &&
       !suspected_[static_cast<std::size_t>(w)]) {
@@ -1454,7 +1344,7 @@ void ClusterRuntime::on_completion(nanos::TaskId id, WorkerId w,
     // was re-queued, possibly already completed elsewhere). Suppressing it
     // here is what makes completion accounting exactly-once at the home
     // runtime.
-    m_.duplicates_suppressed->inc();
+    ++result_.duplicates_suppressed;
     return;
   }
   engine_.cancel(lease->timer);
@@ -1515,19 +1405,19 @@ void ClusterRuntime::suspect_worker(WorkerId w) {
 
   // Detection verdict: real failure or false suspicion?
   if (!alive_[static_cast<std::size_t>(w)]) {
-    m_.detections->inc();
+    ++result_.detections;
     const double latency =
         engine_.now() - crashed_at_[static_cast<std::size_t>(w)];
-    m_.detection_latency_sum->add(latency);
+    result_.detection_latency_sum += latency;
     mark_trace("detected crash of worker " + std::to_string(w));
   } else {
-    m_.false_suspicions->inc();
+    ++result_.false_suspicions;
     mark_trace("false suspicion of worker " + std::to_string(w));
   }
 
   // Outlier ejection (Envoy-style): out of pick_worker candidacy until the
   // cooling period ends, then probed back in.
-  m_.quarantine_ejections->inc();
+  ++result_.quarantine_ejections;
   const sim::SimTime cooled = quarantine_->eject(w, engine_.now());
   engine_.at(cooled, [this, w] { probe_worker(w); });
 
@@ -1557,7 +1447,7 @@ void ClusterRuntime::probe_worker(WorkerId w) {
     // Forget pre-ejection inter-arrival history (it includes the silence
     // that caused the ejection and would poison the fresh estimate).
     detectors_[static_cast<std::size_t>(w)].reset();
-    m_.quarantine_readmissions->inc();
+    ++result_.quarantine_readmissions;
     mark_trace("readmitted worker " + std::to_string(w));
     resolve_now();
     return;
@@ -1589,7 +1479,7 @@ void ClusterRuntime::maybe_rewire(int apprank) {
   }
 
   add_worker(apprank, node);
-  m_.rewired_edges->inc();
+  ++result_.rewired_edges;
   mark_trace("rewired apprank " + std::to_string(apprank) + " -> node " +
              std::to_string(node));
   // The new worker owns no cores yet; the policy re-solve that follows the

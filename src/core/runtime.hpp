@@ -58,7 +58,6 @@
 #include "nanos/task.hpp"
 #include "net/fabric.hpp"
 #include "net/link_load.hpp"
-#include "obs/metrics.hpp"
 #include "obs/pop.hpp"
 #include "obs/span.hpp"
 #include "resil/config.hpp"
@@ -108,7 +107,7 @@ class ClusterRuntime : private sched::RuntimeView {
   void start(Workload& workload, std::function<void()> on_complete = {});
 
   /// Collects the run statistics after completion (makespan, offloading /
-  /// DLB / resilience counters, metrics-registry snapshot). Call once,
+  /// DLB / resilience counters) and closes the span recorder. Call once,
   /// after on_complete fired (shared mode) or the engine drained.
   RunResult finalize();
 
@@ -132,12 +131,6 @@ class ClusterRuntime : private sched::RuntimeView {
   }
 
   // --- observability (tlb::obs) ---------------------------------------------
-
-  /// The run's metrics registry: every counter RunResult reports is
-  /// registry-backed (incremented live at the original call sites), and
-  /// run() snapshots the remaining subsystem statistics (LeWI/DROM, sched,
-  /// fabric FCTs, POP efficiencies) into it before returning.
-  [[nodiscard]] const obs::Registry& metrics() const { return metrics_; }
 
   /// The in-memory span store, or nullptr unless RuntimeConfig::obs.spans
   /// was set (and obs.stream was not). Feed to obs::chrome_trace_json /
@@ -216,12 +209,6 @@ class ClusterRuntime : private sched::RuntimeView {
   [[nodiscard]] bool worker_alive(WorkerId w) const {
     return alive_.at(static_cast<std::size_t>(w)) != 0;
   }
-  /// True while `w` sits in outlier quarantine (suspected, ejected from
-  /// pick_worker candidacy).
-  [[nodiscard]] bool worker_quarantined(WorkerId w) const {
-    return suspected_.at(static_cast<std::size_t>(w)) != 0;
-  }
-
   /// Offload control messages still in flight towards `w` (diagnostic:
   /// must be zero after run() returns).
   [[nodiscard]] int worker_pending(WorkerId w) const {
@@ -296,7 +283,6 @@ class ClusterRuntime : private sched::RuntimeView {
 
   // SPMD iteration orchestration.
   void start_iteration_all();
-  void start_iteration(int apprank);
   void enter_barrier(int apprank);
   void on_barrier_done();
 
@@ -350,7 +336,6 @@ class ClusterRuntime : private sched::RuntimeView {
   void rescue_task(nanos::TaskId id, WorkerId from, bool charge_worker = true);
   /// Point-to-point transfer cost with the active link fault applied.
   [[nodiscard]] sim::SimTime faulted_transfer_time(std::uint64_t bytes);
-  [[nodiscard]] bool any_worker_dead() const;
 
   // Failure detection / graceful degradation (tlb::resil).
   [[nodiscard]] bool resil_active() const {
@@ -407,7 +392,6 @@ class ClusterRuntime : private sched::RuntimeView {
   [[nodiscard]] obs::SpanSink& sink() {
     return span_recorder_ != nullptr ? *span_recorder_ : null_sink_;
   }
-  void register_metrics();
 
   // DROM policy loop (§5.4).
   void schedule_policy_tick();
@@ -437,34 +421,11 @@ class ClusterRuntime : private sched::RuntimeView {
   std::vector<std::unique_ptr<dlb::DromModule>> drom_;
   std::unique_ptr<dlb::TalpModule> talp_;
   std::unique_ptr<trace::Recorder> recorder_;
-  /// Unified metrics registry (always on) and the per-task span recorder
-  /// (config_.obs.spans or obs.stream only): a SpanCollector or a
-  /// StreamSink. Declared before fabric_/scheduler_, which hold raw sink
-  /// pointers into the recorder.
-  obs::Registry metrics_;
+  /// The per-task span recorder (config_.obs.spans or obs.stream only): a
+  /// SpanCollector or a StreamSink. Declared before fabric_/scheduler_,
+  /// which hold raw sink pointers into the recorder.
   std::unique_ptr<obs::SpanRecorder> span_recorder_;
   obs::SpanSink null_sink_;
-  /// Cached registry handles for the hot counters incremented at the
-  /// original RunResult call sites (no name lookup per event).
-  struct MetricRefs {
-    obs::Counter* control_messages = nullptr;
-    obs::Counter* transfer_bytes = nullptr;
-    obs::Counter* tasks_reexecuted = nullptr;
-    obs::Counter* workers_crashed = nullptr;
-    obs::Counter* heartbeat_messages = nullptr;
-    obs::Counter* detections = nullptr;
-    obs::Counter* false_suspicions = nullptr;
-    obs::Counter* lease_retransmits = nullptr;
-    obs::Counter* lease_expiries = nullptr;
-    obs::Counter* duplicates_suppressed = nullptr;
-    obs::Counter* quarantine_ejections = nullptr;
-    obs::Counter* quarantine_readmissions = nullptr;
-    obs::Counter* policy_downshifts = nullptr;
-    obs::Counter* rewired_edges = nullptr;
-    obs::Gauge* detection_latency_sum = nullptr;
-    obs::Gauge* perfect_time = nullptr;
-    obs::Histogram* iteration_time = nullptr;
-  } m_;
   /// Non-null iff config_.net.enabled (declared after recorder_: the
   /// fabric holds a raw pointer to the recorder).
   std::unique_ptr<net::Fabric> fabric_;
@@ -480,6 +441,8 @@ class ClusterRuntime : private sched::RuntimeView {
   std::vector<ApprankState> appranks_;
   std::vector<WorkerState> workers_;
   Workload* workload_ = nullptr;
+  /// The one store of the run statistics: event counters are incremented
+  /// here live, and finalize() adds the per-subsystem totals.
   RunResult result_;
   std::vector<double> busy_smoothed_;  ///< EMA of policy work estimates
   int barrier_arrivals_ = 0;

@@ -49,7 +49,7 @@ class GlobalBalancer {
   /// The node's master (created on first use).
   [[nodiscard]] LocalMaster& master(int node);
   [[nodiscard]] std::size_t master_count() const { return masters_.size(); }
-  /// Total summary rebuilds across all masters (obs: hier.summary_refreshes).
+  /// Total summary rebuilds across all masters.
   [[nodiscard]] std::uint64_t summary_refreshes() const;
 
  private:

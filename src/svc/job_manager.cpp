@@ -12,11 +12,6 @@ namespace tlb::svc {
 
 namespace {
 
-// Shared latency-style bucket edges (seconds) for the SLO histograms.
-std::vector<double> latency_bounds() {
-  return {0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0};
-}
-
 /// Exact order-statistics quantile over a sorted sample (linear
 /// interpolation between adjacent ranks, the common "type 7" definition).
 double percentile(const std::vector<double>& sorted, double q) {
@@ -109,21 +104,6 @@ JobManager::JobManager(core::RuntimeConfig base)
   peak_powered_ = powered_count();
 
   subscribe_control_types();
-
-  m_.arrived = &metrics_.counter("svc.jobs_arrived");
-  m_.admitted = &metrics_.counter("svc.jobs_admitted");
-  m_.completed = &metrics_.counter("svc.jobs_completed");
-  m_.shed = &metrics_.counter("svc.jobs_shed");
-  m_.shed_bucket = &metrics_.counter("svc.shed_bucket");
-  m_.shed_limit = &metrics_.counter("svc.shed_limit");
-  m_.shed_breaker = &metrics_.counter("svc.shed_breaker");
-  m_.retries = &metrics_.counter("svc.retries");
-  m_.slo_met = &metrics_.counter("svc.slo_met");
-  m_.scale_out = &metrics_.counter("svc.scale_out");
-  m_.scale_in = &metrics_.counter("svc.scale_in");
-  m_.latency = &metrics_.histogram("svc.latency", latency_bounds());
-  m_.queue_wait = &metrics_.histogram("svc.queue_wait", latency_bounds());
-  m_.service = &metrics_.histogram("svc.service", latency_bounds());
 }
 
 int JobManager::powered_count() const {
@@ -255,13 +235,8 @@ SvcResult JobManager::run() {
   if (elastic_ctrl_ != nullptr) schedule_elastic_tick();
   engine_.run();
 
-  SvcResult res;
-  res.arrived = m_.arrived->value();
-  res.admitted = m_.admitted->value();
-  res.completed = m_.completed->value();
-  res.shed = m_.shed->value();
-  res.retries = m_.retries->value();
-  res.slo_met = m_.slo_met->value();
+  // The outcome counts were taken live; fill in the aggregates.
+  SvcResult& res = result_;
   res.elapsed = engine_.now();
   res.horizon = svc_.arrivals.horizon;
   res.goodput = res.horizon > 0.0
@@ -287,7 +262,6 @@ SvcResult JobManager::run() {
   res.peak_nodes = peak_powered_;
   res.scale_out_events = scale_outs_;
   res.scale_in_events = scale_ins_;
-  res.shed_breaker = m_.shed_breaker->value();
   for (const CircuitBreaker& br : breakers_) {
     res.breaker_trips += br.trips();
     res.breaker_open_time_s += br.open_time(res.elapsed);
@@ -353,16 +327,6 @@ SvcResult JobManager::run() {
     res.tenants[t].latency_p99 = percentile(tenant_latencies[t], 0.99);
   }
 
-  metrics_.gauge("svc.goodput").set(res.goodput);
-  metrics_.gauge("svc.shed_rate").set(res.shed_rate);
-  metrics_.gauge("svc.latency_p50").set(res.latency_p50);
-  metrics_.gauge("svc.latency_p99").set(res.latency_p99);
-  metrics_.gauge("svc.queue_wait_p99").set(res.queue_wait_p99);
-  metrics_.gauge("svc.final_limit").set(res.final_limit);
-  metrics_.gauge("svc.elapsed").set(res.elapsed);
-  metrics_.gauge("svc.node_seconds").set(res.cost_node_seconds);
-  metrics_.gauge("svc.peak_nodes").set(res.peak_nodes);
-  metrics_.gauge("svc.breaker_open_time_s").set(res.breaker_open_time_s);
   return res;
 }
 
@@ -380,7 +344,7 @@ void JobManager::on_arrival(const Arrival& arrival, int record_id,
   if (is_retry) {
     admission_.retry_budget().settle();
   } else {
-    m_.arrived->inc();
+    ++result_.arrived;
   }
   const JobRecord& rec = records_[static_cast<std::size_t>(record_id)];
 
@@ -391,8 +355,8 @@ void JobManager::on_arrival(const Arrival& arrival, int record_id,
     if (!br.allow(engine_.now())) {
       // Tenant-level door: no retry — the breaker *is* the backoff.
       decide(record_id, JobOutcome::ShedBreaker);
-      m_.shed->inc();
-      m_.shed_breaker->inc();
+      ++result_.shed;
+      ++result_.shed_breaker;
       return;
     }
     is_probe = br.state() == BreakerState::HalfOpen;
@@ -403,7 +367,7 @@ void JobManager::on_arrival(const Arrival& arrival, int record_id,
           ? admission_.decide(rec.deadline_class, in_flight(), engine_.now())
           : AdmitVerdict::Admit;
   if (verdict == AdmitVerdict::Admit) {
-    m_.admitted->inc();
+    ++result_.admitted;
     pending_.push_back(record_id);
     try_dispatch();
     return;
@@ -424,7 +388,7 @@ void JobManager::reject(const Arrival& arrival, int record_id,
   } else if (rec.retries < svc_.admission.retry_max &&
              admission_.retry_budget().try_start(in_flight())) {
     ++rec.retries;
-    m_.retries->inc();
+    ++result_.retries;
     const double delay = svc_.admission.retry_backoff *
                          std::pow(2.0, static_cast<double>(rec.retries - 1));
     engine_.after(delay,
@@ -436,9 +400,7 @@ void JobManager::reject(const Arrival& arrival, int record_id,
   decide(record_id, verdict == AdmitVerdict::ShedBucket
                         ? JobOutcome::ShedBucket
                         : JobOutcome::ShedLimit);
-  m_.shed->inc();
-  (verdict == AdmitVerdict::ShedBucket ? m_.shed_bucket : m_.shed_limit)
-      ->inc();
+  ++result_.shed;
 }
 
 void JobManager::try_dispatch() {
@@ -505,11 +467,8 @@ void JobManager::on_job_done(std::size_t launched_index) {
   decide(job.record, JobOutcome::Completed);
   rec.slo_met = rec.latency() <= rec.deadline;
 
-  m_.completed->inc();
-  if (rec.slo_met) m_.slo_met->inc();
-  m_.latency->add(rec.latency());
-  m_.queue_wait->add(rec.queue_wait());
-  m_.service->add(rec.service());
+  ++result_.completed;
+  if (rec.slo_met) ++result_.slo_met;
   if (svc_.admission.enabled) {
     admission_.on_job_latency(rec.latency());
   }
@@ -588,7 +547,6 @@ void JobManager::begin_power_up(int node) {
   provisioning_slot_[static_cast<std::size_t>(node)] = 1;
   ++provisioning_;
   ++scale_outs_;
-  m_.scale_out->inc();
   // Billing starts at the provisioning decision — a booting node costs
   // money before it serves jobs, which is exactly the elasticity tax the
   // node-seconds metric should expose.
@@ -618,7 +576,6 @@ void JobManager::power_down(int node) {
   node_seconds_ +=
       engine_.now() - power_on_at_[static_cast<std::size_t>(node)];
   ++scale_ins_;
-  m_.scale_in->inc();
 }
 
 core::RuntimeConfig JobManager::job_config(const JobTemplate& tpl,

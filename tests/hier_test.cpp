@@ -16,7 +16,6 @@
 #include "hier/global_balancer.hpp"
 #include "hier/hier_scheduler.hpp"
 #include "hier/local_master.hpp"
-#include "obs/metrics.hpp"
 #include "sched/config.hpp"
 
 namespace {
@@ -264,10 +263,10 @@ TEST(HierScheduler, EnabledRunCompletesWithBoundedProbeCost) {
                            static_cast<double>(base.sched.decisions);
   EXPECT_LT(hier_cost, flat_cost);
 
-  const obs::Counter* refreshes =
-      rt.metrics().find_counter("hier.summary_refreshes");
-  ASSERT_NE(refreshes, nullptr);
-  EXPECT_GT(refreshes->value(), 0u);
+  const auto* hier_sched =
+      dynamic_cast<const hier::HierScheduler*>(&rt.scheduler());
+  ASSERT_NE(hier_sched, nullptr);
+  EXPECT_GT(hier_sched->summary_refreshes(), 0u);
 }
 
 }  // namespace

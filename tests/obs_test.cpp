@@ -1,11 +1,9 @@
-// Tests of the observability subsystem (tlb::obs): metrics registry and
-// histogram quantile edge cases, Chrome trace export invariants (valid
-// JSON, monotone timestamps, B/E pairing), POP efficiency agreement with
-// TALP, critical-path breakdown, typed trace marks / Paraver export, and
-// the determinism contract (span collection keeps schedules bit-identical
-// to the golden fingerprints).
+// Tests of the observability subsystem (tlb::obs): Chrome trace export
+// invariants (valid JSON, monotone timestamps, B/E pairing), POP
+// efficiency agreement with TALP, critical-path breakdown, typed trace
+// marks / Paraver export, and the determinism contract (span collection
+// keeps schedules bit-identical to the golden fingerprints).
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,7 +14,6 @@
 #include "fingerprint.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
-#include "obs/metrics.hpp"
 #include "obs/pop.hpp"
 #include "obs/span.hpp"
 #include "trace/paraver.hpp"
@@ -26,96 +23,6 @@ namespace {
 
 using namespace tlb;
 using namespace tlb::golden;
-
-// --- histogram ---------------------------------------------------------------
-
-TEST(Histogram, RejectsNonIncreasingBounds) {
-  EXPECT_THROW(obs::Histogram({1.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(obs::Histogram({2.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(obs::Histogram({}), std::invalid_argument);
-}
-
-TEST(Histogram, EmptyQuantileIsZero) {
-  obs::Histogram h({1.0, 2.0});
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.quantile(0.0), 0.0);
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-  EXPECT_EQ(h.quantile(1.0), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
-}
-
-TEST(Histogram, SingleSampleQuantileIsExact) {
-  obs::Histogram h({1.0, 2.0, 4.0});
-  h.add(1.7);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.7);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.7);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1.7);
-  EXPECT_DOUBLE_EQ(h.mean(), 1.7);
-}
-
-TEST(Histogram, SaturatedTopBucketClampsToObservedMax) {
-  // Every sample lands in the overflow bucket (no finite upper edge): the
-  // quantile must clamp to the observed max, never report infinity.
-  obs::Histogram h({1.0});
-  h.add(10.0);
-  h.add(20.0);
-  h.add(30.0);
-  EXPECT_EQ(h.buckets().back(), 3u);
-  EXPECT_LE(h.quantile(0.99), 30.0);
-  EXPECT_GE(h.quantile(0.99), 10.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 30.0);
-  EXPECT_DOUBLE_EQ(h.max(), 30.0);
-  EXPECT_DOUBLE_EQ(h.min(), 10.0);
-}
-
-TEST(Histogram, QuantileInterpolatesAndIsMonotone) {
-  obs::Histogram h({1.0, 2.0, 3.0, 4.0});
-  for (int i = 0; i < 100; ++i) h.add(0.5 + 3.0 * i / 99.0);  // [0.5, 3.5]
-  double prev = h.quantile(0.0);
-  for (double q = 0.1; q <= 1.0001; q += 0.1) {
-    const double v = h.quantile(q);
-    EXPECT_GE(v, prev);
-    prev = v;
-  }
-  EXPECT_NEAR(h.quantile(0.5), 2.0, 0.25);
-}
-
-// --- registry ----------------------------------------------------------------
-
-TEST(Registry, SharesMetricsByNameAndRejectsKindMismatch) {
-  obs::Registry reg;
-  reg.counter("a").inc(2);
-  reg.counter("a").inc(3);
-  EXPECT_EQ(reg.counter("a").value(), 5u);
-  reg.gauge("g").set(1.5);
-  EXPECT_THROW(reg.gauge("a"), std::logic_error);
-  EXPECT_THROW(reg.counter("g"), std::logic_error);
-  EXPECT_EQ(reg.find_counter("a")->value(), 5u);
-  EXPECT_EQ(reg.find_counter("missing"), nullptr);
-}
-
-TEST(Registry, ToJsonIsWellFormedAndOrdered) {
-  obs::Registry reg;
-  reg.counter("z.second");
-  reg.counter("a.first").inc(7);
-  reg.gauge("g").set(0.25);
-  reg.histogram("h", {1.0, 2.0}).add(1.5);
-  const std::string j = reg.to_json();
-  // Registration order, not name order.
-  EXPECT_LT(j.find("z.second"), j.find("a.first"));
-  EXPECT_NE(j.find("\"a.first\": 7"), std::string::npos);
-  EXPECT_NE(j.find("\"g\": 0.25"), std::string::npos);
-  EXPECT_NE(j.find("\"count\": 1"), std::string::npos);
-  // Balanced braces, single root object.
-  int depth = 0;
-  for (char c : j) {
-    if (c == '{') ++depth;
-    if (c == '}') --depth;
-    EXPECT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
-}
 
 // --- golden fingerprints (determinism contract) -------------------------------
 
@@ -262,24 +169,6 @@ TEST(Pop, ParallelEfficiencyMatchesTalpAggregate) {
   EXPECT_NEAR(busy_sum, total_busy, 1e-9);
   const std::string rendered = obs::render_pop(pop);
   EXPECT_NE(rendered.find("parallel efficiency"), std::string::npos);
-}
-
-TEST(Pop, RegistryGaugesMirrorTheReport) {
-  core::RuntimeConfig cfg = plain_config();
-  apps::SyntheticWorkload wl(plain_workload());
-  core::ClusterRuntime rt(cfg);
-  const auto r = rt.run(wl);
-  const obs::PopReport pop = rt.pop();
-  const obs::Gauge* pe = rt.metrics().find_gauge("pop.parallel_efficiency");
-  ASSERT_NE(pe, nullptr);
-  EXPECT_DOUBLE_EQ(pe->value(), pop.parallel_efficiency);
-  const obs::Counter* msgs =
-      rt.metrics().find_counter("core.control_messages");
-  ASSERT_NE(msgs, nullptr);
-  EXPECT_EQ(msgs->value(), r.control_messages);
-  const obs::Counter* tasks = rt.metrics().find_counter("core.tasks_total");
-  ASSERT_NE(tasks, nullptr);
-  EXPECT_EQ(tasks->value(), r.tasks_total);
 }
 
 // --- per-iteration POP windows -----------------------------------------------

@@ -82,9 +82,8 @@ def load_reports(artifact_dir: Path, figures: list[str] | None) -> list[dict]:
 
 def series_table(series: dict) -> list[str]:
     """Render one series as a markdown table (union of point keys, in
-    first-seen order, one row per point). Nested objects — e.g. the
-    embedded obs metrics registry — do not fit a cell and are skipped;
-    the flat pop_* efficiency columns carry the observability summary."""
+    first-seen order, one row per point). Nested objects and lists do
+    not fit a cell and are skipped."""
     columns: list[str] = []
     for point in series["points"]:
         for key, value in point.items():
