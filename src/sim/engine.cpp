@@ -6,7 +6,7 @@ namespace tlb::sim {
 
 SimTime Engine::run() {
   stopped_ = false;
-  if (prof::enabled()) return run_profiled(/*horizon=*/0.0, /*bounded=*/false);
+  if (prof::enabled()) return run_profiled();
   while (!queue_.empty() && !stopped_) {
     auto [t, cb] = queue_.pop();
     assert(t >= now_ && "event queue time went backwards");
@@ -17,33 +17,17 @@ SimTime Engine::run() {
   return now_;
 }
 
-SimTime Engine::run_until(SimTime horizon) {
-  stopped_ = false;
-  if (prof::enabled()) return run_profiled(horizon, /*bounded=*/true);
-  while (!queue_.empty() && !stopped_) {
-    const SimTime t = queue_.next_time();
-    if (t > horizon) break;
-    auto [pt, cb] = queue_.pop();
-    now_ = pt;
-    ++fired_;
-    cb();
-  }
-  if (now_ < horizon) now_ = horizon;
-  return now_;
-}
-
-// The instrumented twin of the run loops above: identical pop/dispatch
+// The instrumented twin of run() above: identical pop/dispatch
 // semantics (same pop order, same clock updates, same fired_ counting —
 // goldens are bit-identical either way), plus host-time attribution and a
 // health snapshot every `stride` fired events. Kept out of the default
 // loop so the profiler-off path pays nothing, not even dead branches in
 // the hot loop body.
-SimTime Engine::run_profiled(SimTime horizon, bool bounded) {
+SimTime Engine::run_profiled() {
   auto& profiler = prof::Profiler::instance();
   std::uint64_t stride = profiler.snapshot_stride();
   std::uint64_t until_sample = stride;
   while (!queue_.empty() && !stopped_) {
-    if (bounded && queue_.next_time() > horizon) break;
     SimTime t;
     Callback cb;
     {
@@ -52,7 +36,7 @@ SimTime Engine::run_profiled(SimTime horizon, bool bounded) {
       t = popped.first;
       cb = std::move(popped.second);
     }
-    assert((bounded || t >= now_) && "event queue time went backwards");
+    assert(t >= now_ && "event queue time went backwards");
     now_ = t;
     ++fired_;
     {
@@ -64,7 +48,6 @@ SimTime Engine::run_profiled(SimTime horizon, bool bounded) {
       until_sample = stride;
     }
   }
-  if (bounded && now_ < horizon) now_ = horizon;
   return now_;
 }
 

@@ -2,8 +2,8 @@
 //
 // The engine owns the simulated clock and the event queue. Client code
 // schedules callbacks at absolute or relative simulated times; run() fires
-// them in timestamp order (FIFO for ties) until the queue drains, a stop is
-// requested, or a time horizon is reached.
+// them in timestamp order (FIFO for ties) until the queue drains or a stop
+// is requested.
 #pragma once
 
 #include <cassert>
@@ -45,10 +45,6 @@ class Engine {
   /// Returns the final simulated time.
   SimTime run();
 
-  /// Runs until simulated time reaches `horizon` (events at exactly
-  /// `horizon` still fire), the queue drains, or stop() is called.
-  SimTime run_until(SimTime horizon);
-
   /// Requests that the current run() loop exits after the in-flight
   /// callback returns.
   void stop() noexcept { stopped_ = true; }
@@ -60,8 +56,8 @@ class Engine {
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
  private:
-  /// Instrumented twin of the run loops, entered when tlb::prof is on.
-  SimTime run_profiled(SimTime horizon, bool bounded);
+  /// Instrumented twin of run(), entered when tlb::prof is on.
+  SimTime run_profiled();
 
   EventQueue queue_;
   SimTime now_ = 0.0;

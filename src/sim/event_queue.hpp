@@ -5,16 +5,11 @@
 // sequence number, never an address or hash.
 //
 // Engineered for the hot loop of large runs (bench/fig17 drives ~1M tasks
-// through it):
-//  - a hand-rolled 4-ary implicit heap in one contiguous vector (arena)
-//    whose sift operations *move* entries, so popping never copies a
-//    std::function (std::priority_queue::top() forces a copy);
-//  - a same-timestamp FIFO bucket: events pushed at exactly the current
-//    time (after(0) cascades, e.g. fabric re-solves and ready-task
-//    wakeups) append to a flat batch consumed front-to-back in O(1)
-//    instead of churning the heap. Bucket entries always carry larger ids
-//    than same-time heap entries (they were pushed later), so the
-//    (time, id) merge in pop() preserves exact FIFO order.
+// through it): a hand-rolled 4-ary implicit heap in one contiguous vector
+// (arena) whose sift operations *move* entries, so popping never copies a
+// std::function (std::priority_queue::top() forces a copy). Cancelled
+// entries stay queued as tombstones and are dropped when they reach the
+// root.
 //
 // The observable pop order is bit-identical to the legacy
 // std::priority_queue implementation; golden-fingerprint tests pin this.
@@ -46,10 +41,8 @@ class EventQueue {
     // Release the alloc-accounting charge of entries still queued at
     // teardown (sim.event must balance to zero; entries are charged in
     // push() and released when physically removed).
-    const std::size_t remaining =
-        heap_.size() + (bucket_.size() - bucket_head_);
-    if (remaining > 0) {
-      prof::free_note(prof::AllocTag::SimEvent, remaining * sizeof(Entry));
+    if (!heap_.empty()) {
+      prof::free_note(prof::AllocTag::SimEvent, heap_.size() * sizeof(Entry));
     }
   }
 
@@ -66,9 +59,6 @@ class EventQueue {
 
   /// Number of live events.
   [[nodiscard]] std::size_t size() const { return live_; }
-
-  /// Timestamp of the earliest live event. Requires !empty().
-  [[nodiscard]] SimTime next_time() const;
 
   /// Pops the earliest live event and returns its (time, callback).
   /// Requires !empty().
@@ -89,22 +79,13 @@ class EventQueue {
   /// Removes the heap root (heap_[0]); the caller has already moved its
   /// callback out if it needs it.
   void heap_pop_root();
-  /// Drops cancelled entries from the heap root and the bucket front.
+  /// Drops cancelled entries from the heap root.
   void skip_cancelled();
   [[nodiscard]] bool is_pending(EventId id) const {
     return pending_[static_cast<std::size_t>(id)];
   }
-  [[nodiscard]] bool bucket_has_entry() const {
-    return bucket_head_ < bucket_.size();
-  }
 
   std::vector<Entry> heap_;  ///< 4-ary implicit min-heap by (time, id)
-  /// Same-timestamp batch: entries at bucket_time_ == the time of the last
-  /// pop, consumed front-to-back. Reset (and storage reused) once drained.
-  std::vector<Entry> bucket_;
-  std::size_t bucket_head_ = 0;
-  SimTime bucket_time_ = 0.0;
-  SimTime last_popped_ = 0.0;
   /// One bit per issued id, set while the event is queued and live:
   /// cleared when it fires or is cancelled, so cancel() can tell a queued
   /// event from a fired one, and a queued entry whose bit is clear is a

@@ -66,7 +66,7 @@ TEST(EventQueue, CancelAfterFireIsHarmless) {
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
   EXPECT_FALSE(q.empty());
-  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+  EXPECT_DOUBLE_EQ(q.pop().first, 2.0);
 }
 
 TEST(Engine, CancelOfFiredEventStillRunsTheRest) {
@@ -82,12 +82,12 @@ TEST(Engine, CancelOfFiredEventStillRunsTheRest) {
   EXPECT_DOUBLE_EQ(e.now(), 2.0);
 }
 
-TEST(EventQueue, NextTimeSkipsCancelled) {
+TEST(EventQueue, PopSkipsCancelled) {
   EventQueue q;
   const EventId a = q.push(1.0, [] {});
   q.push(5.0, [] {});
   q.cancel(a);
-  EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
+  EXPECT_DOUBLE_EQ(q.pop().first, 5.0);
 }
 
 TEST(Engine, NowAdvancesToEventTime) {
@@ -124,16 +124,23 @@ TEST(Engine, StopHaltsLoop) {
   EXPECT_EQ(e.pending(), 1u);
 }
 
-TEST(Engine, RunUntilRespectsHorizon) {
+// Events pushed at the current instant from inside a callback fire after
+// every same-time event queued before them, in push order; a cancelled
+// same-instant push never fires.
+TEST(Engine, SameInstantPushesFireAfterEarlierSameTimeEvents) {
   Engine e;
-  int fired = 0;
-  e.at(1.0, [&] { ++fired; });
-  e.at(3.0, [&] { ++fired; });
-  e.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(e.now(), 2.0);
+  std::vector<char> order;
+  e.at(1.0, [&] {
+    order.push_back('A');
+    e.after(0.0, [&] { order.push_back('C'); });
+    e.at(1.0, [&] { order.push_back('D'); });
+    e.cancel(e.after(0.0, [&] { order.push_back('E'); }));
+  });
+  e.at(1.0, [&] { order.push_back('B'); });
   e.run();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C', 'D'}));
+  EXPECT_EQ(e.events_fired(), 4u);
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
 }
 
 TEST(Engine, EventsFiredCounter) {
