@@ -5,38 +5,6 @@
 
 namespace tlb::dlb {
 
-std::string talp_report(const TalpModule& talp,
-                        const std::vector<TalpReportRow>& rows,
-                        double elapsed_seconds) {
-  std::ostringstream out;
-  out << "TALP report (" << elapsed_seconds << " s elapsed)\n";
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%-32s %14s %12s %12s\n", "worker",
-                "busy [core-s]", "avg busy", "efficiency");
-  out << buf;
-
-  double total_busy = 0.0;
-  double total_cores = 0.0;
-  for (const TalpReportRow& row : rows) {
-    const double busy = talp.busy_core_seconds(row.worker);
-    const double avg = elapsed_seconds > 0.0 ? busy / elapsed_seconds : 0.0;
-    const double eff = talp.efficiency(row.worker, row.nominal_cores);
-    total_busy += busy;
-    total_cores += row.nominal_cores;
-    std::snprintf(buf, sizeof(buf), "%-32s %14.3f %12.3f %11.1f%%\n",
-                  row.label.c_str(), busy, avg, 100.0 * eff);
-    out << buf;
-  }
-  const double agg_eff =
-      (elapsed_seconds > 0.0 && total_cores > 0.0)
-          ? total_busy / (total_cores * elapsed_seconds)
-          : 0.0;
-  std::snprintf(buf, sizeof(buf), "%-32s %14.3f %12s %11.1f%%\n", "TOTAL",
-                total_busy, "-", 100.0 * agg_eff);
-  out << buf;
-  return out.str();
-}
-
 std::string sched_report(const std::string& policy,
                          const sched::SchedStats& stats) {
   std::ostringstream out;

@@ -1,35 +1,18 @@
-// TALP end-of-run report (paper §3.3: "the data obtained by TALP ... can
-// be output as a report at the end").
-//
-// Formats per-worker busy time and parallel efficiency the way DLB's TALP
-// module prints its summary, given a label and nominal core count per
-// worker.
+// End-of-run scheduler report, in the fixed-width style of DLB's TALP
+// summary (paper §3.3; the TALP/POP efficiency report itself is
+// obs::render_pop).
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "dlb/talp.hpp"
 #include "sched/stats.hpp"
 
 namespace tlb::dlb {
 
-struct TalpReportRow {
-  std::string label;      ///< e.g. "apprank 0 @ node 2 (helper)"
-  int worker = 0;         ///< TalpModule worker index
-  double nominal_cores = 0.0;  ///< cores to measure efficiency against
-};
-
-/// Renders a fixed-width text report: busy core-seconds, average busy
-/// cores, and parallel efficiency per row, plus an aggregate line.
-std::string talp_report(const TalpModule& talp,
-                        const std::vector<TalpReportRow>& rows,
-                        double elapsed_seconds);
-
 /// Renders the scheduling-policy counters (tlb::sched, RunResult::sched)
-/// in the same end-of-run report style: victim selections, offload
-/// opportunities, and how many the policy steered or suppressed relative
-/// to the locality baseline. (SchedStats is header-only, so this adds no
+/// as an end-of-run report: victim selections, offload opportunities, and
+/// how many the policy steered or suppressed relative to the locality
+/// baseline. (SchedStats is header-only, so this adds no
 /// tlb_sched link dependency.)
 std::string sched_report(const std::string& policy,
                          const sched::SchedStats& stats);

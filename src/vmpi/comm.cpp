@@ -28,12 +28,6 @@ Communicator::Communicator(sim::Engine& engine, sim::LinkSpec link,
   channels_.resize(rank_to_node_.size() * rank_to_node_.size());
 }
 
-void Communicator::set_retry_policy(const RetryPolicy& policy) {
-  assert(policy.timeout > 0.0 && policy.backoff >= 1.0 &&
-         policy.max_attempts >= 1 && policy.timeout_cap >= 0.0);
-  retry_ = policy;
-}
-
 RankId Communicator::add_rank(int node) {
   const int old_size = size();
   rank_to_node_.push_back(node);
@@ -56,14 +50,6 @@ sim::Rng& Communicator::rng() {
   return *rng_;
 }
 
-sim::SimTime Communicator::transfer_cost(RankId src, RankId dst,
-                                         std::uint64_t bytes) const {
-  if (node_of(src) == node_of(dst)) {
-    return link_.shm_transfer_time(bytes);
-  }
-  return link_.transfer_time(bytes);
-}
-
 sim::SimTime Communicator::faulted_cost(RankId src, RankId dst,
                                         std::uint64_t bytes) {
   if (node_of(src) == node_of(dst)) {
@@ -80,8 +66,6 @@ sim::SimTime Communicator::faulted_cost(RankId src, RankId dst,
 void Communicator::send(RankId src, RankId dst, int tag, std::uint64_t bytes,
                         std::function<void(const Message&)> on_delivered) {
   assert(src >= 0 && src < size() && dst >= 0 && dst < size());
-  ++sent_count_;
-  bytes_count_ += bytes;
 
   Message msg;
   msg.source = src;
@@ -97,14 +81,13 @@ void Communicator::transmit(RankId dst, Message msg,
                             std::function<void(const Message&)> on_delivered) {
   const bool inter_node = node_of(msg.source) != node_of(dst);
   const bool may_lose = inter_node && fault_.loss_rate > 0.0 &&
-                        msg.attempts < retry_.max_attempts;
+                        msg.attempts < kRetryMaxAttempts;
   if (may_lose && rng().uniform(0.0, 1.0) < fault_.loss_rate) {
     // Lost on the wire: the sender times out and retransmits with
     // exponential backoff (attempt k is retried after timeout*backoff^k).
     ++lost_count_;
-    sim::SimTime wait =
-        retry_.timeout * std::pow(retry_.backoff, msg.attempts - 1);
-    if (retry_.timeout_cap > 0.0) wait = std::min(wait, retry_.timeout_cap);
+    const sim::SimTime wait =
+        kRetryTimeout * std::pow(kRetryBackoff, msg.attempts - 1);
     msg.attempts += 1;
     engine_.after(wait, [this, dst, msg = std::move(msg),
                          cb = std::move(on_delivered)]() mutable {
@@ -204,90 +187,20 @@ void Communicator::recv(RankId dst, RankId src, int tag,
   box.posted.push_back(std::move(pr));
 }
 
-sim::SimTime Communicator::collective_cost(int rounds) const {
-  return static_cast<double>(rounds) * link_.latency * fault_.latency_mult *
+sim::SimTime Communicator::barrier_cost() const {
+  return link_.latency * fault_.latency_mult *
          static_cast<double>(ceil_log2(size()));
 }
 
 void Communicator::barrier(RankId rank, std::function<void()> cb) {
   assert(rank >= 0 && rank < size());
   (void)rank;
-  barrier_state_.barrier_cbs.push_back(std::move(cb));
-  if (++barrier_state_.arrived == size()) {
-    auto cbs = std::move(barrier_state_.barrier_cbs);
-    barrier_state_ = Collective{};
-    engine_.after(collective_cost(1), [cbs = std::move(cbs)]() {
+  barrier_cbs_.push_back(std::move(cb));
+  if (static_cast<int>(barrier_cbs_.size()) == size()) {
+    engine_.after(barrier_cost(), [cbs = std::move(barrier_cbs_)]() {
       for (const auto& f : cbs) f();
     });
-  }
-}
-
-void Communicator::allreduce_sum(RankId rank, double value,
-                                 std::function<void(double)> cb) {
-  assert(rank >= 0 && rank < size());
-  (void)rank;
-  reduce_state_.accum += value;
-  reduce_state_.reduce_cbs.push_back(std::move(cb));
-  if (++reduce_state_.arrived == size()) {
-    const double total = reduce_state_.accum;
-    auto cbs = std::move(reduce_state_.reduce_cbs);
-    reduce_state_ = Collective{};
-    engine_.after(collective_cost(2), [cbs = std::move(cbs), total]() {
-      for (const auto& f : cbs) f(total);
-    });
-  }
-}
-
-void Communicator::bcast(RankId rank, RankId root, std::uint64_t bytes,
-                         std::function<void()> cb) {
-  assert(rank >= 0 && rank < size());
-  assert(root >= 0 && root < size());
-  (void)rank;
-  bcast_state_.root = root;
-  bcast_state_.payload = bytes;
-  bcast_state_.barrier_cbs.push_back(std::move(cb));
-  if (++bcast_state_.arrived == size()) {
-    const std::uint64_t payload = bcast_state_.payload;
-    auto cbs = std::move(bcast_state_.barrier_cbs);
-    bcast_state_ = Collective{};
-    // Per-link-traversal accounting (see bytes_sent()): the payload
-    // crosses one link per non-root rank in the binomial tree.
-    bytes_count_ += payload * static_cast<std::uint64_t>(size() - 1);
-    const sim::SimTime cost =
-        collective_cost(1) +
-        static_cast<double>(payload) /
-            (link_.bandwidth * fault_.bandwidth_mult);
-    engine_.after(cost, [cbs = std::move(cbs)]() {
-      for (const auto& f : cbs) f();
-    });
-  }
-}
-
-void Communicator::gather(RankId rank, RankId root, double value,
-                          std::function<void(const std::vector<double>&)> cb) {
-  assert(rank >= 0 && rank < size());
-  assert(root >= 0 && root < size());
-  if (gather_state_.values.empty()) {
-    gather_state_.values.assign(static_cast<std::size_t>(size()), 0.0);
-  }
-  gather_state_.root = root;
-  gather_state_.values[static_cast<std::size_t>(rank)] = value;
-  gather_state_.gather_cbs.push_back(std::move(cb));
-  gather_state_.gather_ranks.push_back(rank);
-  if (++gather_state_.arrived == size()) {
-    auto values = std::move(gather_state_.values);
-    auto cbs = std::move(gather_state_.gather_cbs);
-    auto ranks = std::move(gather_state_.gather_ranks);
-    const RankId r = gather_state_.root;
-    gather_state_ = Collective{};
-    engine_.after(collective_cost(1),
-                  [values = std::move(values), cbs = std::move(cbs),
-                   ranks = std::move(ranks), r]() {
-                    static const std::vector<double> kEmpty;
-                    for (std::size_t i = 0; i < cbs.size(); ++i) {
-                      cbs[i](ranks[i] == r ? values : kEmpty);
-                    }
-                  });
+    barrier_cbs_.clear();
   }
 }
 

@@ -7,7 +7,7 @@
 //     and per-channel FIFO ordering;
 //   - transfer cost latency + bytes/bandwidth between distinct nodes, and a
 //     much cheaper shared-memory cost within a node;
-//   - barrier and allreduce with dissemination-style log2(P) cost.
+//   - a barrier with dissemination-style log2(P) cost.
 //
 // Fault model (tlb::fault): the link can be perturbed at runtime with a
 // LinkFault — latency/bandwidth multipliers, per-message delay jitter, and
@@ -56,25 +56,16 @@ struct LinkFault {
   double bandwidth_mult = 1.0;  ///< multiplies the link bandwidth (< 1 = slower)
   sim::SimTime jitter_max = 0.0;  ///< extra per-message delay in [0, jitter_max)
   double loss_rate = 0.0;         ///< probability a transmission attempt is lost
-
-  [[nodiscard]] bool degrades_cost() const {
-    return latency_mult != 1.0 || bandwidth_mult != 1.0 || jitter_max > 0.0;
-  }
-  [[nodiscard]] bool any() const { return degrades_cost() || loss_rate > 0.0; }
 };
 
-/// Retransmission policy for lost messages: attempt k (0-based) that is
-/// lost is retried after timeout * backoff^k. The final attempt always
-/// succeeds (the virtual link is fail-slow, not fail-stop), which bounds
-/// the delay a message can suffer and keeps the simulation live.
-struct RetryPolicy {
-  sim::SimTime timeout = 1e-3;  ///< initial retransmit timeout
-  double backoff = 2.0;         ///< exponential backoff factor (>= 1)
-  int max_attempts = 8;         ///< total transmission attempts (>= 1)
-  /// Upper bound on the backoff delay (capped exponential backoff);
-  /// 0 disables the cap (legacy unbounded growth).
-  sim::SimTime timeout_cap = 0.0;
-};
+/// Retransmission of lost messages: attempt k (0-based) that is lost is
+/// retried after kRetryTimeout * kRetryBackoff^k. The last of
+/// kRetryMaxAttempts attempts always succeeds (the virtual link is
+/// fail-slow, not fail-stop), which bounds the delay a message can suffer
+/// and keeps the simulation live.
+inline constexpr sim::SimTime kRetryTimeout = 1e-3;
+inline constexpr double kRetryBackoff = 2.0;
+inline constexpr int kRetryMaxAttempts = 8;
 
 struct Message {
   RankId source = 0;
@@ -105,21 +96,16 @@ class Communicator {
     return rank_to_node_.at(static_cast<std::size_t>(r));
   }
 
-  /// Nominal (unfaulted) cost model for a single transfer between two ranks.
-  [[nodiscard]] sim::SimTime transfer_cost(RankId src, RankId dst,
-                                           std::uint64_t bytes) const;
-
   /// Routes inter-node point-to-point payloads over a shared-link fabric
   /// (tlb::net) instead of the analytic latency + bytes/bandwidth formula:
   /// each message becomes a flow whose bandwidth is shared max-min fairly
-  /// with every other in-flight flow. Intra-node messages and collectives
+  /// with every other in-flight flow. Intra-node messages and the barrier
   /// keep the analytic model. Per-channel FIFO is preserved by
   /// sequence-ordered delivery. With a fabric attached, the LinkFault
   /// latency/bandwidth multipliers must be installed on the *fabric*
   /// (Fabric::set_global_fault) — this layer still draws loss and jitter.
   /// Pass nullptr to detach (restores the analytic model).
   void attach_fabric(net::Fabric* fabric) { fabric_ = fabric; }
-  [[nodiscard]] net::Fabric* fabric() const { return fabric_; }
 
   // --- fault injection (tlb::fault) ------------------------------------------
 
@@ -127,13 +113,9 @@ class Communicator {
   /// jitter, loss). A default-constructed LinkFault restores the nominal
   /// link. Intra-node (shared-memory) transfers are never perturbed.
   void set_link_fault(const LinkFault& fault) { fault_ = fault; }
-  [[nodiscard]] const LinkFault& link_fault() const { return fault_; }
 
   /// Seeds the RNG used for loss and jitter draws (deterministic runs).
   void set_fault_seed(std::uint64_t seed) { rng_.emplace(seed); }
-
-  void set_retry_policy(const RetryPolicy& policy);
-  [[nodiscard]] const RetryPolicy& retry_policy() const { return retry_; }
 
   /// Transmission attempts that were lost (each triggers a retransmit).
   [[nodiscard]] std::uint64_t messages_lost() const { return lost_count_; }
@@ -154,39 +136,12 @@ class Communicator {
   void recv(RankId dst, RankId src, int tag,
             std::function<void(const Message&)> cb);
 
-  // --- collectives ------------------------------------------------------------
+  // --- barrier ----------------------------------------------------------------
 
   /// Collective barrier: every rank must call once per barrier generation;
   /// all callbacks fire at the same simulated time, arrival-of-last plus a
   /// dissemination cost of ceil(log2 P) network latencies.
   void barrier(RankId rank, std::function<void()> cb);
-
-  /// Collective sum-allreduce of one double per rank; callbacks receive the
-  /// global sum. Cost: 2 * ceil(log2 P) latencies (reduce + broadcast).
-  void allreduce_sum(RankId rank, double value,
-                     std::function<void(double)> cb);
-
-  /// Broadcast of `bytes` from `root`; every rank's callback fires when
-  /// the payload has reached it (binomial tree: ceil(log2 P) rounds of
-  /// latency plus one payload transfer time).
-  void bcast(RankId rank, RankId root, std::uint64_t bytes,
-             std::function<void()> cb);
-
-  /// Gather of one double per rank to `root`; the root's callback receives
-  /// all values indexed by rank (others get an empty vector). Cost:
-  /// ceil(log2 P) latencies.
-  void gather(RankId rank, RankId root, double value,
-              std::function<void(const std::vector<double>&)> cb);
-
-  /// Number of point-to-point messages sent so far (diagnostic).
-  [[nodiscard]] std::uint64_t messages_sent() const { return sent_count_; }
-  /// Total payload bytes injected into the interconnect, counted once per
-  /// link traversal: a point-to-point send of B bytes counts B once, and
-  /// a broadcast of B bytes over P ranks counts (P - 1) * B — the payload
-  /// crosses one link per non-root rank in the binomial tree, regardless
-  /// of retransmissions. Barrier/allreduce/gather move O(1)-sized control
-  /// payloads and contribute nothing.
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_count_; }
 
  private:
   struct PostedRecv {
@@ -208,17 +163,6 @@ class Communicator {
     std::uint64_t next_deliver_seq = 0;
     sim::SimTime last_arrival = 0.0;  ///< FIFO: no overtaking on the wire
     std::map<std::uint64_t, Held> held;  ///< arrived out of order
-  };
-  struct Collective {
-    int arrived = 0;
-    double accum = 0.0;
-    std::uint64_t payload = 0;
-    std::vector<double> values;
-    std::vector<std::function<void()>> barrier_cbs;
-    std::vector<std::function<void(double)>> reduce_cbs;
-    std::vector<std::function<void(const std::vector<double>&)>> gather_cbs;
-    std::vector<RankId> gather_ranks;
-    RankId root = 0;
   };
 
   /// Schedules transmission attempt `msg.attempts` of `msg`; on loss,
@@ -243,7 +187,7 @@ class Communicator {
     return (r.src == kAnySource || r.src == m.source) &&
            (r.tag == kAnyTag || r.tag == m.tag);
   }
-  [[nodiscard]] sim::SimTime collective_cost(int rounds) const;
+  [[nodiscard]] sim::SimTime barrier_cost() const;
 
   sim::Engine& engine_;
   sim::LinkSpec link_;
@@ -252,14 +196,9 @@ class Communicator {
   std::vector<Mailbox> mailboxes_;
   std::vector<Channel> channels_;
   LinkFault fault_;
-  RetryPolicy retry_;
   std::optional<sim::Rng> rng_;
-  Collective barrier_state_;
-  Collective reduce_state_;
-  Collective bcast_state_;
-  Collective gather_state_;
-  std::uint64_t sent_count_ = 0;
-  std::uint64_t bytes_count_ = 0;
+  /// Callbacks of the ranks that reached the current barrier generation.
+  std::vector<std::function<void()>> barrier_cbs_;
   std::uint64_t lost_count_ = 0;
 };
 

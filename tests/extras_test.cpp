@@ -1,16 +1,13 @@
-// Tests for the auxiliary components: partitioned allocation, Paraver
-// export, TALP report, and the extra vmpi collectives.
+// Tests for the auxiliary components: partitioned allocation and Paraver
+// export.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "dlb/report.hpp"
 #include "graph/expander.hpp"
-#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "solver/partitioned.hpp"
 #include "trace/paraver.hpp"
-#include "vmpi/comm.hpp"
 
 namespace tlb {
 namespace {
@@ -147,77 +144,6 @@ TEST(Paraver, RowLabelsMatchThreads) {
   const std::string row = trace::paraver_row_labels(rec);
   EXPECT_NE(row.find("LEVEL THREAD SIZE 4"), std::string::npos);
   EXPECT_NE(row.find("node 1 apprank 0"), std::string::npos);
-}
-
-// ---- TALP report -------------------------------------------------------------------
-
-TEST(TalpReport, ComputesEfficiencies) {
-  double now = 0.0;
-  dlb::TalpModule talp([&] { return now; }, 2);
-  talp.on_busy_delta(0, +2);
-  now = 10.0;
-  talp.on_busy_delta(0, -2);
-
-  const std::string report = dlb::talp_report(
-      talp, {{"apprank 0", 0, 4.0}, {"helper 0@1", 1, 1.0}}, 10.0);
-  EXPECT_NE(report.find("apprank 0"), std::string::npos);
-  EXPECT_NE(report.find("50.0%"), std::string::npos);   // 20 / (4 * 10)
-  EXPECT_NE(report.find("TOTAL"), std::string::npos);
-  EXPECT_NE(report.find("40.0%"), std::string::npos);   // 20 / (5 * 10)
-}
-
-// ---- vmpi collectives ------------------------------------------------------------
-
-TEST(VmpiCollectives, BcastReachesEveryRank) {
-  sim::Engine engine;
-  vmpi::Communicator comm(engine, sim::LinkSpec{1e-6, 1e9}, {0, 1, 2, 3});
-  int done = 0;
-  sim::SimTime when = -1.0;
-  for (int r = 0; r < 4; ++r) {
-    comm.bcast(r, /*root=*/0, /*bytes=*/1000, [&] {
-      ++done;
-      when = engine.now();
-    });
-  }
-  engine.run();
-  EXPECT_EQ(done, 4);
-  // 2 latency rounds (log2 4) + 1000 B / 1e9 B/s.
-  EXPECT_NEAR(when, 2e-6 + 1e-6, 1e-12);
-}
-
-TEST(VmpiCollectives, GatherDeliversValuesToRootOnly) {
-  sim::Engine engine;
-  vmpi::Communicator comm(engine, sim::LinkSpec{1e-6, 1e9}, {0, 0, 1});
-  std::vector<double> at_root;
-  int empty_count = 0;
-  for (int r = 0; r < 3; ++r) {
-    comm.gather(r, /*root=*/1, 10.0 * r, [&](const std::vector<double>& v) {
-      if (v.empty()) {
-        ++empty_count;
-      } else {
-        at_root = v;
-      }
-    });
-  }
-  engine.run();
-  EXPECT_EQ(empty_count, 2);
-  ASSERT_EQ(at_root.size(), 3u);
-  EXPECT_DOUBLE_EQ(at_root[2], 20.0);
-}
-
-TEST(VmpiCollectives, GatherReusable) {
-  sim::Engine engine;
-  vmpi::Communicator comm(engine, sim::LinkSpec{1e-6, 1e9}, {0, 1});
-  int rounds = 0;
-  for (int round = 0; round < 2; ++round) {
-    for (int r = 0; r < 2; ++r) {
-      comm.gather(r, 0, 1.0, [&](const std::vector<double>& v) {
-        if (!v.empty()) ++rounds;
-      });
-    }
-    engine.run();
-  }
-  EXPECT_EQ(rounds, 2);
 }
 
 }  // namespace

@@ -88,8 +88,13 @@ TEST(Vmpi, InterNodeTransferCost) {
 TEST(Vmpi, IntraNodeIsCheaperThanNetwork) {
   Fixture f;
   auto comm = f.make({0, 0, 1});
-  EXPECT_LT(comm.transfer_cost(0, 1, 1 << 20),
-            comm.transfer_cost(0, 2, 1 << 20));
+  sim::SimTime intra = -1.0;
+  sim::SimTime inter = -1.0;
+  comm.send(0, 1, 0, 1 << 20, [&](const Message& m) { intra = m.delivered_at; });
+  comm.send(0, 2, 0, 1 << 20, [&](const Message& m) { inter = m.delivered_at; });
+  f.engine.run();
+  ASSERT_GT(intra, 0.0);
+  EXPECT_LT(intra, inter);
 }
 
 TEST(Vmpi, ChannelFifoNoOvertaking) {
@@ -140,28 +145,6 @@ TEST(Vmpi, BarrierReusableAcrossGenerations) {
   comm.barrier(1, [&] { ++done; });
   f.engine.run();
   EXPECT_EQ(done, 4);
-}
-
-TEST(Vmpi, AllreduceSumsContributions) {
-  Fixture f;
-  auto comm = f.make({0, 1, 2});
-  std::vector<double> sums;
-  for (int r = 0; r < 3; ++r) {
-    comm.allreduce_sum(r, r + 1.0, [&](double s) { sums.push_back(s); });
-  }
-  f.engine.run();
-  ASSERT_EQ(sums.size(), 3u);
-  for (double s : sums) EXPECT_DOUBLE_EQ(s, 6.0);
-}
-
-TEST(Vmpi, MessageCountersAccumulate) {
-  Fixture f;
-  auto comm = f.make({0, 1});
-  comm.send(0, 1, 0, 100);
-  comm.send(1, 0, 0, 200);
-  f.engine.run();
-  EXPECT_EQ(comm.messages_sent(), 2u);
-  EXPECT_EQ(comm.bytes_sent(), 300u);
 }
 
 TEST(Vmpi, SingleRankBarrierIsImmediatelyReleased) {
@@ -215,7 +198,7 @@ TEST(Vmpi, ChannelFifoSurvivesRetransmits) {
 
 TEST(Vmpi, NearCertainLossDeliversWithinMaxAttempts) {
   // The link is fail-slow: the final attempt always succeeds, so even a
-  // near-certain loss rate delivers within RetryPolicy::max_attempts.
+  // near-certain loss rate delivers within kRetryMaxAttempts.
   Fixture f;
   auto comm = f.make({0, 1});
   LinkFault fault;
@@ -227,7 +210,7 @@ TEST(Vmpi, NearCertainLossDeliversWithinMaxAttempts) {
   comm.send(0, 1, 0, 64);
   f.engine.run();
   EXPECT_GT(attempts, 1);
-  EXPECT_LE(attempts, comm.retry_policy().max_attempts);
+  EXPECT_LE(attempts, kRetryMaxAttempts);
 }
 
 TEST(Vmpi, BarrierWaitsForDelayedStraggler) {
@@ -272,39 +255,9 @@ TEST(Vmpi, DegradedLinkScalesTransferCost) {
   EXPECT_GT(degraded_cost, clean_cost * 1.9);
 }
 
-TEST(Vmpi, BackoffCapBoundsRetransmitDelay) {
-  // Capped exponential backoff (tlb::resil): with loss_rate = 1.0 every
-  // non-final attempt is lost, so the delivery time is exactly the sum of
-  // the backoff waits plus one transfer cost — and each wait is bounded by
-  // RetryPolicy::timeout_cap.
-  Fixture f;
-  auto comm = f.make({0, 1});
-  LinkFault total_loss;
-  total_loss.loss_rate = 1.0;
-  comm.set_fault_seed(99);
-  comm.set_link_fault(total_loss);
-  RetryPolicy capped;
-  capped.timeout = 1e-3;
-  capped.backoff = 2.0;
-  capped.max_attempts = 6;
-  capped.timeout_cap = 2e-3;
-  comm.set_retry_policy(capped);
-
-  sim::SimTime delivered = -1.0;
-  comm.recv(1, 0, 0, [&](const Message& m) { delivered = m.delivered_at; });
-  comm.send(0, 1, 0, 64);
-  f.engine.run();
-
-  // Waits: 1ms, then 2ms capped four times (uncapped would be 1+2+4+8+16).
-  const sim::SimTime waits = 1e-3 + 4 * 2e-3;
-  const sim::SimTime cost = f.link.latency + 64.0 / f.link.bandwidth;
-  EXPECT_NEAR(delivered, waits + cost, 1e-12);
-  EXPECT_LT(delivered, 31e-3);  // strictly better than uncapped growth
-}
-
 TEST(Vmpi, TotalLossRetransmitCountIsBounded) {
   // Under 100% loss the retransmit count per message is exactly
-  // max_attempts - 1 (the final attempt always succeeds: fail-slow), and
+  // kRetryMaxAttempts - 1 (the final attempt always succeeds: fail-slow), and
   // every message still drains — nothing stays in flight forever.
   Fixture f;
   auto comm = f.make({0, 1});
@@ -312,19 +265,13 @@ TEST(Vmpi, TotalLossRetransmitCountIsBounded) {
   total_loss.loss_rate = 1.0;
   comm.set_fault_seed(5);
   comm.set_link_fault(total_loss);
-  RetryPolicy policy;
-  policy.timeout = 1e-4;
-  policy.backoff = 2.0;
-  policy.max_attempts = 4;
-  policy.timeout_cap = 4e-4;
-  comm.set_retry_policy(policy);
 
   constexpr int kMessages = 10;
   int delivered = 0;
   for (int i = 0; i < kMessages; ++i) {
     comm.recv(1, 0, kAnyTag, [&](const Message& m) {
       ++delivered;
-      EXPECT_EQ(m.attempts, policy.max_attempts);
+      EXPECT_EQ(m.attempts, kRetryMaxAttempts);
     });
     comm.send(0, 1, i, 32);
   }
@@ -332,7 +279,7 @@ TEST(Vmpi, TotalLossRetransmitCountIsBounded) {
   EXPECT_EQ(delivered, kMessages);  // in-flight count returned to zero
   EXPECT_EQ(comm.retransmissions(),
             static_cast<std::uint64_t>(kMessages) *
-                static_cast<std::uint64_t>(policy.max_attempts - 1));
+                static_cast<std::uint64_t>(kRetryMaxAttempts - 1));
 }
 
 TEST(Vmpi, AddRankPreservesChannelState) {
@@ -358,20 +305,6 @@ TEST(Vmpi, AddRankPreservesChannelState) {
   EXPECT_TRUE(fresh_got);
 }
 
-TEST(Vmpi, BcastCountsPayloadOncePerLinkTraversal) {
-  // A broadcast of B bytes over P ranks injects the payload onto (P - 1)
-  // links in the binomial tree — bytes_sent() must count (P - 1) * B, not
-  // B and not P * B (regression: it used to count B once total).
-  Fixture f;
-  auto comm = f.make({0, 1, 2, 3});
-  int done = 0;
-  for (int r = 0; r < 4; ++r) comm.bcast(r, /*root=*/0, 1000, [&] { ++done; });
-  f.engine.run();
-  EXPECT_EQ(done, 4);
-  EXPECT_EQ(comm.bytes_sent(), 3000u);
-  EXPECT_EQ(comm.messages_sent(), 0u);  // collectives are not point-to-point
-}
-
 TEST(Vmpi, FabricRoutedSendsShareBandwidth) {
   // With a fabric attached, concurrent inter-node payloads share the NIC
   // max-min fairly instead of each paying the analytic cost: two 1000-byte
@@ -391,7 +324,6 @@ TEST(Vmpi, FabricRoutedSendsShareBandwidth) {
   EXPECT_NEAR(delivered[1], 20.0, 1e-9);
   EXPECT_EQ(fabric.flows_started(), 2u);
   EXPECT_EQ(fabric.active_flows(), 0);
-  EXPECT_EQ(comm.bytes_sent(), 2000u);  // accounting is unchanged by routing
 }
 
 TEST(Vmpi, IntraNodeSendsBypassFabric) {
