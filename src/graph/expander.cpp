@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -240,29 +241,6 @@ std::string serialize(const BipartiteGraph& g) {
     out << '\n';
   }
   return out.str();
-}
-
-std::optional<BipartiteGraph> parse(const std::string& text) {
-  std::istringstream in(text);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != "tlbgraph" || version != 1) {
-    return std::nullopt;
-  }
-  int l = 0;
-  int r = 0;
-  if (!(in >> l >> r) || l < 0 || r < 0) return std::nullopt;
-  BipartiteGraph g(l, r);
-  for (int a = 0; a < l; ++a) {
-    int deg = 0;
-    if (!(in >> deg) || deg < 0 || deg > r) return std::nullopt;
-    for (int j = 0; j < deg; ++j) {
-      int n = 0;
-      if (!(in >> n) || n < 0 || n >= r) return std::nullopt;
-      if (!g.add_edge(a, n)) return std::nullopt;  // duplicate edge
-    }
-  }
-  return g;
 }
 
 int pick_replacement_node(const BipartiteGraph& g, int apprank,

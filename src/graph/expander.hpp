@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 
@@ -71,10 +70,10 @@ constexpr int home_node(int apprank, int appranks_per_node) {
 int pick_replacement_node(const BipartiteGraph& g, int apprank,
                           const std::vector<int>& spare);
 
-/// Serialises a graph to a compact text form ("stored for future
-/// executions", paper §5.2) and parses it back. parse returns std::nullopt
-/// on malformed input.
+/// Serialises a graph to a compact text form: a "tlbgraph 1" header, the
+/// left/right counts, then one line per apprank listing its node
+/// neighbours. The runtime rebuilds the expander from its seed in every
+/// run rather than reading a stored copy.
 std::string serialize(const BipartiteGraph& g);
-std::optional<BipartiteGraph> parse(const std::string& text);
 
 }  // namespace tlb::graph

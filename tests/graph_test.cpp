@@ -1,14 +1,10 @@
-// Unit and property tests for bipartite graphs, expander construction and
-// the persistent graph cache.
+// Unit and property tests for bipartite graphs and expander construction.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <tuple>
 
 #include "graph/bipartite_graph.hpp"
 #include "graph/expander.hpp"
-#include "graph/graph_cache.hpp"
 
 namespace tlb::graph {
 namespace {
@@ -121,21 +117,6 @@ TEST(Expander, SampledExpansionUpperBoundsExact) {
   EXPECT_GE(sampled, exact - 1e-12);
 }
 
-TEST(Expander, SerializeParseRoundTrip) {
-  const auto r = build_expander({.nodes = 8, .appranks_per_node = 2,
-                                 .degree = 3, .seed = 5});
-  const auto parsed = parse(serialize(r.graph));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(serialize(*parsed), serialize(r.graph));
-}
-
-TEST(Expander, ParseRejectsGarbage) {
-  EXPECT_FALSE(parse("not a graph").has_value());
-  EXPECT_FALSE(parse("tlbgraph 2\n1 1\n1 0\n").has_value());
-  EXPECT_FALSE(parse("tlbgraph 1\n1 1\n2 0 0\n").has_value());  // dup edge
-  EXPECT_FALSE(parse("tlbgraph 1\n1 1\n1 5\n").has_value());    // range
-}
-
 struct BiregularCase {
   int nodes;
   int per_node;
@@ -178,60 +159,6 @@ INSTANTIATE_TEST_SUITE_P(
                       BiregularCase{16, 2, 4}, BiregularCase{32, 2, 4},
                       BiregularCase{32, 1, 8}, BiregularCase{64, 2, 4},
                       BiregularCase{64, 1, 2}));
-
-struct TempDir {
-  std::filesystem::path path;
-  TempDir() {
-    path = std::filesystem::temp_directory_path() /
-           ("tlb_graph_cache_test_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(path);
-  }
-  ~TempDir() { std::filesystem::remove_all(path); }
-};
-
-TEST(GraphCache, BuildsOnMissAndServesOnHit) {
-  TempDir tmp;
-  GraphCache cache(tmp.path);
-  const ExpanderParams p{.nodes = 8, .appranks_per_node = 2, .degree = 3,
-                         .seed = 4};
-  const auto first = cache.load_or_build(p);
-  EXPECT_GT(first.attempts, 0);  // freshly built
-  EXPECT_EQ(cache.size(), 1u);
-  const auto second = cache.load_or_build(p);
-  EXPECT_EQ(second.attempts, 0);  // from cache
-  EXPECT_EQ(serialize(second.graph), serialize(first.graph));
-}
-
-TEST(GraphCache, DistinctParamsGetDistinctEntries) {
-  TempDir tmp;
-  GraphCache cache(tmp.path);
-  cache.load_or_build({.nodes = 4, .appranks_per_node = 1, .degree = 2});
-  cache.load_or_build({.nodes = 4, .appranks_per_node = 1, .degree = 3});
-  cache.load_or_build({.nodes = 8, .appranks_per_node = 1, .degree = 2});
-  EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(GraphCache, RejectsCorruptedEntry) {
-  TempDir tmp;
-  GraphCache cache(tmp.path);
-  const ExpanderParams p{.nodes = 4, .appranks_per_node = 1, .degree = 2};
-  cache.load_or_build(p);
-  // Corrupt the stored file; the cache must rebuild instead of serving it.
-  std::ofstream(tmp.path / (GraphCache::key(p) + ".tlbgraph"))
-      << "tlbgraph 1\n2 2\n1 0\n1 1\n";  // wrong shape for the params
-  EXPECT_FALSE(cache.load(p).has_value());
-  const auto rebuilt = cache.load_or_build(p);
-  EXPECT_TRUE(rebuilt.graph.is_biregular(2, 2));
-}
-
-TEST(GraphCache, KeyIsDeterministic) {
-  const ExpanderParams p{.nodes = 16, .appranks_per_node = 2, .degree = 4,
-                         .seed = 9};
-  EXPECT_EQ(GraphCache::key(p), GraphCache::key(p));
-  ExpanderParams q = p;
-  q.seed = 10;
-  EXPECT_NE(GraphCache::key(p), GraphCache::key(q));
-}
 
 TEST(Expander, LargeGraphStillBiregularAndConnected) {
   const auto r = build_expander({.nodes = 64, .appranks_per_node = 2,
