@@ -254,11 +254,6 @@ void ClusterRuntime::start(Workload& workload,
   on_complete_ = std::move(on_complete);
   start_time_ = engine_.now();
   last_barrier_time_ = engine_.now();
-  window_start_time_ = engine_.now();
-  if (config_.obs.pop_windows) {
-    window_busy_.assign(static_cast<std::size_t>(topology_->worker_count()),
-                        0.0);
-  }
   workload.reseed(sim::Rng(config_.seed).fork(kSeedWorkload).next_u64());
 
   // Initial ownership: one core per helper, the rest split among the
@@ -387,7 +382,6 @@ void ClusterRuntime::on_barrier_done() {
   const int iteration = appranks_.front().iteration;
   result_.iteration_times.push_back(engine_.now() - last_barrier_time_);
   last_barrier_time_ = engine_.now();
-  if (config_.obs.pop_windows) capture_pop_window(iteration);
   if (auto* sink = dynamic_cast<stream::StreamSink*>(span_recorder_.get())) {
     // Windowed telemetry snapshot at the barrier epoch: cumulative engine
     // and spill counters, differenced by readers for per-window rates.
@@ -413,42 +407,6 @@ void ClusterRuntime::on_barrier_done() {
     policy_event_ = sim::kInvalidEvent;
     if (on_complete_) on_complete_();
   }
-}
-
-void ClusterRuntime::capture_pop_window(int epoch) {
-  const sim::SimTime end = engine_.now();
-  const int workers = topology_->worker_count();
-  std::vector<obs::PopWorkerInput> inputs;
-  inputs.reserve(static_cast<std::size_t>(workers));
-  std::vector<double> busy_now(static_cast<std::size_t>(workers), 0.0);
-  for (int w = 0; w < workers; ++w) {
-    busy_now[static_cast<std::size_t>(w)] = talp_->busy_core_seconds(w);
-    // Workers added mid-run (expander rewire) have no snapshot yet: their
-    // whole busy total belongs to this window.
-    const double prev = static_cast<std::size_t>(w) < window_busy_.size()
-                            ? window_busy_[static_cast<std::size_t>(w)]
-                            : 0.0;
-    obs::PopWorkerInput in;
-    in.worker = w;
-    in.apprank = topology_->worker(w).apprank;
-    in.busy_core_seconds = busy_now[static_cast<std::size_t>(w)] - prev;
-    inputs.push_back(in);
-  }
-  double total_cores = 0.0;
-  for (const auto& n : config_.cluster.nodes) total_cores += n.cores;
-  const obs::PopReport r =
-      obs::pop_report(inputs, topology_->apprank_count(), total_cores,
-                      end - window_start_time_, 0.0);
-  obs::PopWindowRow row;
-  row.epoch = epoch;
-  row.t_begin = window_start_time_;
-  row.t_end = end;
-  row.parallel_efficiency = r.parallel_efficiency;
-  row.load_balance = r.load_balance;
-  row.communication_efficiency = r.communication_efficiency;
-  pop_windows_.push_back(row);
-  window_busy_ = std::move(busy_now);
-  window_start_time_ = end;
 }
 
 // --- Scheduling (§5.5) --------------------------------------------------------
@@ -780,7 +738,7 @@ void ClusterRuntime::on_task_finished(std::uint64_t exec_id) {
 
   const int apprank = task.apprank;
   const int home = topology_->home_node(apprank);
-  recorder_->task_executed(apprank, node, home, task.work);
+  recorder_->task_executed(node, home, task.work);
   appranks_[static_cast<std::size_t>(apprank)].locations->task_executed(
       task.accesses, node);
 

@@ -160,14 +160,6 @@ class ClusterRuntime : private sched::RuntimeView {
   /// integral (0 when span collection was off).
   [[nodiscard]] obs::PopReport pop() const;
 
-  /// Per-iteration POP windows (RuntimeConfig::obs.pop_windows): one
-  /// PE/LB/CommE row per barrier epoch, computed from the TALP busy
-  /// deltas between consecutive global barriers. Empty when the flag was
-  /// off. Record-only — capturing windows never perturbs the schedule.
-  [[nodiscard]] const std::vector<obs::PopWindowRow>& pop_windows() const {
-    return pop_windows_;
-  }
-
   /// The contention-aware fabric (RuntimeConfig::net.enabled), or nullptr
   /// when the analytic cost model is active. Remains readable after run()
   /// for congestion inspection (link utilization, FCT quantiles). The
@@ -195,9 +187,6 @@ class ClusterRuntime : private sched::RuntimeView {
   /// runtime control messages, and eager data transfers. A default
   /// LinkFault restores the nominal interconnect.
   void set_link_fault(const vmpi::LinkFault& fault);
-  [[nodiscard]] const vmpi::LinkFault& link_fault() const {
-    return link_fault_;
-  }
 
   /// Fail-stop crash of a helper rank (home ranks cannot crash: the
   /// apprank process is the application). Under Oracle detection the full
@@ -457,12 +446,6 @@ class ClusterRuntime : private sched::RuntimeView {
   /// mid-simulation (shared engine) reports its own execution time.
   sim::SimTime start_time_ = 0.0;
   std::function<void()> on_complete_;  ///< fires once, at the last barrier
-
-  // Per-iteration POP windows (config_.obs.pop_windows).
-  void capture_pop_window(int epoch);
-  std::vector<obs::PopWindowRow> pop_windows_;
-  std::vector<double> window_busy_;  ///< TALP busy snapshot at last barrier
-  sim::SimTime window_start_time_ = 0.0;
 
   // Fault state (tlb::fault).
   std::vector<double> node_speed_;  ///< current speed factor per node

@@ -5,6 +5,8 @@
 
 namespace tlb::metrics {
 
+namespace {
+
 double mean(std::span<const double> v) {
   if (v.empty()) return 0.0;
   double s = 0.0;
@@ -17,6 +19,8 @@ double max_of(std::span<const double> v) {
   for (double x : v) m = std::max(m, x);
   return m;
 }
+
+}  // namespace
 
 double imbalance(std::span<const double> loads) {
   const double avg = mean(loads);

@@ -28,8 +28,4 @@ std::vector<double> node_imbalance_series(
 double convergence_time(const std::vector<double>& series, double t0,
                         double t1, double threshold, int hold);
 
-/// Summary statistics helpers.
-double mean(std::span<const double> v);
-double max_of(std::span<const double> v);
-
 }  // namespace tlb::metrics

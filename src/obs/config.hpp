@@ -13,12 +13,6 @@ struct ObsConfig {
   /// proportional to the task count.
   bool spans = false;
 
-  /// Capture a per-iteration POP window at every global barrier: the TALP
-  /// busy-core deltas since the previous barrier become one PE/LB/CommE
-  /// row keyed by barrier epoch (ClusterRuntime::pop_windows()). Pure
-  /// recording like spans — off by default, bit-identical when on.
-  bool pop_windows = false;
-
   /// Streaming span backend (tlb::stream): when stream.enabled the
   /// runtime records spans through a bounded-memory StreamSink that
   /// spills finished spans to stream.path instead of the in-memory

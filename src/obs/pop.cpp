@@ -90,21 +90,4 @@ std::string render_pop(const PopReport& r) {
   return out.str();
 }
 
-std::string render_pop_windows(const std::vector<PopWindowRow>& rows) {
-  std::ostringstream out;
-  char buf[160];
-  out << "POP per-iteration windows (" << rows.size() << " barrier epochs)\n";
-  std::snprintf(buf, sizeof(buf), "%-8s %10s %10s %10s %10s %10s\n", "epoch",
-                "begin [s]", "end [s]", "PE", "LB", "CommE");
-  out << buf;
-  for (const PopWindowRow& row : rows) {
-    std::snprintf(buf, sizeof(buf), "%-8d %10.3f %10.3f %9.1f%% %9.1f%% %9.1f%%\n",
-                  row.epoch, row.t_begin, row.t_end,
-                  100.0 * row.parallel_efficiency, 100.0 * row.load_balance,
-                  100.0 * row.communication_efficiency);
-    out << buf;
-  }
-  return out.str();
-}
-
 }  // namespace tlb::obs

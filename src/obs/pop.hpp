@@ -67,24 +67,7 @@ PopReport pop_report(const dlb::TalpModule& talp,
                      int apprank_count, double total_cores, double elapsed,
                      double transfer_wait_core_seconds);
 
-/// Fixed-width text rendering in the style of dlb::talp_report.
+/// Fixed-width text rendering in the style of DLB's TALP summary.
 std::string render_pop(const PopReport& report);
-
-/// One per-iteration POP window: the efficiency factors of the slice of
-/// the run between two consecutive global barriers (ObsConfig::
-/// pop_windows). The whole-run report averages over iterations that may
-/// behave very differently — e.g. before/after the first global solve —
-/// while the windowed rows localize *when* efficiency was lost.
-struct PopWindowRow {
-  int epoch = 0;            ///< barrier epoch (0-based iteration index)
-  double t_begin = 0.0;     ///< window start (previous barrier close)
-  double t_end = 0.0;       ///< window end (this barrier close)
-  double parallel_efficiency = 0.0;
-  double load_balance = 0.0;
-  double communication_efficiency = 0.0;
-};
-
-/// Fixed-width text rendering of the windowed rows, one line per epoch.
-std::string render_pop_windows(const std::vector<PopWindowRow>& rows);
 
 }  // namespace tlb::obs

@@ -28,9 +28,7 @@ void Recorder::set_owned(sim::SimTime t, int node, int apprank, int count) {
   owned_[idx(node, apprank)].set(t, count);
 }
 
-void Recorder::task_executed(int apprank, int node, int home_node,
-                             double work) {
-  (void)apprank;
+void Recorder::task_executed(int node, int home_node, double work) {
   ++tasks_total_;
   work_total_ += work;
   if (node != home_node) {
@@ -86,52 +84,6 @@ std::string ascii_timeline(
         << ascii_sparkline(series->sample(t0, t1, bins), peak) << "|\n";
   }
   return out.str();
-}
-
-std::string to_csv(
-    const std::vector<std::pair<std::string, const StepSeries*>>& rows,
-    sim::SimTime t0, sim::SimTime t1, int bins) {
-  std::ostringstream out;
-  out << "time";
-  std::vector<std::vector<double>> cols;
-  cols.reserve(rows.size());
-  for (const auto& [label, series] : rows) {
-    out << ',' << label;
-    cols.push_back(series->sample(t0, t1, bins));
-  }
-  out << '\n';
-  const double width = (t1 - t0) / bins;
-  for (int i = 0; i < bins; ++i) {
-    out << (t0 + (i + 0.5) * width);
-    for (const auto& col : cols) out << ',' << col[static_cast<std::size_t>(i)];
-    out << '\n';
-  }
-  return out.str();
-}
-
-std::string ascii_marks(const std::vector<Mark>& marks, sim::SimTime t0,
-                        sim::SimTime t1, int bins) {
-  std::string row(static_cast<std::size_t>(bins), ' ');
-  if (t1 <= t0) return row;
-  std::vector<int> counts(static_cast<std::size_t>(bins), 0);
-  for (const Mark& m : marks) {
-    if (m.t < t0 || m.t >= t1) continue;
-    auto bin = static_cast<std::size_t>((m.t - t0) / (t1 - t0) * bins);
-    if (bin >= counts.size()) bin = counts.size() - 1;
-    ++counts[bin];
-  }
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const int c = counts[i];
-    if (c == 0) continue;
-    if (c == 1) {
-      row[i] = '^';
-    } else if (c <= 9) {
-      row[i] = static_cast<char>('0' + c);
-    } else {
-      row[i] = '#';
-    }
-  }
-  return row;
 }
 
 }  // namespace tlb::trace

@@ -5,8 +5,8 @@
 //     node (the left-hand traces of Fig 9);
 //   - owned cores: DROM ownership (the right-hand traces of Fig 9);
 // plus per-node totals, offload statistics and the one list of timeline
-// marks. Renderers below turn the series into ASCII timelines and CSV for
-// the paper's trace figures. The three series kinds are optional
+// marks. Renderers below turn the series into ASCII timelines for the
+// paper's trace figures. The three series kinds are optional
 // (RuntimeConfig::record_traces); marks and offload statistics are always
 // kept.
 #pragma once
@@ -24,9 +24,8 @@ class SpanRecorder;
 namespace tlb::trace {
 
 /// Classification of a timeline mark. Generic and FaultInjected marks
-/// render only as ASCII/CSV annotations and Chrome instants; the other
-/// kinds additionally map to dedicated Paraver event types (see
-/// trace/paraver.hpp).
+/// render only as Chrome instants; the other kinds additionally map to
+/// dedicated Paraver event types (see trace/paraver.hpp).
 enum class MarkKind : std::uint8_t {
   Generic,
   SchedSteer,     ///< scheduler redirected an offload (value = worker)
@@ -57,12 +56,12 @@ class Recorder {
 
   void busy_delta(sim::SimTime t, int node, int apprank, int delta);
   void set_owned(sim::SimTime t, int node, int apprank, int count);
-  void task_executed(int apprank, int node, int home_node, double work);
+  void task_executed(int node, int home_node, double work);
 
   /// Records one discrete event (fault injection or recovery, detection
   /// verdict, scheduler verdict, congestion change, policy switch). This is
-  /// the only timeline channel: ASCII/CSV, Paraver, the Chrome trace, the
-  /// spill file and the recovery analysis all read these marks. Times must
+  /// the only timeline channel: Paraver, the Chrome trace, the spill file
+  /// and the recovery analysis all read these marks. Times must
   /// be non-decreasing: a violation asserts in debug builds and is clamped
   /// to the previous mark's time in release builds, so the list stays
   /// sorted either way. With a span store attached the mark is also handed
@@ -118,16 +117,5 @@ std::string ascii_sparkline(const std::vector<double>& values, double peak);
 std::string ascii_timeline(
     const std::vector<std::pair<std::string, const StepSeries*>>& rows,
     sim::SimTime t0, sim::SimTime t1, int bins, double peak);
-
-/// CSV with one column per labelled series, sampled into `bins` bins.
-std::string to_csv(
-    const std::vector<std::pair<std::string, const StepSeries*>>& rows,
-    sim::SimTime t0, sim::SimTime t1, int bins);
-
-/// One-line marker row aligned with an ascii_timeline of the same [t0, t1)
-/// window: '^' at each bin containing one mark, the count digit '2'..'9'
-/// when a bin holds several, '#' for ten or more, ' ' elsewhere.
-std::string ascii_marks(const std::vector<Mark>& marks, sim::SimTime t0,
-                        sim::SimTime t1, int bins);
 
 }  // namespace tlb::trace

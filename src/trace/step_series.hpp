@@ -38,7 +38,7 @@ class StepSeries {
   [[nodiscard]] bool empty() const { return points_.empty(); }
   [[nodiscard]] std::size_t change_count() const { return points_.size(); }
 
-  /// Raw change points (time, new value), for CSV export.
+  /// Raw change points (time, new value), for Paraver export.
   [[nodiscard]] const std::vector<std::pair<sim::SimTime, double>>& points()
       const {
     return points_;

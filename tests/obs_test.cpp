@@ -171,76 +171,6 @@ TEST(Pop, ParallelEfficiencyMatchesTalpAggregate) {
   EXPECT_NE(rendered.find("parallel efficiency"), std::string::npos);
 }
 
-// --- per-iteration POP windows -----------------------------------------------
-
-TEST(PopWindows, OneWellFormedRowPerIteration) {
-  core::RuntimeConfig cfg = plain_config();
-  cfg.obs.pop_windows = true;
-  apps::SyntheticWorkload wl(plain_workload());
-  core::ClusterRuntime rt(cfg);
-  const auto r = rt.run(wl);
-  const auto& rows = rt.pop_windows();
-  ASSERT_EQ(rows.size(), 3u);  // one per iteration
-  double prev_end = 0.0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const obs::PopWindowRow& w = rows[i];
-    EXPECT_EQ(w.epoch, static_cast<int>(i));
-    // Windows tile the run: contiguous, non-empty, ending at the makespan.
-    EXPECT_DOUBLE_EQ(w.t_begin, prev_end);
-    EXPECT_GT(w.t_end, w.t_begin);
-    prev_end = w.t_end;
-    EXPECT_GT(w.parallel_efficiency, 0.0);
-    EXPECT_LE(w.parallel_efficiency, 1.0 + 1e-9);
-    EXPECT_GT(w.load_balance, 0.0);
-    EXPECT_LE(w.load_balance, 1.0 + 1e-9);
-    EXPECT_NEAR(w.parallel_efficiency,
-                w.load_balance * w.communication_efficiency, 1e-9);
-  }
-  EXPECT_NEAR(prev_end, r.makespan, 1e-9);
-}
-
-TEST(PopWindows, BusyDeltasSumToTalpTotals) {
-  core::RuntimeConfig cfg = plain_config();
-  cfg.obs.pop_windows = true;
-  apps::SyntheticWorkload wl(plain_workload());
-  core::ClusterRuntime rt(cfg);
-  rt.run(wl);
-  // Integrating PE over the windows recovers the whole-run busy total.
-  const double total_cores = 4 * 8;
-  double windowed_busy = 0.0;
-  for (const auto& w : rt.pop_windows()) {
-    windowed_busy += w.parallel_efficiency * total_cores * (w.t_end - w.t_begin);
-  }
-  double talp_busy = 0.0;
-  for (int wk = 0; wk < rt.talp().worker_count(); ++wk) {
-    talp_busy += rt.talp().busy_core_seconds(wk);
-  }
-  EXPECT_NEAR(windowed_busy, talp_busy, 1e-6);
-}
-
-TEST(PopWindows, RecordingKeepsTheScheduleBitIdentical) {
-  core::RuntimeConfig cfg = plain_config();
-  cfg.obs.pop_windows = true;
-  apps::SyntheticWorkload wl(plain_workload());
-  core::ClusterRuntime rt(cfg);
-  EXPECT_EQ(schedule_fingerprint(rt, rt.run(wl)), kGoldenPlain);
-}
-
-TEST(PopWindows, OffByDefaultAndRenderable) {
-  core::RuntimeConfig cfg = plain_config();
-  apps::SyntheticWorkload wl(plain_workload());
-  core::ClusterRuntime rt(cfg);
-  rt.run(wl);
-  EXPECT_TRUE(rt.pop_windows().empty());
-
-  std::vector<obs::PopWindowRow> rows(2);
-  rows[0] = {0, 0.0, 1.0, 0.8, 0.9, 0.8 / 0.9};
-  rows[1] = {1, 1.0, 2.5, 0.6, 0.7, 0.6 / 0.7};
-  const std::string rendered = obs::render_pop_windows(rows);
-  EXPECT_NE(rendered.find("epoch"), std::string::npos);
-  EXPECT_NE(rendered.find("80.0"), std::string::npos);  // PE as percentage
-}
-
 // --- critical path -----------------------------------------------------------
 
 TEST(CriticalPath, BreakdownSumsToLength) {
@@ -277,23 +207,7 @@ TEST(CriticalPath, EmptyCollectorYieldsEmptyPath) {
   EXPECT_TRUE(cp.chain.empty());
 }
 
-// --- typed trace marks / ASCII rendering -------------------------------------
-
-TEST(RecorderMarks, AsciiMarksRenderCountsPerBin) {
-  const auto at = [](sim::SimTime t, const char* label) {
-    return trace::Mark{t, trace::MarkKind::Generic, 0, label};
-  };
-  std::vector<trace::Mark> marks;
-  marks.push_back(at(0.05, "single"));
-  for (int i = 0; i < 3; ++i) marks.push_back(at(0.15, "triple"));
-  for (int i = 0; i < 12; ++i) marks.push_back(at(0.25, "dozen"));
-  const std::string row = trace::ascii_marks(marks, 0.0, 1.0, 10);
-  ASSERT_EQ(row.size(), 10u);
-  EXPECT_EQ(row[0], '^');
-  EXPECT_EQ(row[1], '3');
-  EXPECT_EQ(row[2], '#');
-  EXPECT_EQ(row[3], ' ');
-}
+// --- typed trace marks -------------------------------------------------------
 
 TEST(RecorderMarks, OutOfOrderMarkAssertsInDebugAndClampsInRelease) {
   trace::Recorder rec(1, 1);

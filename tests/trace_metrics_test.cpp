@@ -87,8 +87,8 @@ TEST(Recorder, BusyAggregatesPerNode) {
 
 TEST(Recorder, OffloadStatistics) {
   trace::Recorder rec(2, 1);
-  rec.task_executed(0, /*node=*/0, /*home=*/0, 2.0);
-  rec.task_executed(0, /*node=*/1, /*home=*/0, 3.0);
+  rec.task_executed(/*node=*/0, /*home=*/0, 2.0);
+  rec.task_executed(/*node=*/1, /*home=*/0, 3.0);
   EXPECT_EQ(rec.tasks_total(), 2u);
   EXPECT_EQ(rec.tasks_offloaded(), 1u);
   EXPECT_DOUBLE_EQ(rec.offload_fraction(), 0.6);
@@ -99,14 +99,6 @@ TEST(Recorder, AsciiSparklineShape) {
   ASSERT_EQ(line.size(), 3u);
   EXPECT_EQ(line.front(), ' ');
   EXPECT_EQ(line.back(), '@');
-}
-
-TEST(Recorder, CsvHasHeaderAndRows) {
-  trace::StepSeries s;
-  s.set(0.0, 1.0);
-  const auto csv = trace::to_csv({{"a", &s}}, 0.0, 1.0, 2);
-  EXPECT_NE(csv.find("time,a"), std::string::npos);
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
 }
 
 TEST(Imbalance, PerfectBalanceIsOne) {
