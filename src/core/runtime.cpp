@@ -1002,8 +1002,9 @@ void ClusterRuntime::set_link_fault(const vmpi::LinkFault& fault) {
 }
 
 sim::SimTime ClusterRuntime::faulted_transfer_time(std::uint64_t bytes) {
-  // With a default LinkFault this reproduces LinkSpec::transfer_time
-  // bit-for-bit (multiplying by 1.0 is exact) and draws no random numbers.
+  // With a default LinkFault this is exactly the LinkSpec model,
+  // latency + bytes / bandwidth (multiplying by 1.0 is exact), and draws
+  // no random numbers.
   const sim::LinkSpec& l = config_.cluster.link;
   sim::SimTime t = l.latency * link_fault_.latency_mult +
                    static_cast<double>(bytes) /

@@ -8,7 +8,6 @@ TalpModule::TalpModule(std::function<sim::SimTime()> now, int worker_count)
   assert(worker_count > 0);
   const sim::SimTime t = now_();
   window_start_ = t;
-  start_ = t;
   for (State& s : state_) s.last = t;
 }
 
@@ -56,12 +55,6 @@ void TalpModule::reset_window() {
     s.window = 0.0;
   }
   window_start_ = t;
-}
-
-double TalpModule::efficiency(int worker, double cores) const {
-  const double elapsed = now_() - start_;
-  if (elapsed <= 0.0 || cores <= 0.0) return 0.0;
-  return busy_core_seconds(worker) / (cores * elapsed);
 }
 
 }  // namespace tlb::dlb

@@ -41,10 +41,6 @@ class TalpModule {
   /// Starts a new measurement window (policies call this after reading).
   void reset_window();
 
-  /// Parallel efficiency over the whole run for `worker`, given the number
-  /// of cores nominally assigned to it: busy_time / (cores * elapsed).
-  [[nodiscard]] double efficiency(int worker, double cores) const;
-
   [[nodiscard]] int worker_count() const {
     return static_cast<int>(state_.size());
   }
@@ -61,7 +57,6 @@ class TalpModule {
   std::function<sim::SimTime()> now_;
   std::vector<State> state_;
   sim::SimTime window_start_ = 0.0;
-  sim::SimTime start_ = 0.0;
 };
 
 }  // namespace tlb::dlb

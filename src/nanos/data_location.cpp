@@ -1,101 +1,40 @@
 #include "nanos/data_location.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <map>
 
 namespace tlb::nanos {
 
-std::uint64_t DataLocations::scan_const(std::uint64_t start, std::uint64_t end,
-                                        int node, bool count_not_on) const {
-  std::uint64_t counted = 0;
-  std::uint64_t cursor = start;
-  auto it = segments_.upper_bound(start);
-  if (it != segments_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end > start) it = prev;
-  }
-  while (cursor < end) {
-    std::uint64_t span_end = end;
-    int loc = home_;
-    if (it != segments_.end() && it->first <= cursor) {
-      span_end = std::min(it->second.end, end);
-      loc = it->second.node;
-      ++it;
-    } else if (it != segments_.end() && it->first < end) {
-      span_end = it->first;  // gap before next segment: home-resident
+template <typename Visit>
+void DataLocations::walk(std::uint64_t lo, std::uint64_t hi,
+                         Visit&& visit) const {
+  std::uint64_t cursor = lo;
+  for (std::size_t i = runs_.first_ending_after(lo); cursor < hi; ++i) {
+    if (i == runs_.size() || runs_[i].start >= hi) {
+      visit(hi - cursor, home_);
+      return;
     }
-    const bool mismatch = (loc != node);
-    if (mismatch == count_not_on) counted += span_end - cursor;
-    cursor = span_end;
+    const auto& run = runs_[i];
+    if (run.start > cursor) {
+      visit(run.start - cursor, home_);
+      cursor = run.start;
+    }
+    const std::uint64_t end = std::min(run.end, hi);
+    visit(end - cursor, run.payload);
+    cursor = end;
   }
-  return counted;
 }
 
-void DataLocations::set_range(std::uint64_t start, std::uint64_t end,
-                              int node) {
-  if (start >= end) return;
-  // Trim or split any overlapping segments.
-  auto it = segments_.upper_bound(start);
-  if (it != segments_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end > start) {
-      // prev overlaps start; split it.
-      if (prev->second.end > end) {
-        // prev fully covers [start,end): create the tail piece.
-        segments_.emplace(end, Segment{prev->second.end, prev->second.node});
-      }
-      prev->second.end = start;
-      if (prev->second.end == prev->first) {
-        // became empty (start == prev->first): erase
-        it = segments_.erase(prev);
-      }
-    }
-  }
-  // Remove/trim segments fully or partially inside [start, end).
-  it = segments_.lower_bound(start);
-  while (it != segments_.end() && it->first < end) {
-    if (it->second.end <= end) {
-      it = segments_.erase(it);
-    } else {
-      // Partially sticks out: move its start to `end`.
-      Segment tail = it->second;
-      segments_.erase(it);
-      segments_.emplace(end, tail);
-      break;
-    }
-  }
-  segments_.emplace(start, Segment{end, node});
-}
-
-std::uint64_t DataLocations::scan(std::uint64_t start, std::uint64_t end,
-                                  int node, bool count_not_on,
-                                  bool relocate) {
-  const std::uint64_t counted = scan_const(start, end, node, count_not_on);
-  if (relocate) set_range(start, end, node);
-  return counted;
-}
-
-void DataLocations::scan_sources(
-    std::uint64_t start, std::uint64_t end, int node,
-    std::map<int, std::uint64_t>& by_source) const {
-  std::uint64_t cursor = start;
-  auto it = segments_.upper_bound(start);
-  if (it != segments_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end > start) it = prev;
-  }
-  while (cursor < end) {
-    std::uint64_t span_end = end;
-    int loc = home_;
-    if (it != segments_.end() && it->first <= cursor) {
-      span_end = std::min(it->second.end, end);
-      loc = it->second.node;
-      ++it;
-    } else if (it != segments_.end() && it->first < end) {
-      span_end = it->first;  // gap before next segment: home-resident
-    }
-    if (loc != node) by_source[loc] += span_end - cursor;
-    cursor = span_end;
+template <typename Moved>
+void DataLocations::relocate(std::uint64_t lo, std::uint64_t hi, int node,
+                             Moved&& moved) {
+  // Gaps are home-resident, so they are filled with home before relabeling.
+  const auto span = runs_.cover(lo, hi, home_);
+  for (std::size_t i = span.first; i < span.last; ++i) {
+    auto& run = runs_[i];
+    if (run.payload == node) continue;
+    moved(run.end - run.start, run.payload);
+    run.payload = node;
   }
 }
 
@@ -104,7 +43,9 @@ std::uint64_t DataLocations::missing_input_bytes(
   std::uint64_t bytes = 0;
   for (const AccessRegion& a : accesses) {
     if (!a.reads() || a.size == 0) continue;
-    bytes += scan_const(a.start, a.end(), node, /*count_not_on=*/true);
+    walk(a.start, a.end(), [&](std::uint64_t b, int holder) {
+      if (holder != node) bytes += b;
+    });
   }
   return bytes;
 }
@@ -114,7 +55,9 @@ std::uint64_t DataLocations::resident_input_bytes(
   std::uint64_t bytes = 0;
   for (const AccessRegion& a : accesses) {
     if (!a.reads() || a.size == 0) continue;
-    bytes += scan_const(a.start, a.end(), node, /*count_not_on=*/false);
+    walk(a.start, a.end(), [&](std::uint64_t b, int holder) {
+      if (holder == node) bytes += b;
+    });
   }
   return bytes;
 }
@@ -129,7 +72,7 @@ void DataLocations::task_executed(const std::vector<AccessRegion>& accesses,
     // tracking a single location is the conservative simplification: it
     // never under-prices a transfer for written data, and input re-reads
     // from the executing node are the common case the scheduler optimises.)
-    if (a.writes()) set_range(a.start, a.end(), node);
+    if (a.writes()) relocate(a.start, a.end(), node, [](std::uint64_t, int) {});
   }
 }
 
@@ -138,8 +81,8 @@ std::uint64_t DataLocations::pull(const std::vector<AccessRegion>& accesses,
   std::uint64_t bytes = 0;
   for (const AccessRegion& a : accesses) {
     if (a.size == 0) continue;
-    bytes += scan(a.start, a.end(), node, /*count_not_on=*/true,
-                  /*relocate=*/true);
+    relocate(a.start, a.end(), node,
+             [&](std::uint64_t b, int /*holder*/) { bytes += b; });
   }
   return bytes;
 }
@@ -149,7 +92,9 @@ std::vector<std::pair<int, std::uint64_t>> DataLocations::missing_by_source(
   std::map<int, std::uint64_t> by_source;
   for (const AccessRegion& a : accesses) {
     if (!a.reads() || a.size == 0) continue;
-    scan_sources(a.start, a.end(), node, by_source);
+    walk(a.start, a.end(), [&](std::uint64_t b, int holder) {
+      if (holder != node) by_source[holder] += b;
+    });
   }
   return {by_source.begin(), by_source.end()};
 }
@@ -159,18 +104,15 @@ std::vector<std::pair<int, std::uint64_t>> DataLocations::pull_by_source(
   std::map<int, std::uint64_t> by_source;
   for (const AccessRegion& a : accesses) {
     if (a.size == 0) continue;
-    scan_sources(a.start, a.end(), node, by_source);
-    set_range(a.start, a.end(), node);
+    relocate(a.start, a.end(), node,
+             [&](std::uint64_t b, int holder) { by_source[holder] += b; });
   }
   return {by_source.begin(), by_source.end()};
 }
 
 int DataLocations::location_of(std::uint64_t addr) const {
-  auto it = segments_.upper_bound(addr);
-  if (it != segments_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end > addr) return prev->second.node;
-  }
+  const std::size_t i = runs_.first_ending_after(addr);
+  if (i < runs_.size() && runs_[i].start <= addr) return runs_[i].payload;
   return home_;
 }
 

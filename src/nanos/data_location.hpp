@@ -3,16 +3,16 @@
 // OmpSs-2@Cluster copies data eagerly where required and performs no
 // automatic write-back (paper §3.2): after an offloaded task runs on node
 // n, its outputs live on n until some task (or the apprank itself, at a
-// taskwait / MPI boundary) needs them elsewhere. This map supports the
+// taskwait / MPI boundary) needs them elsewhere. This index supports the
 // scheduler's locality scoring and prices the resulting transfers.
 // One instance per apprank (address spaces are isolated, §4).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
+#include "nanos/region_index.hpp"
 #include "nanos/task.hpp"
 
 namespace tlb::nanos {
@@ -59,25 +59,17 @@ class DataLocations {
   [[nodiscard]] int location_of(std::uint64_t addr) const;
 
  private:
-  struct Segment {
-    std::uint64_t end = 0;
-    int node = -1;
-  };
-  /// Sums bytes in [start, end) whose location != node; when `relocate` is
-  /// true also rewrites those ranges to `node`.
-  std::uint64_t scan(std::uint64_t start, std::uint64_t end, int node,
-                     bool count_not_on, bool relocate);
-  [[nodiscard]] std::uint64_t scan_const(std::uint64_t start,
-                                         std::uint64_t end, int node,
-                                         bool count_not_on) const;
-  /// Adds the bytes in [start, end) not resident on `node` to
-  /// `by_source[holder]`.
-  void scan_sources(std::uint64_t start, std::uint64_t end, int node,
-                    std::map<int, std::uint64_t>& by_source) const;
-  void set_range(std::uint64_t start, std::uint64_t end, int node);
+  /// Calls visit(bytes, holder) for each piece of [lo, hi) in address
+  /// order; bytes outside every run are reported as home-resident.
+  template <typename Visit>
+  void walk(std::uint64_t lo, std::uint64_t hi, Visit&& visit) const;
+  /// Relabels [lo, hi) to `node`, calling moved(bytes, holder) for each
+  /// piece not already there.
+  template <typename Moved>
+  void relocate(std::uint64_t lo, std::uint64_t hi, int node, Moved&& moved);
 
   int home_;
-  std::map<std::uint64_t, Segment> segments_;  ///< start -> segment
+  RegionIndex<int> runs_;  ///< payload: holder node
 };
 
 }  // namespace tlb::nanos

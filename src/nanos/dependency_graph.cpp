@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 namespace tlb::nanos {
 
@@ -11,89 +10,33 @@ bool DependencyGraph::register_task(TaskId id) {
   assert(task.state == TaskState::Created);
   ++live_;
 
-  std::unordered_set<TaskId> preds;
+  preds_.clear();
   for (const AccessRegion& acc : task.accesses) {
     if (acc.size == 0) continue;
-    const std::uint64_t lo = acc.start;
-    const std::uint64_t hi = acc.end();
-
-    // Find the first segment that could overlap [lo, hi): the last segment
-    // starting at or before lo, else the first after.
-    auto it = segments_.upper_bound(lo);
-    if (it != segments_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end > lo) it = prev;
-    }
-
-    std::uint64_t cursor = lo;
-    while (cursor < hi) {
-      if (it == segments_.end() || it->first >= hi) {
-        // Gap [cursor, hi): untouched memory, no dependencies.
-        Segment fresh;
-        fresh.end = hi;
-        if (acc.writes()) {
-          fresh.last_writer = id;
-        } else {
-          fresh.readers.push_back(id);
-        }
-        it = segments_.emplace(cursor, std::move(fresh)).first;
-        ++it;
-        cursor = hi;
-        break;
-      }
-      if (it->first > cursor) {
-        // Gap [cursor, it->first): fresh segment, no deps.
-        Segment fresh;
-        fresh.end = std::min(it->first, hi);
-        if (acc.writes()) {
-          fresh.last_writer = id;
-        } else {
-          fresh.readers.push_back(id);
-        }
-        const std::uint64_t gap_start = cursor;
-        cursor = fresh.end;
-        segments_.emplace(gap_start, std::move(fresh));
-        continue;
-      }
-      // it->first <= cursor < it->second.end (overlap).
-      assert(it->first <= cursor && it->second.end > cursor);
-      if (it->first < cursor) {
-        // Split head: [it->first, cursor) keeps old info.
-        Segment tail = it->second;  // copy deps
-        const std::uint64_t tail_start = cursor;
-        it->second.end = cursor;
-        it = segments_.emplace(tail_start, std::move(tail)).first;
-      }
-      if (it->second.end > hi) {
-        // Split tail: [hi, old_end) keeps old info.
-        Segment tail = it->second;
-        it->second.end = hi;
-        segments_.emplace(hi, std::move(tail));
-      }
-      // Now `it` spans exactly [cursor, min(old_end, hi)) — collect deps.
-      Segment& seg = it->second;
-      if (acc.reads()) {
-        if (seg.last_writer != kNoTask) preds.insert(seg.last_writer);
-      }
+    // Untouched bytes become runs with no writer and no readers: they add
+    // no predecessors and then record this task like any other run.
+    const auto span = runs_.cover(acc.start, acc.end(), Access{});
+    for (std::size_t i = span.first; i < span.last; ++i) {
+      Access& run = runs_[i].payload;
+      // RAW and WAW: every access orders after the last writer.
+      if (run.last_writer != kNoTask) preds_.push_back(run.last_writer);
       if (acc.writes()) {
-        if (seg.last_writer != kNoTask) preds.insert(seg.last_writer);
-        for (TaskId r : seg.readers) preds.insert(r);
-      }
-      // Update segment state.
-      if (acc.writes()) {
-        seg.last_writer = id;
-        seg.readers.clear();
+        // WAR: a writer also orders after the readers since then.
+        preds_.insert(preds_.end(), run.readers.begin(), run.readers.end());
+        run.last_writer = id;
+        run.readers.clear();
       } else {
-        seg.readers.push_back(id);
+        run.readers.push_back(id);
       }
-      cursor = seg.end;
-      ++it;
     }
   }
 
-  preds.erase(id);  // self-deps from multiple regions of one task
+  // Each predecessor once; drop self-deps from multiple regions of one task.
+  std::sort(preds_.begin(), preds_.end());
+  preds_.erase(std::unique(preds_.begin(), preds_.end()), preds_.end());
   int remaining = 0;
-  for (TaskId p : preds) {
+  for (TaskId p : preds_) {
+    if (p == id) continue;
     Task& pred = pool_.get(p);
     if (pred.state != TaskState::Finished) {
       pred.successors.push_back(id);

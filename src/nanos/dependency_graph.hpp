@@ -6,14 +6,14 @@
 //   RAW: readers depend on the last writer of the range;
 //   WAW: writers depend on the last writer;
 //   WAR: writers depend on every reader since that writer.
-// The implementation keeps an interval map over the apprank's address
-// space, splitting segments at access boundaries.
+// The implementation keeps a RegionIndex over the apprank's address space,
+// split at access boundaries, with each run's last writer and readers.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "nanos/region_index.hpp"
 #include "nanos/task.hpp"
 
 namespace tlb::nanos {
@@ -37,14 +37,14 @@ class DependencyGraph {
   [[nodiscard]] std::uint64_t edge_count() const { return edges_; }
 
  private:
-  struct Segment {
-    std::uint64_t end = 0;        ///< segment spans [map key, end)
+  struct Access {
     TaskId last_writer = kNoTask;
     std::vector<TaskId> readers;  ///< readers since last_writer
   };
 
   TaskPool& pool_;
-  std::map<std::uint64_t, Segment> segments_;  ///< start -> segment
+  RegionIndex<Access> runs_;
+  std::vector<TaskId> preds_;  ///< register_task scratch, reused
   std::size_t live_ = 0;
   std::uint64_t edges_ = 0;
 };

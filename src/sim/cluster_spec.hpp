@@ -39,9 +39,6 @@ struct LinkSpec {
   SimTime shm_latency = 2e-7;      // 200 ns
   double shm_bandwidth = 80e9;     // bytes/s
 
-  [[nodiscard]] SimTime transfer_time(std::uint64_t bytes) const {
-    return latency + static_cast<double>(bytes) / bandwidth;
-  }
   [[nodiscard]] SimTime shm_transfer_time(std::uint64_t bytes) const {
     return shm_latency + static_cast<double>(bytes) / shm_bandwidth;
   }

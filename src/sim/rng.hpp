@@ -54,13 +54,7 @@ class Rng {
   /// Raw 64-bit draw.
   std::uint64_t next_u64() { return gen_(); }
 
-  /// Underlying engine access (for std:: algorithms needing a URBG).
-  std::mt19937_64& engine() noexcept { return gen_; }
-
  private:
-  explicit Rng(std::uint64_t seed, int)  // disambiguator unused
-      : gen_(seed) {}
-
   std::mt19937_64 gen_;
   std::uint64_t seed_mix_ = gen_();  // captures the seed's influence for fork()
 };

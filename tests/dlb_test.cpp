@@ -500,15 +500,6 @@ TEST(Talp, ResetWindowClearsOnlyWindow) {
   EXPECT_DOUBLE_EQ(talp.window_average(0), 1.0);
 }
 
-TEST(Talp, EfficiencyAgainstAssignedCores) {
-  double now = 0.0;
-  TalpModule talp([&] { return now; }, 1);
-  talp.on_busy_delta(0, +1);
-  now = 10.0;
-  // 10 busy core-seconds over 10 s with 2 cores assigned -> 0.5.
-  EXPECT_DOUBLE_EQ(talp.efficiency(0, 2.0), 0.5);
-}
-
 TEST(Talp, CurrentBusyTracksDeltas) {
   double now = 0.0;
   TalpModule talp([&] { return now; }, 1);

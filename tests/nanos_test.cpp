@@ -2,9 +2,17 @@
 // location tracking.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "nanos/data_location.hpp"
 #include "nanos/dependency_graph.hpp"
 #include "nanos/task.hpp"
+#include "nanos_oracle.hpp"
 
 namespace tlb::nanos {
 namespace {
@@ -321,6 +329,184 @@ TEST(DataLocations, PullBySourceRelocatesAndReports) {
   EXPECT_EQ(moved[1], (std::pair<int, std::uint64_t>{2, 30u}));
   EXPECT_EQ(loc.missing_input_bytes({in(0, 90)}, 0), 0u);
   EXPECT_TRUE(loc.pull_by_source({in(0, 90)}, 0).empty());  // idempotent
+}
+
+// Random access ranges over a 64 KiB space of 1 KiB blocks, in four shapes:
+// block-aligned runs of blocks, unaligned spans, ranges nested inside one
+// block, and long spans crossing many earlier boundaries and gaps. Every
+// boundary handed out is recorded, so the tests can probe location_of on
+// both sides of every run edge either implementation may hold.
+class RangeGen {
+ public:
+  explicit RangeGen(std::uint64_t seed) : rng_(seed) {}
+
+  int pick(int n) {
+    return static_cast<int>(rng_() % static_cast<std::uint64_t>(n));
+  }
+
+  AccessRegion region(AccessMode mode) {
+    constexpr std::uint64_t kBlock = 1024;
+    constexpr int kBlocks = 64;
+    std::uint64_t start = 0;
+    std::uint64_t size = 0;
+    switch (pick(5)) {
+      case 0:  // aligned
+        start = static_cast<std::uint64_t>(pick(kBlocks)) * kBlock;
+        size = static_cast<std::uint64_t>(1 + pick(4)) * kBlock;
+        break;
+      case 1:  // unaligned
+        start = static_cast<std::uint64_t>(pick(kBlocks * 1024));
+        size = static_cast<std::uint64_t>(1 + pick(3000));
+        break;
+      case 2:  // nested inside one block
+        start = static_cast<std::uint64_t>(pick(kBlocks)) * kBlock +
+                static_cast<std::uint64_t>(pick(512));
+        size = static_cast<std::uint64_t>(1 + pick(512));
+        break;
+      case 3:  // gap-spanning
+        start = static_cast<std::uint64_t>(pick(kBlocks / 2)) * kBlock +
+                static_cast<std::uint64_t>(pick(100));
+        size = static_cast<std::uint64_t>(8 + pick(kBlocks / 2)) * kBlock;
+        break;
+      default:  // empty, or a single byte
+        start = static_cast<std::uint64_t>(pick(kBlocks * 1024));
+        size = static_cast<std::uint64_t>(pick(2));
+        break;
+    }
+    edges_.insert(start);
+    edges_.insert(start + size);
+    return {start, size, mode};
+  }
+
+  std::vector<AccessRegion> accesses() {
+    std::vector<AccessRegion> out;
+    const int n = 1 + pick(3);
+    for (int k = 0; k < n; ++k) {
+      out.push_back(region(static_cast<AccessMode>(pick(3))));
+    }
+    return out;
+  }
+
+  [[nodiscard]] const std::set<std::uint64_t>& edges() const { return edges_; }
+
+ private:
+  std::mt19937_64 rng_;
+  std::set<std::uint64_t> edges_;
+};
+
+/// Compares location_of on both sides of each edge in `edges`.
+template <typename Edges>
+void expect_same_location_at(const DataLocations& loc,
+                             const oracle::MapDataLocations& ref,
+                             const Edges& edges) {
+  for (std::uint64_t e : edges) {
+    ASSERT_EQ(loc.location_of(e), ref.location_of(e)) << "at " << e;
+    if (e > 0) {
+      ASSERT_EQ(loc.location_of(e - 1), ref.location_of(e - 1)) << "at " << e - 1;
+    }
+  }
+}
+
+/// Compares every query on a fresh random probe, from each node's view.
+void expect_queries_match(const DataLocations& loc,
+                          const oracle::MapDataLocations& ref, RangeGen& gen,
+                          int nodes) {
+  const std::vector<AccessRegion> probe = gen.accesses();
+  for (int node = 0; node < nodes; ++node) {
+    ASSERT_EQ(loc.missing_input_bytes(probe, node),
+              ref.missing_input_bytes(probe, node));
+    ASSERT_EQ(loc.resident_input_bytes(probe, node),
+              ref.resident_input_bytes(probe, node));
+    ASSERT_EQ(loc.missing_by_source(probe, node),
+              ref.missing_by_source(probe, node));
+  }
+}
+
+TEST(NanosIndex, LocationsMatchMapOracleUnderRandomChurn) {
+  constexpr int kNodes = 5;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RangeGen gen(seed);
+    const int home = static_cast<int>(seed % kNodes);
+    DataLocations loc(home);
+    oracle::MapDataLocations ref(home);
+    for (int op = 0; op < 1500; ++op) {
+      const std::vector<AccessRegion> acc = gen.accesses();
+      const int node = gen.pick(kNodes);
+      switch (gen.pick(4)) {
+        case 0:
+        case 1:
+          loc.task_executed(acc, node);
+          ref.task_executed(acc, node);
+          break;
+        case 2:
+          ASSERT_EQ(loc.pull(acc, node), ref.pull(acc, node));
+          break;
+        default:
+          ASSERT_EQ(loc.pull_by_source(acc, node), ref.pull_by_source(acc, node));
+          break;
+      }
+      // The edges this operation touched every time; every edge handed out
+      // so far (a superset of both implementations' run edges) now and then.
+      std::vector<std::uint64_t> touched;
+      for (const AccessRegion& a : acc) {
+        touched.push_back(a.start);
+        touched.push_back(a.end());
+      }
+      expect_same_location_at(loc, ref, touched);
+      if (op % 50 == 49) expect_same_location_at(loc, ref, gen.edges());
+      expect_queries_match(loc, ref, gen, kNodes);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    expect_same_location_at(loc, ref, gen.edges());
+  }
+}
+
+TEST(NanosIndex, DependenciesMatchMapOracleUnderRandomChurn) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RangeGen gen(seed);
+    TaskPool pool;
+    TaskPool ref_pool;
+    DependencyGraph graph(pool);
+    oracle::MapDependencyGraph ref(ref_pool);
+    std::vector<TaskId> ready;
+    auto finish = [&](std::size_t k) {
+      const TaskId id = ready[k];
+      ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(k));
+      const std::vector<TaskId> released = graph.on_task_finished(id);
+      ASSERT_EQ(released, ref.on_task_finished(id)) << "finishing " << id;
+      ready.insert(ready.end(), released.begin(), released.end());
+    };
+    for (int n = 0; n < 1200; ++n) {
+      const std::vector<AccessRegion> acc = gen.accesses();
+      const TaskId id = pool.create(0, 1.0, acc);
+      ASSERT_EQ(ref_pool.create(0, 1.0, acc), id);
+      const bool now_ready = graph.register_task(id);
+      ASSERT_EQ(now_ready, ref.register_task(id)) << "task " << id;
+      ASSERT_EQ(pool.get(id).deps_remaining, ref_pool.get(id).deps_remaining);
+      ASSERT_EQ(graph.edge_count(), ref.edge_count());
+      ASSERT_EQ(graph.live_tasks(), ref.live_tasks());
+      if (now_ready) ready.push_back(id);
+      // Finish a random share of the ready tasks so edges both to live and
+      // to finished predecessors occur.
+      while (!ready.empty() && gen.pick(3) == 0) {
+        finish(static_cast<std::size_t>(gen.pick(static_cast<int>(ready.size()))));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    while (!ready.empty()) {
+      finish(0);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_EQ(graph.live_tasks(), 0u);
+    for (TaskId id = 0; id < pool.size(); ++id) {
+      ASSERT_EQ(pool.get(id).successors, ref_pool.get(id).successors)
+          << "task " << id;
+      ASSERT_EQ(pool.get(id).deps_remaining, ref_pool.get(id).deps_remaining);
+      ASSERT_EQ(pool.get(id).state, TaskState::Finished);
+    }
+  }
 }
 
 }  // namespace

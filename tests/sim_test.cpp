@@ -253,14 +253,6 @@ TEST(ClusterSpec, SlowNodeCapacity) {
   EXPECT_DOUBLE_EQ(spec.total_capacity(), 16 * 0.6 + 3 * 16.0);
 }
 
-TEST(LinkSpec, TransferTimeModel) {
-  LinkSpec link;
-  link.latency = 1e-6;
-  link.bandwidth = 1e9;
-  EXPECT_DOUBLE_EQ(link.transfer_time(0), 1e-6);
-  EXPECT_DOUBLE_EQ(link.transfer_time(1000000), 1e-6 + 1e-3);
-}
-
 TEST(TimeHelpers, Conversions) {
   EXPECT_DOUBLE_EQ(seconds(2.0), 2.0);
   EXPECT_DOUBLE_EQ(milliseconds(50.0), 0.05);
