@@ -7,17 +7,26 @@
 // pending offloads survive the run, the iteration count is exact, and the
 // counters stay mutually consistent.
 //
+// A second draw randomizes the config space itself (fabric on/off,
+// detection mode, one fault, scheduling and DROM policy, cluster shape) and
+// checks the invariants of config_sweep.hpp: exactly-once completion, exact
+// iteration count, non-negative iteration times, alloc tags back to zero,
+// same seed same schedule, and record-only toggles leaving the schedule
+// bit-identical. Its pinned counterpart is ConfigSweep.* in tlb_tests.
+//
 // The scenario seed comes from TLB_RESIL_SWEEP_SEED (CI passes the
 // workflow run id); it defaults to 42 and is always logged so any failure
 // reproduces with a one-line env var.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "apps/synthetic.hpp"
+#include "config_sweep.hpp"
 #include "core/runtime.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -179,6 +188,54 @@ TEST(ResilSweep, RandomFaultScenariosPreserveInvariants) {
     if (r.detections > 0) {
       EXPECT_GT(r.mean_detection_latency(), 0.0);
     }
+  }
+}
+
+/// Draws one config-space scenario; the fault instants fall inside the
+/// run so the fault always bites.
+sweep::Scenario draw_config_scenario(std::mt19937_64& rng) {
+  sweep::Scenario s;
+  s.net = rng() % 2 == 0;
+  s.detection = rng() % 2 == 0 ? resil::DetectionMode::Oracle
+                               : resil::DetectionMode::Heartbeat;
+  s.fault = static_cast<sweep::Fault>(rng() % 3);
+  s.sched = sweep::kSchedPolicies[rng() % 5];
+  s.policy = rng() % 2 == 0 ? core::PolicyKind::Global
+                            : core::PolicyKind::Local;
+  std::uniform_int_distribution<int> nodes_d(3, 5);
+  std::uniform_int_distribution<int> cores_d(4, 8);
+  std::uniform_int_distribution<int> degree_d(2, 3);
+  std::uniform_int_distribution<int> tasks_d(24, 64);
+  std::uniform_real_distribution<double> imb_d(1.2, 3.0);
+  std::uniform_real_distribution<double> at_d(0.1, 1.0);
+  std::uniform_real_distribution<double> dur_d(0.2, 1.5);
+  std::uniform_real_distribution<double> rate_d(0.05, 0.4);
+  std::uniform_real_distribution<double> jitter_d(1e-4, 0.08);
+  s.nodes = nodes_d(rng);
+  s.cores = cores_d(rng);
+  s.degree = std::min(degree_d(rng), s.nodes - 1);
+  s.tasks_per_rank = tasks_d(rng);
+  s.imbalance = imb_d(rng);
+  s.fault_at = at_d(rng);
+  s.fault_until = s.fault_at + dur_d(rng);
+  s.loss_rate = rate_d(rng);
+  s.jitter_max = jitter_d(rng);
+  return s;
+}
+
+TEST(ResilSweep, RandomConfigScenariosPreserveInvariants) {
+  const std::uint64_t seed = sweep_seed();
+  std::printf("[resil_sweep] config seed=%llu\n",
+              static_cast<unsigned long long>(seed));
+  // A stream of its own, so this draw does not shift the fault draw above.
+  std::mt19937_64 rng(seed ^ 0xC0F16u);
+  const std::string stream_path = sweep::temp_stream_path("resil_sweep");
+
+  constexpr int kScenarios = 24;
+  for (int round = 0; round < kScenarios; ++round) {
+    const sweep::Scenario s = draw_config_scenario(rng);
+    SCOPED_TRACE("round " + std::to_string(round) + ": " + sweep::describe(s));
+    sweep::check_scenario(s, stream_path);
   }
 }
 
