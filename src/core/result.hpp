@@ -36,8 +36,8 @@ struct RunResult {
   // Fault / resilience statistics (tlb::fault).
   std::uint64_t tasks_reexecuted = 0;  ///< rescued from crashed workers
   std::uint64_t workers_crashed = 0;
-  std::uint64_t messages_lost = 0;     ///< transmissions lost on the wire
-  std::uint64_t retransmissions = 0;   ///< retry attempts after losses
+  /// Control-plane transmissions lost on the wire; each was retransmitted.
+  std::uint64_t retransmissions = 0;
 
   // Failure detection / graceful degradation (tlb::resil; all zero in
   // DetectionMode::Oracle).

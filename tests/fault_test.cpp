@@ -179,7 +179,6 @@ TEST(Fault, ZeroMagnitudeFaultsAreBitIdentical) {
   EXPECT_EQ(a.lewi_lends, b.lewi_lends);
   EXPECT_EQ(a.lewi_borrows, b.lewi_borrows);
   EXPECT_EQ(a.drom_moves, b.drom_moves);
-  EXPECT_EQ(b.messages_lost, 0u);
   EXPECT_EQ(b.retransmissions, 0u);
   EXPECT_EQ(b.tasks_reexecuted, 0u);
   for (int n = 0; n < rt_a.topology().node_count(); ++n) {
@@ -212,10 +211,9 @@ TEST(Fault, SeededRunsAreDeterministic) {
   EXPECT_EQ(a.makespan, b.makespan);  // bitwise
   EXPECT_EQ(a.iteration_times, b.iteration_times);
   EXPECT_EQ(a.events_fired, b.events_fired);
-  EXPECT_EQ(a.messages_lost, b.messages_lost);
   EXPECT_EQ(a.retransmissions, b.retransmissions);
   EXPECT_EQ(a.tasks_reexecuted, b.tasks_reexecuted);
-  EXPECT_GT(a.messages_lost, 0u);  // the loss window did bite
+  EXPECT_GT(a.retransmissions, 0u);  // the loss window did bite
   EXPECT_EQ(rt_a.recorder().marks(), rt_b.recorder().marks());
   for (int n = 0; n < rt_a.topology().node_count(); ++n) {
     EXPECT_EQ(rt_a.recorder().node_busy(n).points(),
