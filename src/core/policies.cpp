@@ -173,8 +173,7 @@ OwnershipPlan static_ownership_plan(const Topology& topo,
 OwnershipPlan global_solver_plan(const Topology& topo,
                                  const std::vector<int>& node_cores,
                                  const std::vector<double>& busy,
-                                 const std::vector<char>* alive,
-                                 int iteration_limit, bool* converged) {
+                                 const std::vector<char>* alive) {
   // With crashed workers masked out, the solve runs over the reduced
   // bipartite graph whose edges are the surviving workers (slot order is
   // preserved, so each apprank's home edge stays first — home workers
@@ -206,9 +205,7 @@ OwnershipPlan global_solver_plan(const Topology& topo,
     }
     problem.work[static_cast<std::size_t>(a)] = total;
   }
-  problem.iteration_limit = iteration_limit;
   const auto solution = solver::solve_allocation(problem);
-  if (converged != nullptr) *converged = solution.converged;
 
   OwnershipPlan plan(static_cast<std::size_t>(topo.node_count()));
   for (int a = 0; a < topo.apprank_count(); ++a) {

@@ -49,15 +49,10 @@ OwnershipPlan local_convergence_plan(const Topology& topo,
 /// adjacency, >= 1 core per worker, node capacities; prefer local cores.
 /// `alive`, when non-null, masks out crashed workers: the solve runs over
 /// the reduced offloading graph whose edges are the surviving workers.
-/// `iteration_limit` bounds the solver's bisection (<= 0 keeps the solver
-/// default); when given, `converged` reports whether the solve reached its
-/// tolerance within the budget (tlb::resil fallback chain).
 OwnershipPlan global_solver_plan(const Topology& topo,
                                  const std::vector<int>& node_cores,
                                  const std::vector<double>& busy,
-                                 const std::vector<char>* alive = nullptr,
-                                 int iteration_limit = 0,
-                                 bool* converged = nullptr);
+                                 const std::vector<char>* alive = nullptr);
 
 /// Last rung of the tlb::resil solver fallback chain: static proportional
 /// ownership ignoring all measurements — each node splits its cores evenly

@@ -25,20 +25,6 @@ enum class DetectionMode {
 struct ResilConfig {
   DetectionMode detection = DetectionMode::Oracle;
 
-  // --- solver fallback chain ------------------------------------------------
-  /// Wall-clock budget for one global solve; when the modelled
-  /// solver_latency exceeds it the policy downshifts to local convergence
-  /// for that tick. 0 disables the budget.
-  sim::SimTime solver_time_budget = 0.0;
-  /// Bisection-iteration budget handed to solver::solve_allocation; if the
-  /// solve does not converge within it, the policy downshifts. 0 keeps the
-  /// solver default.
-  int solver_iteration_budget = 0;
-
-  /// Re-wire the expander with a fresh helper edge when a crash leaves an
-  /// apprank with no usable helper (offloading degree collapses to 1).
-  bool rewire_on_disconnect = true;
-
   [[nodiscard]] bool heartbeat_active() const {
     return detection == DetectionMode::Heartbeat;
   }

@@ -12,6 +12,10 @@ namespace tlb::solver {
 
 namespace {
 
+/// Cap on the bisection's feasibility probes; the 1e-10 relative tolerance
+/// is reached well before it.
+constexpr int kMaxBisections = 100;
+
 struct Shape {
   int appranks = 0;
   int nodes = 0;
@@ -129,10 +133,9 @@ AllocationResult solve_allocation(const AllocationProblem& p) {
     }
     t_lo = std::min(t_lo, t_hi);
 
-    const int iter_limit = p.iteration_limit > 0 ? p.iteration_limit : 100;
     if (!feasible_at(p, s, t_lo)) {
       int iter = 0;
-      for (; iter < iter_limit && t_hi - t_lo > 1e-10 * t_hi; ++iter) {
+      for (; iter < kMaxBisections && t_hi - t_lo > 1e-10 * t_hi; ++iter) {
         const double mid = 0.5 * (t_lo + t_hi);
         if (feasible_at(p, s, mid)) {
           t_hi = mid;
@@ -141,7 +144,6 @@ AllocationResult solve_allocation(const AllocationProblem& p) {
         }
       }
       result.iterations = iter;
-      result.converged = t_hi - t_lo <= 1e-10 * t_hi;
       t_star = t_hi;
     } else {
       t_star = t_lo;

@@ -34,11 +34,6 @@ struct AllocationProblem {
   std::vector<double> work;
   /// Physical cores per node.
   std::vector<int> node_cores;
-  /// Bisection-iteration budget (tlb::resil solver fallback chain): the
-  /// solve stops after this many feasibility probes even if the tolerance
-  /// has not been reached, reporting converged = false. <= 0 keeps the
-  /// default of 100.
-  int iteration_limit = 0;
 };
 
 struct AllocationResult {
@@ -55,11 +50,6 @@ struct AllocationResult {
   double offloaded_cores = 0.0;
   /// Bisection iterations spent.
   int iterations = 0;
-  /// False when the iteration budget ran out before the bisection reached
-  /// its tolerance; the result is still a valid (feasible) allocation, just
-  /// not proven optimal. Consumers under a time budget treat this as a
-  /// solver timeout and degrade (tlb::resil fallback chain).
-  bool converged = true;
 };
 
 /// Thrown when a node cannot give each of its resident workers one core.

@@ -6,14 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "apps/synthetic.hpp"
 #include "core/policies.hpp"
 #include "core/runtime.hpp"
-#include "core/workload.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "fingerprint.hpp"
@@ -283,10 +281,10 @@ TEST(Resil, CrashDuringBarrierDoesNotDeadlock) {
 // Satellite (a): crash_worker is idempotent — a second crash of the same
 // worker (or a crash scheduled after the run drained) is a no-op, and
 // killing the last live helper of an apprank degrades to home-only
-// execution instead of wedging.
+// execution instead of wedging. Every node's cores are all taken by its
+// two resident workers, so the rewire finds no spare capacity and fails.
 TEST(Resil, DoubleCrashAndLastHelperAreGuarded) {
-  core::RuntimeConfig cfg = resil_cluster(4, 8, 2);
-  cfg.resil.rewire_on_disconnect = false;  // force home-only degradation
+  core::RuntimeConfig cfg = resil_cluster(4, 2, 2);
   apps::SyntheticWorkload wl(synth(4, 6, 120, 2.0));
   core::ClusterRuntime rt(cfg);
   const core::WorkerId victim = rt.topology().workers_of_apprank(0)[1];
@@ -300,6 +298,7 @@ TEST(Resil, DoubleCrashAndLastHelperAreGuarded) {
 
   EXPECT_EQ(r.workers_crashed, 1u);  // counted exactly once
   EXPECT_EQ(r.rewired_edges, 0u);
+  EXPECT_EQ(count_marks(rt, "rewire failed"), 1u);
   EXPECT_EQ(r.iteration_times.size(), 6u);
   const auto& pool = rt.tasks();
   for (nanos::TaskId id = 0; id < pool.size(); ++id) {
@@ -401,66 +400,6 @@ TEST(Resil, HeartbeatRunsAreDeterministic) {
 }
 
 // --- solver fallback chain ---------------------------------------------------
-
-/// Several equally-overloaded ranks competing for the same sparse helper
-/// pool. A single heavy rank (as the synthetic generator produces) makes
-/// the solver's lower bound feasible outright — bisection only runs when a
-/// *joint* cut binds, which needs at least two heavy neighbourhoods.
-class ContendedWorkload final : public core::Workload {
- public:
-  ContendedWorkload(int appranks, int iterations, int tasks, int heavy_ranks)
-      : appranks_(appranks),
-        iterations_(iterations),
-        tasks_(tasks),
-        heavy_ranks_(heavy_ranks) {}
-  [[nodiscard]] int iteration_count() const override { return iterations_; }
-  std::vector<core::TaskSpec> make_tasks(int apprank, int) override {
-    const double mean = apprank < heavy_ranks_ ? 0.200 : 0.010;
-    std::vector<core::TaskSpec> specs(static_cast<std::size_t>(tasks_));
-    for (auto& spec : specs) spec.work = mean;
-    return specs;
-  }
-
- private:
-  int appranks_;
-  int iterations_;
-  int tasks_;
-  int heavy_ranks_;
-};
-
-TEST(Resil, SolverIterationBudgetDownshiftsToLocal) {
-  // A one-iteration bisection budget cannot converge, so the global tick
-  // falls back to the local convergence plan and says so in the trace.
-  core::RuntimeConfig cfg = resil_cluster(6, 8, 2);
-  cfg.resil.solver_iteration_budget = 1;
-  // 4 heavy ranks x 8 core-seconds on 6x8 cores: at the bisection lower
-  // bound the joint extra demand (~38.8 cores) exceeds the total residual
-  // capacity (36), so the initial feasibility shortcut can never fire.
-  ContendedWorkload wl(6, 8, 40, /*heavy_ranks=*/4);
-  core::ClusterRuntime rt(cfg);
-  const auto r = rt.run(wl);
-
-  EXPECT_GE(r.policy_downshifts, 1u);
-  const auto& marks = rt.recorder().marks();
-  const bool downshifted =
-      std::any_of(marks.begin(), marks.end(), [](const trace::Mark& m) {
-        return m.label.find("policy downshift: global -> local") !=
-               std::string::npos;
-      });
-  EXPECT_TRUE(downshifted);
-  EXPECT_EQ(r.iteration_times.size(), 8u);  // the run still balances
-}
-
-TEST(Resil, SolverTimeBudgetDownshiftsToLocal) {
-  core::RuntimeConfig cfg = resil_cluster(4, 16, 3);
-  cfg.solver_latency = 0.05;            // modelled solve cost
-  cfg.resil.solver_time_budget = 0.01;  // tighter than the solver is
-  apps::SyntheticWorkload wl(synth(4, 8, 240, 2.0));
-  core::ClusterRuntime rt(cfg);
-  const auto r = rt.run(wl);
-  EXPECT_GE(r.policy_downshifts, 1u);
-  EXPECT_EQ(r.iteration_times.size(), 8u);
-}
 
 TEST(Resil, DefaultBudgetsNeverDownshift) {
   core::RuntimeConfig cfg = resil_cluster(4, 16, 3);
