@@ -83,16 +83,19 @@ class ClusterRuntime : private sched::RuntimeView {
   /// runtime instead schedules onto that engine — the basis of the
   /// multi-tenant service scenario (tlb::svc), where many runtimes (one
   /// per arriving job) interleave their events on one clock. In shared
-  /// mode use start()/finalize() and keep the runtime alive until the
-  /// shared engine has drained: deferred events (solver-latency plan
-  /// applications, retransmit timers) may still reference it after the
-  /// completion callback fires.
+  /// mode use start()/finalize(). start() takes a fresh engine owner(),
+  /// and every event the runtime schedules from then on carries it.
+  /// Deferred events (heartbeat and detector timers, solver-latency plan
+  /// applications, retransmits) may still be queued after the completion
+  /// callback fires; once the caller has retired owner() on the engine
+  /// they are dropped unrun, and the runtime may be destroyed — but not
+  /// from inside the completion callback, which runs on its stack.
   explicit ClusterRuntime(RuntimeConfig config,
                           sim::Engine* shared_engine = nullptr);
 
-  /// Unregisters the profiler's open-span gauge (if this runtime
-  /// registered one) and balances tlb::prof allocation charges of
-  /// bookkeeping still live at teardown.
+  /// Unregisters the profiler's open-span gauge (if this runtime's is
+  /// still the registered one) and balances tlb::prof allocation charges
+  /// of bookkeeping still live at teardown.
   ~ClusterRuntime();
 
   /// Executes the workload to completion and returns the run statistics.
@@ -101,10 +104,15 @@ class ClusterRuntime : private sched::RuntimeView {
 
   /// Seeds the initial iteration (plus policy / heartbeat ticks) onto the
   /// engine and returns without running it. `on_complete` fires when the
-  /// last iteration's barrier closes (after makespan is recorded). The
-  /// engine's owner — run() in standalone mode, the tlb::svc job manager
-  /// in shared mode — is responsible for driving events.
+  /// last iteration's barrier closes (after makespan is recorded), under
+  /// the engine's default owner, so the events it schedules do not belong
+  /// to this runtime. Whoever holds the engine — run() in standalone mode,
+  /// the tlb::svc job manager in shared mode — drives its events.
   void start(Workload& workload, std::function<void()> on_complete = {});
+
+  /// The engine owner of this runtime's events (shared mode: taken by
+  /// start(); standalone: the default owner).
+  [[nodiscard]] sim::OwnerId owner() const { return owner_; }
 
   /// Collects the run statistics after completion (makespan, offloading /
   /// DLB / resilience counters) and closes the span recorder. Call once,
@@ -427,9 +435,9 @@ class ClusterRuntime : private sched::RuntimeView {
   int barrier_arrivals_ = 0;  ///< appranks in the current barrier
   sim::SimTime last_barrier_time_ = 0.0;
   bool done_ = false;
-  /// True when this runtime installed the profiler's open-span gauge
-  /// (last-constructed profiled runtime wins; cleared in the dtor).
-  bool prof_gauge_registered_ = false;
+  /// The engine owner of this runtime's events: a fresh one taken by
+  /// start() in shared mode, the default owner standalone.
+  sim::OwnerId owner_ = sim::kDefaultOwner;
   sim::EventId policy_event_ = sim::kInvalidEvent;
   /// Engine time at start(); 0 in standalone mode. Makespan and the POP
   /// elapsed time are measured relative to it so a runtime started

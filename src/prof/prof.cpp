@@ -147,11 +147,17 @@ std::uint64_t Profiler::sample(std::uint64_t events_fired,
   return stride_;
 }
 
-void Profiler::set_open_spans_gauge(std::function<std::int64_t()> gauge) {
+void Profiler::set_open_spans_gauge(const void* key,
+                                    std::function<std::int64_t()> gauge) {
+  open_spans_key_ = key;
   open_spans_gauge_ = std::move(gauge);
 }
 
-void Profiler::clear_open_spans_gauge() { open_spans_gauge_ = nullptr; }
+void Profiler::clear_open_spans_gauge(const void* key) {
+  if (key != open_spans_key_) return;
+  open_spans_key_ = nullptr;
+  open_spans_gauge_ = nullptr;
+}
 
 std::vector<TagStats> Profiler::alloc_stats() const {
   std::vector<TagStats> out;

@@ -155,11 +155,15 @@ class Profiler {
   std::uint64_t sample(std::uint64_t events_fired, std::size_t queue_depth);
   [[nodiscard]] std::uint64_t snapshot_stride() const { return stride_; }
 
-  /// Telemetry open-span gauge (registered by the runtime when
-  /// RuntimeConfig::prof.enabled; cleared in its destructor so the
-  /// callback never dangles).
-  void set_open_spans_gauge(std::function<std::int64_t()> gauge);
-  void clear_open_spans_gauge();
+  /// Telemetry open-span gauge, registered under `key` by the runtime
+  /// when RuntimeConfig::prof.enabled (the last registration wins). The
+  /// runtime's destructor clears it with the same key, which removes the
+  /// gauge only while that key still holds it: a runtime that dies while
+  /// a newer one runs leaves the newer one's gauge in place, and no
+  /// callback ever dangles.
+  void set_open_spans_gauge(const void* key,
+                            std::function<std::int64_t()> gauge);
+  void clear_open_spans_gauge(const void* key);
 
   // -- inspection / export -------------------------------------------------
   [[nodiscard]] const std::vector<PhaseNode>& phases() const { return nodes_; }
@@ -192,6 +196,7 @@ class Profiler {
   std::vector<int> stack_;  ///< indices of currently open phases
   std::vector<HealthSnapshot> snapshots_;
   std::function<std::int64_t()> open_spans_gauge_;
+  const void* open_spans_key_ = nullptr;  ///< who registered the gauge
   std::chrono::steady_clock::time_point epoch_{};
   std::uint64_t stride_ = 8192;
 };

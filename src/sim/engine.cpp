@@ -7,13 +7,20 @@ namespace tlb::sim {
 SimTime Engine::run() {
   stopped_ = false;
   if (prof::enabled()) return run_profiled();
+  const OwnerId outer = owner_;
   while (!queue_.empty() && !stopped_) {
-    auto [t, cb] = queue_.pop();
+    auto [t, owner, cb] = queue_.pop();
     assert(t >= now_ && "event queue time went backwards");
     now_ = t;
     ++fired_;
+    if (retired(owner)) {
+      ++retired_fired_;
+      continue;
+    }
+    owner_ = owner;
     cb();
   }
+  owner_ = outer;
   return now_;
 }
 
@@ -27,27 +34,29 @@ SimTime Engine::run_profiled() {
   auto& profiler = prof::Profiler::instance();
   std::uint64_t stride = profiler.snapshot_stride();
   std::uint64_t until_sample = stride;
+  const OwnerId outer = owner_;
   while (!queue_.empty() && !stopped_) {
-    SimTime t;
-    Callback cb;
+    EventQueue::Popped popped;
     {
       PROF_SCOPE("engine.pop");
-      auto popped = queue_.pop();
-      t = popped.first;
-      cb = std::move(popped.second);
+      popped = queue_.pop();
     }
-    assert(t >= now_ && "event queue time went backwards");
-    now_ = t;
+    assert(popped.time >= now_ && "event queue time went backwards");
+    now_ = popped.time;
     ++fired_;
-    {
+    if (retired(popped.owner)) {
+      ++retired_fired_;
+    } else {
       PROF_SCOPE("engine.dispatch");
-      cb();
+      owner_ = popped.owner;
+      popped.cb();
     }
     if (--until_sample == 0) {
       stride = profiler.sample(fired_, queue_.size());
       until_sample = stride;
     }
   }
+  owner_ = outer;
   return now_;
 }
 

@@ -6,13 +6,13 @@
 
 namespace tlb::sim {
 
-EventId EventQueue::push(SimTime t, Callback cb) {
+EventId EventQueue::push(SimTime t, Callback cb, OwnerId owner) {
   const EventId id = next_id_++;
   pending_.push_back(true);
   ++live_;
   // Charged per physical entry; released in pop()/skip_cancelled()/dtor.
   prof::alloc_note(prof::AllocTag::SimEvent, sizeof(Entry));
-  heap_push(Entry{t, id, std::move(cb)});
+  heap_push(Entry{t, id, owner, std::move(cb)});
   return id;
 }
 
@@ -65,16 +65,16 @@ void EventQueue::skip_cancelled() {
   }
 }
 
-std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
+EventQueue::Popped EventQueue::pop() {
   skip_cancelled();
   assert(!heap_.empty() && "pop() on empty queue");
   --live_;
   prof::free_note(prof::AllocTag::SimEvent, sizeof(Entry));
-  pending_[static_cast<std::size_t>(heap_.front().id)] = false;
-  const SimTime t = heap_.front().time;
-  Callback cb = std::move(heap_.front().cb);
+  Entry& root = heap_.front();
+  pending_[static_cast<std::size_t>(root.id)] = false;
+  Popped popped{root.time, root.owner, std::move(root.cb)};
   heap_pop_root();
-  return {t, std::move(cb)};
+  return popped;
 }
 
 }  // namespace tlb::sim

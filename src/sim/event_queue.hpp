@@ -30,6 +30,13 @@ using EventId = std::uint64_t;
 /// Invalid/empty event handle.
 inline constexpr EventId kInvalidEvent = 0;
 
+/// Identifies who scheduled an event (see Engine::new_owner). Owner 0 is
+/// the default: everything not scheduled under a taken owner.
+using OwnerId = std::uint32_t;
+
+/// The default owner; never retired.
+inline constexpr OwnerId kDefaultOwner = 0;
+
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -46,9 +53,16 @@ class EventQueue {
     }
   }
 
-  /// Schedules `cb` to fire at absolute time `t`. Returns a handle that can
-  /// be passed to cancel().
-  EventId push(SimTime t, Callback cb);
+  /// A popped event: its time, its owner and its callback.
+  struct Popped {
+    SimTime time = 0.0;
+    OwnerId owner = kDefaultOwner;
+    Callback cb;
+  };
+
+  /// Schedules `cb` to fire at absolute time `t` on behalf of `owner`.
+  /// Returns a handle that can be passed to cancel().
+  EventId push(SimTime t, Callback cb, OwnerId owner = kDefaultOwner);
 
   /// Cancels a previously scheduled event. Cancelling an event that already
   /// fired (or was already cancelled) is a harmless no-op.
@@ -60,14 +74,14 @@ class EventQueue {
   /// Number of live events.
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// Pops the earliest live event and returns its (time, callback).
-  /// Requires !empty().
-  std::pair<SimTime, Callback> pop();
+  /// Pops the earliest live event. Requires !empty().
+  Popped pop();
 
  private:
   struct Entry {
     SimTime time;
     EventId id;
+    OwnerId owner;
     Callback cb;
   };
   static bool earlier(const Entry& a, const Entry& b) noexcept {

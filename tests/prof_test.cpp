@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -233,6 +234,28 @@ TEST_F(ProfTest, SnapshotBufferSelfThins) {
   auto& p = prof::Profiler::instance();
   EXPECT_LE(p.snapshots().size(), 512u);
   EXPECT_GT(p.snapshot_stride(), 1u);
+}
+
+TEST_F(ProfTest, OpenSpansGaugeSurvivesAnOlderRuntimesTeardown) {
+  // Shared-engine jobs die in any order; an older runtime's destructor
+  // must not clear the gauge a newer runtime registered.
+  auto& p = prof::Profiler::instance();
+  core::RuntimeConfig cfg = with_prof(plain_config());
+  cfg.obs.spans = true;
+  auto older = std::make_unique<core::ClusterRuntime>(cfg);
+  apps::SyntheticWorkload wl(plain_workload());
+  {
+    core::ClusterRuntime newer(cfg);
+    newer.start(wl);  // creates the first iteration's tasks: spans open
+    const auto open =
+        static_cast<std::int64_t>(newer.spans()->open_spans());
+    ASSERT_GT(open, 0);
+    older.reset();
+    p.sample(0, 0);
+    EXPECT_EQ(p.snapshots().back().open_spans, open);
+  }
+  p.sample(0, 0);
+  EXPECT_EQ(p.snapshots().back().open_spans, -1) << "gauge left dangling";
 }
 
 TEST_F(ProfTest, JsonExportHasExpectedShape) {

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine, RNG and cluster specs.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/cluster_spec.hpp"
@@ -17,7 +18,7 @@ TEST(EventQueue, FiresInTimeOrder) {
   q.push(3.0, [&] { order.push_back(3); });
   q.push(1.0, [&] { order.push_back(1); });
   q.push(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.pop().cb();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -27,7 +28,7 @@ TEST(EventQueue, EqualTimesAreFifo) {
   for (int i = 0; i < 10; ++i) {
     q.push(1.0, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.pop().cb();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -38,7 +39,7 @@ TEST(EventQueue, CancelPreventsFiring) {
   q.push(2.0, [&] { ++fired; });
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.pop().cb();
   EXPECT_EQ(fired, 1);
 }
 
@@ -62,11 +63,11 @@ TEST(EventQueue, CancelAfterFireIsHarmless) {
   EventQueue q;
   const EventId a = q.push(1.0, [] {});
   q.push(2.0, [] {});
-  EXPECT_DOUBLE_EQ(q.pop().first, 1.0);
+  EXPECT_DOUBLE_EQ(q.pop().time, 1.0);
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
   EXPECT_FALSE(q.empty());
-  EXPECT_DOUBLE_EQ(q.pop().first, 2.0);
+  EXPECT_DOUBLE_EQ(q.pop().time, 2.0);
 }
 
 TEST(Engine, CancelOfFiredEventStillRunsTheRest) {
@@ -87,7 +88,7 @@ TEST(EventQueue, PopSkipsCancelled) {
   const EventId a = q.push(1.0, [] {});
   q.push(5.0, [] {});
   q.cancel(a);
-  EXPECT_DOUBLE_EQ(q.pop().first, 5.0);
+  EXPECT_DOUBLE_EQ(q.pop().time, 5.0);
 }
 
 TEST(Engine, NowAdvancesToEventTime) {
@@ -159,6 +160,54 @@ TEST(Engine, SelfReschedulingEvent) {
   e.after(1.0, tick);
   e.run();
   EXPECT_EQ(count, 5);
+  EXPECT_DOUBLE_EQ(e.now(), 5.0);
+}
+
+TEST(Engine, EventsCarryTheOwnerOfTheCallbackThatScheduledThem) {
+  Engine e;
+  const OwnerId a = e.new_owner();
+  const OwnerId b = e.new_owner();
+  EXPECT_NE(a, kDefaultOwner);
+  EXPECT_NE(a, b);
+  std::vector<OwnerId> seen;
+  {
+    const Engine::OwnerScope scope(e, a);
+    e.at(1.0, [&] {
+      seen.push_back(e.owner());
+      e.after(1.0, [&] { seen.push_back(e.owner()); });
+      const Engine::OwnerScope inner(e, b);
+      e.after(2.0, [&] { seen.push_back(e.owner()); });
+    });
+  }
+  EXPECT_EQ(e.owner(), kDefaultOwner);
+  e.at(0.5, [&] { seen.push_back(e.owner()); });
+  e.run();
+  EXPECT_EQ(seen, (std::vector<OwnerId>{kDefaultOwner, a, a, b}));
+  EXPECT_EQ(e.owner(), kDefaultOwner);
+}
+
+TEST(Engine, RetiredOwnersEventsPopUnrunAndStillCount) {
+  Engine e;
+  const OwnerId job = e.new_owner();
+  auto token = std::make_shared<int>(0);
+  std::vector<int> order;
+  e.at(1.0, [&] { order.push_back(1); });
+  {
+    const Engine::OwnerScope scope(e, job);
+    e.at(2.0, [&] {
+      order.push_back(2);
+      e.retire_owner(job);
+    });
+    e.at(3.0, [&, token] { order.push_back(3); });
+    e.at(5.0, [&, token] { order.push_back(5); });
+  }
+  e.at(4.0, [&] { order.push_back(4); });
+  EXPECT_EQ(token.use_count(), 3);
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(token.use_count(), 1) << "dropped callbacks were not destroyed";
+  EXPECT_EQ(e.events_fired(), 5u);
+  EXPECT_EQ(e.retired_events(), 2u);
   EXPECT_DOUBLE_EQ(e.now(), 5.0);
 }
 
