@@ -17,17 +17,19 @@ core::WorkerId Scheduler::locality_pick(const nanos::Task& task) const {
 
   // Locality-best node: most input bytes already resident; home wins ties.
   // Crashed and quarantined workers are never candidates (home workers
-  // cannot crash and are never quarantined).
+  // cannot crash and are never quarantined). One walk over the task's
+  // inputs tallies the resident bytes of every candidate node.
   core::WorkerId best = ws.front();
   if (ws.size() > 1 && !task.accesses.empty()) {
-    std::uint64_t best_bytes =
-        loc.resident_input_bytes(task.accesses, topo.worker(best).node);
+    pick_nodes_.clear();
+    for (core::WorkerId w : ws) pick_nodes_.push_back(topo.worker(w).node);
+    loc.resident_input_bytes(task.accesses, pick_nodes_, pick_bytes_);
+    std::uint64_t best_bytes = pick_bytes_.front();
     stats_.state_touched += 1;
     for (std::size_t j = 1; j < ws.size(); ++j) {
       stats_.state_touched += 1;
       if (!view_.usable(ws[j])) continue;
-      const std::uint64_t b =
-          loc.resident_input_bytes(task.accesses, topo.worker(ws[j]).node);
+      const std::uint64_t b = pick_bytes_[j];
       stats_.state_touched += 1;
       if (b > best_bytes) {
         best = ws[j];

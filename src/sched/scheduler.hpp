@@ -23,7 +23,9 @@
 // on_*() hooks, in simulation order.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/topology.hpp"
 #include "nanos/data_location.hpp"
@@ -136,6 +138,12 @@ class Scheduler {
   /// Mutable: the §5.5 helpers above are const (decisions are pure reads
   /// of the runtime state) but still charge their probe costs.
   mutable SchedStats stats_;
+
+ private:
+  /// locality_pick() scratch, kept to avoid an allocation per pick: the
+  /// candidates' nodes and their resident input bytes.
+  mutable std::vector<int> pick_nodes_;
+  mutable std::vector<std::uint64_t> pick_bytes_;
 };
 
 }  // namespace tlb::sched
