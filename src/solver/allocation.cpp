@@ -134,8 +134,8 @@ AllocationResult solve_allocation(const AllocationProblem& p) {
     t_lo = std::min(t_lo, t_hi);
 
     if (!feasible_at(p, s, t_lo)) {
-      int iter = 0;
-      for (; iter < kMaxBisections && t_hi - t_lo > 1e-10 * t_hi; ++iter) {
+      for (int iter = 0; iter < kMaxBisections && t_hi - t_lo > 1e-10 * t_hi;
+           ++iter) {
         const double mid = 0.5 * (t_lo + t_hi);
         if (feasible_at(p, s, mid)) {
           t_hi = mid;
@@ -143,7 +143,6 @@ AllocationResult solve_allocation(const AllocationProblem& p) {
           t_lo = mid;
         }
       }
-      result.iterations = iter;
       t_star = t_hi;
     } else {
       t_star = t_lo;

@@ -48,8 +48,6 @@ struct AllocationResult {
   /// Total fractional cores placed on non-home workers beyond their
   /// mandatory 1 (diagnostic: the quantity the local policy over-spends).
   double offloaded_cores = 0.0;
-  /// Bisection iterations spent.
-  int iterations = 0;
 };
 
 /// Thrown when a node cannot give each of its resident workers one core.

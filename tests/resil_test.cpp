@@ -401,7 +401,7 @@ TEST(Resil, HeartbeatRunsAreDeterministic) {
 
 // --- solver fallback chain ---------------------------------------------------
 
-TEST(Resil, DefaultBudgetsNeverDownshift) {
+TEST(Resil, FaultFreeGlobalRunNeverDownshifts) {
   core::RuntimeConfig cfg = resil_cluster(4, 16, 3);
   apps::SyntheticWorkload wl(synth(4, 6, 120, 2.0));
   core::ClusterRuntime rt(cfg);
