@@ -52,6 +52,9 @@ struct RunResult {
   std::uint64_t quarantine_readmissions = 0;
   std::uint64_t policy_downshifts = 0;    ///< solver fallback-chain drops
   std::uint64_t rewired_edges = 0;        ///< expander edges added post-crash
+  /// Retired tasks not finished exactly once (nanos::TaskPool::
+  /// not_exactly_once); 0 on every correct run.
+  std::uint64_t tasks_not_exactly_once = 0;
 
   // Scheduler policy statistics (tlb::sched).
   std::string sched_policy;        ///< name of the policy that ran

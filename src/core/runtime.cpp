@@ -128,6 +128,8 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   }
   // Every timeline mark also becomes an instant of the span store.
   recorder_->attach_spans(span_recorder_.get());
+  // The collector's critical path reads successor edges after the run.
+  if (spans() != nullptr) pool_.keep_retired_records();
 
   // Contention-aware interconnect (tlb::net): replace the analytic cost
   // model with a shared-link fabric. The control plane routes its
@@ -271,6 +273,7 @@ RunResult ClusterRuntime::finalize() {
   result_.sched_policy = scheduler_->name();
   result_.sched = scheduler_->stats();
   result_.events_fired = engine_.events_fired();
+  result_.tasks_not_exactly_once = pool_.not_exactly_once();
 
   if (span_recorder_ != nullptr) {
     // Closing moves the unfinished spans into the collector and completes
@@ -356,6 +359,10 @@ void ClusterRuntime::enter_barrier(int apprank) {
 
 void ClusterRuntime::on_barrier_done() {
   const int iteration = appranks_.front().iteration;
+  // Every task created so far has finished; nothing reads or writes their
+  // records again (ghosts, zombies and stale messages carry what they
+  // need).
+  pool_.retire_below(pool_.size());
   result_.iteration_times.push_back(engine_.now() - last_barrier_time_);
   last_barrier_time_ = engine_.now();
   if (auto* sink = dynamic_cast<stream::StreamSink*>(span_recorder_.get())) {
@@ -437,6 +444,8 @@ void ClusterRuntime::assign_to_worker(nanos::TaskId id, WorkerId w) {
   nanos::Task& task = pool_.get(id);
   const WorkerInfo& info = topology_->worker(w);
   assert(usable(w));
+  // Control messages name the apprank of the worker, not of the record.
+  assert(info.apprank == task.apprank);
   task.state = nanos::TaskState::Scheduled;
   task.scheduled_node = info.node;
   workers_[static_cast<std::size_t>(w)].inflight += 1;
@@ -695,7 +704,6 @@ void ClusterRuntime::on_task_finished(std::uint64_t exec_id) {
   const WorkerId w = run.worker;
   const int node = run.node;
   const WorkerInfo& info = topology_->worker(w);
-  nanos::Task& task = pool_.get(run.task);
 
   talp_->on_busy_delta(w, -1);
   recorder_->busy_delta(engine_.now(), node, info.apprank, -1);
@@ -711,6 +719,7 @@ void ClusterRuntime::on_task_finished(std::uint64_t exec_id) {
     return;
   }
 
+  nanos::Task& task = pool_.get(run.task);
   task.finish_at = engine_.now();
   sink().exec_end(run.task, engine_.now());
   workers_[static_cast<std::size_t>(w)].inflight -= 1;
@@ -1156,19 +1165,22 @@ void ClusterRuntime::detector_sweep() {
 void ClusterRuntime::send_completion(nanos::TaskId id, WorkerId w,
                                      std::uint64_t epoch) {
   ++result_.control_messages;
-  ctrl_comm_->send(w, topology_->home_worker(pool_.get(id).apprank), 0,
+  ctrl_comm_->send(w, topology_->home_worker(topology_->worker(w).apprank), 0,
                    [this, id, w, epoch] { on_completion(id, w, epoch); });
 }
 
 void ClusterRuntime::send_offload(nanos::TaskId id, WorkerId w,
                                   std::uint64_t epoch) {
-  ctrl_comm_->send(
-      topology_->home_worker(pool_.get(id).apprank), w, 0,
-      [this, id, w, epoch] { on_offload_delivered(id, w, epoch); });
+  // The message carries the task's work: a stale copy may arrive after the
+  // task's record retired, and its zombie execution still needs it.
+  ctrl_comm_->send(topology_->home_worker(topology_->worker(w).apprank), w, 0,
+                   [this, id, w, epoch, work = pool_.get(id).work] {
+                     on_offload_delivered(id, w, epoch, work);
+                   });
 }
 
 void ClusterRuntime::on_offload_delivered(nanos::TaskId id, WorkerId w,
-                                          std::uint64_t epoch) {
+                                          std::uint64_t epoch, double work) {
   if (done_) return;
   if (!alive_[static_cast<std::size_t>(w)]) return;  // delivered into a corpse
   resil::LeaseRecord* lease = leases_.find(id);
@@ -1180,10 +1192,9 @@ void ClusterRuntime::on_offload_delivered(nanos::TaskId id, WorkerId w,
     // that. It executes the task as a zombie; the completion it eventually
     // reports names the stale epoch and is suppressed. Modelled off-book —
     // the zombie burns time, not scheduler state.
-    const nanos::Task& task = pool_.get(id);
     const double speed =
         node_speed_[static_cast<std::size_t>(topology_->worker(w).node)];
-    engine_.after(task.work / speed, [this, id, w, epoch] {
+    engine_.after(work / speed, [this, id, w, epoch] {
       if (done_ || !alive_[static_cast<std::size_t>(w)]) return;
       send_completion(id, w, epoch);
     });
@@ -1204,7 +1215,7 @@ void ClusterRuntime::on_offload_delivered(nanos::TaskId id, WorkerId w,
 void ClusterRuntime::send_ack(nanos::TaskId id, WorkerId w,
                               std::uint64_t epoch) {
   ++result_.control_messages;
-  ctrl_comm_->send(w, topology_->home_worker(pool_.get(id).apprank), 0,
+  ctrl_comm_->send(w, topology_->home_worker(topology_->worker(w).apprank), 0,
                    [this, id, w, epoch] { on_ack(id, w, epoch); });
 }
 

@@ -130,7 +130,17 @@ class ClusterRuntime : private sched::RuntimeView {
   }
   [[nodiscard]] const RuntimeConfig& config() const { return config_; }
   [[nodiscard]] sim::SimTime now() const override { return engine_.now(); }
+  /// The task records. Each iteration's block retires at its barrier
+  /// (the last one when the run ends) and is freed then, unless a span
+  /// collector is attached (spans() non-null), whose critical path reads
+  /// the successor edges after the run. digest() folds every retired
+  /// record; observe_retired_tasks() sees each one.
   [[nodiscard]] const nanos::TaskPool& tasks() const { return pool_; }
+  /// Calls `fn` with each task record as it retires, in id order. Set it
+  /// before the run; checks of single records after a run go here.
+  void observe_retired_tasks(nanos::TaskPool::RetireObserver fn) {
+    pool_.set_retire_observer(std::move(fn));
+  }
 
   /// The scheduling policy (tlb::sched; never null after construction),
   /// for post-run inspection of per-policy counters.
@@ -144,8 +154,8 @@ class ClusterRuntime : private sched::RuntimeView {
   /// was set (and obs.stream was not). Feed to obs::chrome_trace_json /
   /// obs::critical_path. finalize() closes the recorder, which moves the
   /// spans still open into it; before that it holds finished spans only.
-  /// In streaming mode rebuild the same view post-run with
-  /// stream::StreamReader on the spill file.
+  /// In streaming mode the spill file holds the same spans (the spill
+  /// format's reader is a test oracle, tests/stream_reader.hpp).
   [[nodiscard]] const obs::SpanCollector* spans() const {
     return dynamic_cast<const obs::SpanCollector*>(span_recorder_.get());
   }
@@ -350,7 +360,8 @@ class ClusterRuntime : private sched::RuntimeView {
   /// apprank's home (heartbeat mode, ghost and zombie executions).
   void send_completion(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
   void send_offload(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
-  void on_offload_delivered(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
+  void on_offload_delivered(nanos::TaskId id, WorkerId w, std::uint64_t epoch,
+                            double work);
   void send_ack(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
   void on_ack(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
   void on_lease_timeout(nanos::TaskId id);

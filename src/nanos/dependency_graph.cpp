@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "prof/prof.hpp"
+
 namespace tlb::nanos {
 
 bool DependencyGraph::register_task(TaskId id) {
@@ -34,12 +36,21 @@ bool DependencyGraph::register_task(TaskId id) {
   // Each predecessor once; drop self-deps from multiple regions of one task.
   std::sort(preds_.begin(), preds_.end());
   preds_.erase(std::unique(preds_.begin(), preds_.end()), preds_.end());
+  // A retired predecessor finished before its block retired: no record
+  // to read, and no edge.
+  const TaskId retired = pool_.retired();
   int remaining = 0;
   for (TaskId p : preds_) {
-    if (p == id) continue;
+    if (p == id || p < retired) continue;
     Task& pred = pool_.get(p);
     if (pred.state != TaskState::Finished) {
+      const std::size_t capacity = pred.successors.capacity();
       pred.successors.push_back(id);
+      if (pred.successors.capacity() != capacity) {
+        prof::alloc_note(
+            prof::AllocTag::NanosTask,
+            (pred.successors.capacity() - capacity) * sizeof(TaskId));
+      }
       ++remaining;
       ++edges_;
     }

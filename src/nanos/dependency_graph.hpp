@@ -24,7 +24,8 @@ class DependencyGraph {
 
   /// Registers the next task in program order; wires predecessor /
   /// successor edges and sets task.deps_remaining. Returns true when the
-  /// task is immediately ready (no unfinished predecessors).
+  /// task is immediately ready (no unfinished predecessors). Predecessors
+  /// below the pool's retired watermark count as finished.
   bool register_task(TaskId id);
 
   /// Marks a task finished and returns the tasks that became ready.

@@ -6,8 +6,12 @@
 // marked non-offloadable, e.g. those performing MPI calls).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "prof/prof.hpp"
@@ -72,10 +76,28 @@ struct Task {
   std::uint64_t transfer_bytes = 0;  ///< input bytes moved to run it
 };
 
+/// Offset basis and one step of the 64-bit FNV-1a hash that folds retired
+/// records into TaskPool::digest().
+inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+[[nodiscard]] inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v;
+  h *= 1099511628211ull;
+  return h;
+}
+
 /// Owns tasks; ids are dense indices. A deque keeps references stable as
 /// tasks are appended.
+///
+/// Record lifetime: the owner retires each block of ids once nothing will
+/// read or write those records again (the runtime does it at every
+/// iteration's barrier). Retiring a record checks that it finished exactly
+/// once, hands it to the retire observer, folds its placement and timing
+/// into digest() and frees it; get() on a freed id throws. size() keeps
+/// counting every task ever created.
 class TaskPool {
  public:
+  using RetireObserver = std::function<void(const Task&)>;
+
   ~TaskPool() {
     if (!prof::enabled()) return;
     for (const auto& t : tasks_) {
@@ -86,7 +108,7 @@ class TaskPool {
   TaskId create(int apprank, double work, std::vector<AccessRegion> accesses,
                 bool offloadable = true) {
     Task t;
-    t.id = static_cast<TaskId>(tasks_.size());
+    t.id = static_cast<TaskId>(size());
     t.apprank = apprank;
     t.work = work;
     t.accesses = std::move(accesses);
@@ -96,22 +118,88 @@ class TaskPool {
     return tasks_.back().id;
   }
 
-  [[nodiscard]] Task& get(TaskId id) { return tasks_.at(static_cast<std::size_t>(id)); }
+  [[nodiscard]] Task& get(TaskId id) { return tasks_.at(slot(id)); }
   [[nodiscard]] const Task& get(TaskId id) const {
-    return tasks_.at(static_cast<std::size_t>(id));
+    return tasks_.at(slot(id));
   }
-  [[nodiscard]] std::size_t size() const { return tasks_.size(); }
+  /// Tasks ever created (retired ones included).
+  [[nodiscard]] std::size_t size() const { return freed_ + tasks_.size(); }
+
+  /// Ids below this are retired: finished, and never written again.
+  [[nodiscard]] TaskId retired() const { return retired_; }
+
+  /// Retires ids [retired(), end) in id order. Their records are freed
+  /// unless keep_retired_records() was called.
+  void retire_below(TaskId end) {
+    for (; retired_ < end; ++retired_) {
+      const Task& t = get(retired_);
+      if (t.state != TaskState::Finished || t.executions < 1 ||
+          t.executions > 1 + t.reexecutions) {
+        ++not_exactly_once_;
+      }
+      if (observer_) observer_(t);
+      digest_ = fnv_mix(digest_, t.id);
+      digest_ = fnv_mix(digest_, signed_bits(t.scheduled_node));
+      digest_ = fnv_mix(digest_, signed_bits(t.executed_worker));
+      digest_ = fnv_mix(digest_, signed_bits(t.executed_core));
+      digest_ = fnv_mix(digest_, static_cast<std::uint64_t>(t.executions));
+      digest_ = fnv_mix(digest_, std::bit_cast<std::uint64_t>(t.start_at));
+      digest_ = fnv_mix(digest_, std::bit_cast<std::uint64_t>(t.finish_at));
+    }
+    if (keep_retired_) return;
+    for (; freed_ < retired_; ++freed_) {
+      prof::free_note(prof::AllocTag::NanosTask, charged_bytes(tasks_.front()));
+      tasks_.pop_front();
+    }
+  }
+
+  /// FNV-1a over every retired record's id, scheduled node, executed
+  /// worker and core, execution count, start and finish time, in id order.
+  [[nodiscard]] std::uint64_t digest() const { return digest_; }
+
+  /// Retired records that were not finished exactly once: unfinished,
+  /// never executed, or executed more often than once plus once per
+  /// re-execution (an extra attempt neither rescued nor suppressed).
+  [[nodiscard]] std::uint64_t not_exactly_once() const {
+    return not_exactly_once_;
+  }
+
+  /// Called with each record as it retires, in id order.
+  void set_retire_observer(RetireObserver fn) { observer_ = std::move(fn); }
+
+  /// Retired records stay readable until the pool is destroyed (a span
+  /// collector's critical path reads their successor edges after the run).
+  void keep_retired_records() { keep_retired_ = true; }
 
  private:
   // Attribution estimate for tlb::prof: the task record plus its access
-  // vector. The accesses capacity is fixed at create() (moved in, never
-  // appended), so the same formula at destruction balances to zero.
-  // Successor edges grow later and are deliberately not charged here.
+  // and successor vectors. The accesses capacity is fixed at create()
+  // (moved in, never appended); DependencyGraph charges each growth of
+  // the successors capacity as it happens, so the same formula at
+  // retirement or destruction balances to zero.
   [[nodiscard]] static std::size_t charged_bytes(const Task& t) {
-    return sizeof(Task) + t.accesses.capacity() * sizeof(AccessRegion);
+    return sizeof(Task) + t.accesses.capacity() * sizeof(AccessRegion) +
+           t.successors.capacity() * sizeof(TaskId);
+  }
+  [[nodiscard]] static std::uint64_t signed_bits(int v) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+  }
+  /// Deque index of `id`; throws for a freed id.
+  [[nodiscard]] std::size_t slot(TaskId id) const {
+    if (id < freed_) {
+      throw std::out_of_range("TaskPool: task " + std::to_string(id) +
+                              " was retired");
+    }
+    return static_cast<std::size_t>(id - freed_);
   }
 
-  std::deque<Task> tasks_;
+  std::deque<Task> tasks_;  ///< records from id freed_ on
+  TaskId freed_ = 0;        ///< records below this id were freed
+  TaskId retired_ = 0;
+  std::uint64_t digest_ = kFnvOffset;
+  std::uint64_t not_exactly_once_ = 0;
+  RetireObserver observer_;
+  bool keep_retired_ = false;
 };
 
 }  // namespace tlb::nanos

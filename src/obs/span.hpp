@@ -176,9 +176,9 @@ class SpanRecorder : public SpanSink {
 
 /// In-memory backend: closed spans land at their dense task-id slot,
 /// instants are kept in emission order. The exporters (chrome_trace,
-/// flame, critical_path) read this view; a stream::StreamReader builds
-/// the same view from a spill file by calling the three store entry
-/// points with the file's records.
+/// flame, critical_path) read this view; the spill-format oracle in
+/// tests/stream_reader.hpp builds the same view from a spill file by
+/// calling the three store entry points with the file's records.
 class SpanCollector final : public SpanRecorder {
  public:
   ~SpanCollector() override;
@@ -195,8 +195,8 @@ class SpanCollector final : public SpanRecorder {
 
   void store_span(TaskSpan span) override;
   void store_instant(InstantEvent event) override;
-  /// Live runs hand back the totals the hooks accumulated; a StreamReader
-  /// hands over the spill file's footer.
+  /// Live runs hand back the totals the hooks accumulated; a spill
+  /// reader hands over the file's footer.
   void store_totals(const RunTotals& totals) override {
     transfer_wait_ = totals.transfer_wait_core_s;
     rescues_ = totals.rescues;

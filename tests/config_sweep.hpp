@@ -129,20 +129,8 @@ inline std::uint64_t run_checked(const Scenario& s,
   }
   // Exactly-once completion: every task finished, and each extra attempt
   // (re-queue, zombie) is accounted as a re-execution.
-  const nanos::TaskPool& pool = rt.tasks();
-  EXPECT_GT(pool.size(), 0u);
-  int bad = 0;
-  for (nanos::TaskId id = 0; id < pool.size(); ++id) {
-    const nanos::Task& t = pool.get(id);
-    if (t.state != nanos::TaskState::Finished || t.executions < 1 ||
-        t.executions > 1 + t.reexecutions) {
-      if (++bad <= 3) {
-        ADD_FAILURE() << "task " << id << " executions=" << t.executions
-                      << " reexecutions=" << t.reexecutions;
-      }
-    }
-  }
-  EXPECT_EQ(bad, 0);
+  EXPECT_GT(rt.tasks().size(), 0u);
+  EXPECT_EQ(r.tasks_not_exactly_once, 0u);
   EXPECT_EQ(rt.outstanding_leases(), 0u);
   for (int w = 0; w < rt.topology().worker_count(); ++w) {
     EXPECT_EQ(rt.worker_pending(w), 0) << "worker " << w;

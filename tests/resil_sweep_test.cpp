@@ -157,13 +157,7 @@ TEST(ResilSweep, RandomFaultScenariosPreserveInvariants) {
               static_cast<std::size_t>(s.app.iterations));
 
     // Zero lost tasks, exactly-once completion accounting.
-    const auto& pool = rt.tasks();
-    for (nanos::TaskId id = 0; id < pool.size(); ++id) {
-      const nanos::Task& t = pool.get(id);
-      ASSERT_EQ(t.state, nanos::TaskState::Finished) << "task " << id;
-      ASSERT_GE(t.executions, 1) << "task " << id;
-      ASSERT_LE(t.executions, 1 + t.reexecutions) << "task " << id;
-    }
+    ASSERT_EQ(r.tasks_not_exactly_once, 0u);
 
     // The control plane drained completely.
     EXPECT_EQ(rt.outstanding_leases(), 0u);
