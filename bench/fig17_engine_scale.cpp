@@ -12,12 +12,15 @@
 //    tracks the telemetry-off run while producing the same trace (the
 //    equivalence is pinned bit-for-bit by tests/stream_test.cpp).
 //  - "solver": one fabric driven through a seeded arrival/cancel
-//    sequence: wall clock, solves, and flows touched by the max-min
-//    solve (its bitwise exactness is pinned against a reference
-//    progressive filling by tests/net_test.cpp).
+//    sequence: wall clock, solves, flows touched, and the filling rounds
+//    run and replayed by the warm-started max-min solve (its bitwise
+//    exactness is pinned against a reference progressive filling by
+//    tests/net_test.cpp).
 //  - "scale": nodes x tasks with the streaming backend (the fig17
 //    configuration): wall clock, events/sec, peak RSS, spans spilled,
-//    and solver work counters.
+//    and solver work counters. Each point runs in a forked child, so its
+//    peak RSS is that point's own, not the high-water mark of the arms
+//    that ran before it.
 //
 // Baseline recorded for the header claim: the pre-PR engine (seed
 // 89c9282: std::priority_queue event loop, full re-solve on every flow
@@ -31,10 +34,16 @@
 // src/prof self-profiler (windowed per point). Measured outcomes on the
 // reference host are in EXPERIMENTS.md Fig 17. Simulated results are
 // deterministic; only wall-clock columns vary between hosts.
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <random>
+#include <type_traits>
 
 #include "apps/synthetic.hpp"
 #include "bench/common.hpp"
@@ -106,8 +115,12 @@ std::uint64_t total_tasks(int nodes, int tasks_per_rank) {
          static_cast<std::uint64_t>(cfg.tasks_per_rank);
 }
 
+/// Trivially copyable, so a forked scale point can hand it back through a
+/// pipe.
 struct RunSample {
-  core::RunResult result;
+  double makespan = 0.0;
+  std::uint64_t events_fired = 0;
+  std::uint64_t tasks_total = 0;
   double wall_s = 0.0;
   double events_per_sec = 0.0;
   double rss_mb = 0.0;       ///< VmRSS right after run() (runtime alive)
@@ -117,21 +130,25 @@ struct RunSample {
   std::uint64_t peak_open_spans = 0;
   std::uint64_t solver_runs = 0;
   std::uint64_t solver_flows_touched = 0;
-  std::uint64_t solver_links_touched = 0;
+  std::uint64_t solver_rounds = 0;
+  std::uint64_t solver_rounds_replayed = 0;
   // Filled only when TLB_PROF=1 (all zero otherwise).
   bool prof_on = false;
   double solver_wall_share = 0.0;       ///< total_ns("net.solve") / window wall
   double prof_unattributed_share = 0.0; ///< 1 - attributed/wall (acceptance <5%)
   double alloc_bytes_per_task = 0.0;    ///< sum of per-tag peaks / total tasks
   std::uint64_t prof_snapshots = 0;
-  std::vector<prof::TagStats> alloc_peaks;  ///< per-tag, for the RSS breakdown
+  /// Per-tag peaks for the RSS breakdown (tag names are static strings).
+  std::array<prof::TagStats, prof::kAllocTagCount> alloc_peaks{};
 };
+static_assert(std::is_trivially_copyable_v<RunSample>);
 
 RunSample run_once(int nodes, int tasks_per_rank, Telemetry telemetry,
                    const std::string& stream_path) {
   // Each point gets its own profiler window so solver_wall_share and the
   // allocation peaks describe this run, not everything since main().
-  // (The report-level "prof" block therefore covers the *last* point.)
+  // (The report-level "prof" block therefore covers the last point run in
+  // this process: the collector telemetry point and the solver arm.)
   const bool prof_on = bench::prof_requested();
   if (prof_on) prof::Profiler::instance().reset();
   RunSample s;
@@ -139,14 +156,15 @@ RunSample run_once(int nodes, int tasks_per_rank, Telemetry telemetry,
   apps::SyntheticWorkload wl(workload_config(nodes, tasks_per_rank));
   core::ClusterRuntime rt(runtime_config(nodes, telemetry, stream_path));
   const auto t0 = std::chrono::steady_clock::now();
-  s.result = rt.run(wl);
+  const core::RunResult result = rt.run(wl);
   s.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  s.makespan = result.makespan;
+  s.events_fired = result.events_fired;
+  s.tasks_total = result.tasks_total;
   s.events_per_sec =
-      s.wall_s > 0.0
-          ? static_cast<double>(s.result.events_fired) / s.wall_s
-          : 0.0;
+      s.wall_s > 0.0 ? static_cast<double>(s.events_fired) / s.wall_s : 0.0;
   s.rss_mb = bench::current_rss_mb();
   s.peak_rss_mb = bench::peak_rss_mb();
   if (const stream::StreamSink* sink = rt.stream_sink()) {
@@ -157,7 +175,8 @@ RunSample run_once(int nodes, int tasks_per_rank, Telemetry telemetry,
   if (const net::Fabric* fabric = rt.fabric()) {
     s.solver_runs = fabric->solver_runs();
     s.solver_flows_touched = fabric->solver_flows_touched();
-    s.solver_links_touched = fabric->solver_links_touched();
+    s.solver_rounds = fabric->solver_rounds();
+    s.solver_rounds_replayed = fabric->solver_rounds_replayed();
   }
   if (prof_on) {
     // Read before ~ClusterRuntime so the window excludes teardown (the
@@ -178,7 +197,9 @@ RunSample run_once(int nodes, int tasks_per_rank, Telemetry telemetry,
               : 0.0;
     }
     s.prof_snapshots = p.snapshots().size();
-    s.alloc_peaks = p.alloc_stats();
+    const std::vector<prof::TagStats> peaks = p.alloc_stats();
+    std::copy_n(peaks.begin(), std::min(peaks.size(), s.alloc_peaks.size()),
+                s.alloc_peaks.begin());
     std::int64_t peak_sum = 0;
     for (const auto& t : s.alloc_peaks) peak_sum += t.peak_bytes;
     const std::uint64_t tasks = total_tasks(nodes, tasks_per_rank);
@@ -186,6 +207,55 @@ RunSample run_once(int nodes, int tasks_per_rank, Telemetry telemetry,
       s.alloc_bytes_per_task =
           static_cast<double>(peak_sum) / static_cast<double>(tasks);
     }
+  }
+  return s;
+}
+
+/// run_once() in a forked child: the point's peak RSS is the child's own
+/// high-water mark, which starts from the pages the child inherits (the
+/// binary and whatever the earlier arms left resident) instead of the
+/// parent's peak so far.
+RunSample run_in_child(int nodes, int tasks_per_rank,
+                       const std::string& stream_path) {
+  std::fflush(nullptr);
+  int fds[2];
+  if (pipe(fds) != 0) {
+    std::perror("fig17: pipe");
+    std::exit(1);
+  }
+  const pid_t pid = fork();
+  if (pid < 0) {
+    std::perror("fig17: fork");
+    std::exit(1);
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    const RunSample s =
+        run_once(nodes, tasks_per_rank, Telemetry::Stream, stream_path);
+    const auto* bytes = reinterpret_cast<const char*>(&s);
+    std::size_t sent = 0;
+    while (sent < sizeof(s)) {
+      const ssize_t n = write(fds[1], bytes + sent, sizeof(s) - sent);
+      if (n <= 0) _exit(1);
+      sent += static_cast<std::size_t>(n);
+    }
+    _exit(0);
+  }
+  close(fds[1]);
+  RunSample s;
+  auto* bytes = reinterpret_cast<char*>(&s);
+  std::size_t got = 0;
+  while (got < sizeof(s)) {
+    const ssize_t n = read(fds[0], bytes + got, sizeof(s) - got);
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (got != sizeof(s) || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    std::fprintf(stderr, "fig17: scale point at %d nodes failed\n", nodes);
+    std::exit(1);
   }
   return s;
 }
@@ -216,10 +286,10 @@ void telemetry_arm(bench::JsonReport& report, int nodes, int tasks_per_rank) {
     const std::uint64_t spans = b.telemetry == Telemetry::Stream
                                     ? s.spans_spilled
                                     : (b.telemetry == Telemetry::Collector
-                                           ? s.result.tasks_total
+                                           ? s.tasks_total
                                            : 0);
     print_cell(b.name);
-    print_cell(s.result.makespan);
+    print_cell(s.makespan);
     print_cell(s.wall_s);
     print_cell(fmt(s.events_per_sec / 1e3, 2));
     print_cell(fmt(s.rss_mb, 1));
@@ -231,9 +301,9 @@ void telemetry_arm(bench::JsonReport& report, int nodes, int tasks_per_rank) {
         .set("backend", b.name)
         .set("nodes", nodes)
         .set("tasks", total_tasks(nodes, tasks_per_rank))
-        .set("makespan", s.result.makespan)
+        .set("makespan", s.makespan)
         .set("wall_s", s.wall_s)
-        .set("events_fired", s.result.events_fired)
+        .set("events_fired", s.events_fired)
         .set("events_per_sec", s.events_per_sec)
         .set("rss_mb", s.rss_mb)
         .set("peak_rss_mb", s.peak_rss_mb)
@@ -246,11 +316,18 @@ void telemetry_arm(bench::JsonReport& report, int nodes, int tasks_per_rank) {
 
 // --- solver arm ---------------------------------------------------------------
 
+struct SolverSample {
+  double wall_s = 0.0;
+  std::uint64_t runs = 0;
+  std::uint64_t flows_touched = 0;
+  std::uint64_t rounds = 0;
+  std::uint64_t rounds_replayed = 0;
+};
+
 /// Drives one fabric through a fixed seeded flow schedule: `count` flow
 /// arrivals 50us apart, random (src, dst, bytes), every 7th flow
-/// cancelled mid-flight. Returns wall seconds.
-double drive_fabric(int nodes, int count, std::uint64_t& runs,
-                    std::uint64_t& flows_touched) {
+/// cancelled mid-flight.
+SolverSample drive_fabric(int nodes, int count) {
   sim::Engine engine;
   net::NetTopology topo = net::NetTopology::fat_tree(
       nodes, kLeafRadix, kSpines, kNicBandwidth, 4.0 * kNicBandwidth, 1e-6,
@@ -271,10 +348,15 @@ double drive_fabric(int nodes, int count, std::uint64_t& runs,
     });
   }
   engine.run();
-  runs = fabric.solver_runs();
-  flows_touched = fabric.solver_flows_touched();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+  SolverSample s;
+  s.wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  s.runs = fabric.solver_runs();
+  s.flows_touched = fabric.solver_flows_touched();
+  s.rounds = fabric.solver_rounds();
+  s.rounds_replayed = fabric.solver_rounds_replayed();
+  return s;
 }
 
 void solver_arm(bench::JsonReport& report, int nodes, int flow_count) {
@@ -282,22 +364,24 @@ void solver_arm(bench::JsonReport& report, int nodes, int flow_count) {
   print_header("Fig 17b: max-min solve under flow churn (" +
                    std::to_string(nodes) + " nodes, " +
                    std::to_string(flow_count) + " flows)",
-               {"wall[s]", "solves", "flows_touched"});
+               {"wall[s]", "solves", "flows_touched", "rounds", "replayed"});
 
-  std::uint64_t runs = 0;
-  std::uint64_t touched = 0;
-  const double wall = drive_fabric(nodes, flow_count, runs, touched);
-  print_cell(wall);
-  print_cell(static_cast<int>(runs));
-  print_cell(static_cast<int>(touched));
+  const SolverSample s = drive_fabric(nodes, flow_count);
+  print_cell(s.wall_s);
+  print_cell(static_cast<int>(s.runs));
+  print_cell(static_cast<int>(s.flows_touched));
+  print_cell(static_cast<int>(s.rounds));
+  print_cell(static_cast<int>(s.rounds_replayed));
   end_row();
 
   report.point("solver")
       .set("nodes", nodes)
       .set("flows", flow_count)
-      .set("wall_s", wall)
-      .set("solver_runs", runs)
-      .set("solver_flows_touched", touched);
+      .set("wall_s", s.wall_s)
+      .set("solver_runs", s.runs)
+      .set("solver_flows_touched", s.flows_touched)
+      .set("solver_rounds", s.rounds)
+      .set("solver_rounds_replayed", s.rounds_replayed);
 }
 
 // --- scale arm ----------------------------------------------------------------
@@ -311,15 +395,14 @@ void scale_arm(bench::JsonReport& report, const std::vector<int>& node_counts,
   for (const int nodes : node_counts) {
     const std::string spill =
         bench_dir() + "/fig17_scale_n" + std::to_string(nodes) + ".stream";
-    const RunSample s =
-        run_once(nodes, tasks_per_rank, Telemetry::Stream, spill);
+    const RunSample s = run_in_child(nodes, tasks_per_rank, spill);
     const double vs_seed = kSeedBaselineEventsPerSec > 0.0
                                ? s.events_per_sec / kSeedBaselineEventsPerSec
                                : 0.0;
 
     print_cell(nodes);
     print_cell(static_cast<int>(total_tasks(nodes, tasks_per_rank)));
-    print_cell(s.result.makespan);
+    print_cell(s.makespan);
     print_cell(s.wall_s);
     print_cell(fmt(s.events_per_sec / 1e3, 2));
     print_cell(fmt(s.peak_rss_mb, 1));
@@ -330,9 +413,9 @@ void scale_arm(bench::JsonReport& report, const std::vector<int>& node_counts,
     bench::JsonObject& pt = report.point("scale");
     pt.set("nodes", nodes)
         .set("tasks", total_tasks(nodes, tasks_per_rank))
-        .set("makespan", s.result.makespan)
+        .set("makespan", s.makespan)
         .set("wall_s", s.wall_s)
-        .set("events_fired", s.result.events_fired)
+        .set("events_fired", s.events_fired)
         .set("events_per_sec", s.events_per_sec)
         .set("rss_mb", s.rss_mb)
         .set("peak_rss_mb", s.peak_rss_mb)
@@ -341,7 +424,8 @@ void scale_arm(bench::JsonReport& report, const std::vector<int>& node_counts,
         .set("peak_open_spans", s.peak_open_spans)
         .set("solver_runs", s.solver_runs)
         .set("solver_flows_touched", s.solver_flows_touched)
-        .set("solver_links_touched", s.solver_links_touched)
+        .set("solver_rounds", s.solver_rounds)
+        .set("solver_rounds_replayed", s.solver_rounds_replayed)
         .set("events_per_sec_vs_seed", vs_seed);
     if (s.prof_on) {
       // Direction-aware trend metrics (tools/bench_trend.py: up is bad)
@@ -353,6 +437,7 @@ void scale_arm(bench::JsonReport& report, const std::vector<int>& node_counts,
       const auto tasks =
           static_cast<double>(total_tasks(nodes, tasks_per_rank));
       for (const auto& t : s.alloc_peaks) {
+        if (t.tag == nullptr) continue;
         std::string key = std::string("alloc_") + t.tag + "_bytes_per_task";
         for (char& c : key) {
           if (c == '.') c = '_';

@@ -475,17 +475,15 @@ std::map<FlowId, double> reference_rates(
   return rate;
 }
 
-/// Seeded churn over a zero-latency fat-tree: bursty arrivals skewed to a
-/// few hot destinations, sporadic cancels, a global bandwidth fault and
-/// link degradations mid-run. After every mutation the test audits every
-/// flow it started: streaming flows must report exactly the reference
-/// rate, everything else 0.
+/// Seeded churn over a zero-latency topology (a fat-tree unless given):
+/// bursty arrivals skewed to a few hot destinations, sporadic cancels, a
+/// global bandwidth fault and link degradations mid-run. After every
+/// mutation the test audits every flow it started: streaming flows must
+/// report exactly the reference rate, everything else 0.
 struct ChurnHarness {
-  static constexpr int kNodes = 32;
-
-  ChurnHarness()
-      : topo(NetTopology::fat_tree(kNodes, 8, 2, 100.0, 400.0, 0.0, 0.0)),
-        fabric(engine, topo) {}
+  explicit ChurnHarness(
+      NetTopology t = NetTopology::fat_tree(32, 8, 2, 100.0, 400.0, 0.0, 0.0))
+      : topo(std::move(t)), fabric(engine, topo) {}
 
   /// Starts a flow; with zero latency its injection fires next at this
   /// instant, and the marker pushed right behind it records the flow as
@@ -534,10 +532,11 @@ struct ChurnHarness {
 /// fault changes spread over the arrival window.
 void schedule_churn(ChurnHarness& h, int flows, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
+  const auto nodes = static_cast<std::uint64_t>(h.topo.node_count());
   for (int i = 0; i < flows; ++i) {
-    const int src = static_cast<int>(rng() % ChurnHarness::kNodes);
-    int dst = static_cast<int>(rng() % (i % 3 == 0 ? 4 : ChurnHarness::kNodes));
-    if (dst == src) dst = (dst + 1) % ChurnHarness::kNodes;
+    const auto src = static_cast<int>(rng() % nodes);
+    auto dst = static_cast<int>(rng() % (i % 3 == 0 ? 4 : nodes));
+    if (dst == src) dst = (dst + 1) % static_cast<int>(nodes);
     const std::uint64_t bytes = 1 + rng() % 2000;
     const sim::SimTime t = 0.05 * static_cast<double>(i);
     h.engine.at(t, [&h, src, dst, bytes] { h.start(src, dst, bytes); });
@@ -562,12 +561,120 @@ void schedule_churn(ChurnHarness& h, int flows, std::uint64_t seed) {
   at(0.78 * span, [&h, links] { h.fabric.degrade_link(links - 1, 1.0); });
 }
 
+/// Runs a 600-flow churn to the end: one audit per arrival, cancel, fault
+/// change and completion at least, and a real share of the rounds kept
+/// from the previous filling rather than rerun (41-43% at these seeds).
+void expect_exact_warm_churn(ChurnHarness& h, std::uint64_t seed) {
+  schedule_churn(h, 600, seed);
+  h.engine.run();
+  EXPECT_GT(h.audits, 600 + 120 + 5);
+  EXPECT_EQ(h.fabric.active_flows(), 0);
+  const Fabric& fab = h.fabric;
+  EXPECT_GT(fab.solver_rounds_replayed(), fab.solver_rounds() / 3)
+      << fab.solver_rounds_replayed() << " of " << fab.solver_rounds();
+}
+
 TEST(NetFabricOracle, RatesMatchReferenceFillingUnderRandomChurn) {
   ChurnHarness h;
-  schedule_churn(h, 600, 0x1722ull);
+  expect_exact_warm_churn(h, 0x1722ull);
+}
+
+TEST(NetFabricOracle, CrossbarRatesMatchReferenceFillingUnderRandomChurn) {
+  ChurnHarness h(NetTopology::crossbar(32, 100.0, 0.0));
+  expect_exact_warm_churn(h, 0x5EEDull);
+}
+
+/// Solver round counters, read between scripted steps.
+struct Rounds {
+  std::uint64_t run = 0;
+  std::uint64_t replayed = 0;
+};
+Rounds rounds_of(const Fabric& fabric) {
+  return {fabric.solver_rounds(), fabric.solver_rounds_replayed()};
+}
+
+/// A zero-latency crossbar with unit NICs, so degrade_link() sets a link's
+/// capacity to exactly its multiplier; crossbar links are inject[n] = 2n
+/// and eject[n] = 2n + 1.
+ChurnHarness unit_crossbar(int nodes) {
+  return ChurnHarness(NetTopology::crossbar(nodes, 1.0, 0.0));
+}
+
+/// Starts a long flow at `t`; each start needs an instant of its own, so
+/// that its audit sees it streaming and no other flow in latency.
+void start_at(ChurnHarness& h, sim::SimTime t, NodeId src, NodeId dst) {
+  h.engine.at(t, [&h, src, dst] { h.start(src, dst, 1000000); });
+}
+
+/// Five flows into node 0 each freeze in round 0 at their own 0.7 NIC; a
+/// sixth flow joins nic0.out. `capacity` sets nic0.out; returns the round
+/// counters of the sixth flow's solve.
+Rounds sixth_flow_on_shared_eject(double capacity) {
+  ChurnHarness h = unit_crossbar(7);
+  for (int n = 1; n <= 5; ++n) h.fabric.degrade_link(2 * n, 0.7);
+  h.fabric.degrade_link(1, capacity);
+  for (int n = 1; n <= 5; ++n) start_at(h, 0.1 * n, n, 0);
+  Rounds before;
+  Rounds after;
+  h.engine.at(1.0, [&] {
+    before = rounds_of(h.fabric);
+    h.start(6, 0, 1000000);
+    h.engine.after(0.0, [&] { after = rounds_of(h.fabric); });
+  });
   h.engine.run();
-  // One audit per arrival, cancel, fault change and completion at least.
-  EXPECT_GT(h.audits, 600 + 120 + 5);
+  EXPECT_EQ(h.fabric.active_flows(), 0);
+  return {after.run - before.run, after.replayed - before.replayed};
+}
+
+TEST(NetFabricOracle, NearTieStopsTheReplayWhereRoundingDoes) {
+  // nic0.out = 4.2 shared by six flows. In exact arithmetic its share
+  // stays above the 0.7 level at every step of round 0, and the sixth
+  // flow would get 4.2 - 5 x 0.7 = 0.7000000000000004 in round 1. In
+  // doubles the share starts above the level (4.2 / 6 =
+  // 0.7000000000000001), but after one freeze (4.2 - 0.7) / 5 rounds to
+  // exactly 0.7, and five subtractions leave 0.6999999999999997: the cold
+  // filling freezes the sixth flow in round 0, so round 0 cannot repeat.
+  const Rounds tie = sixth_flow_on_shared_eject(4.2);
+  EXPECT_EQ(tie.replayed, 0u);
+  EXPECT_EQ(tie.run, 1u);
+  // Clear of the tie, the sixth flow outlasts round 0 and it repeats.
+  const Rounds clear = sixth_flow_on_shared_eject(4.3);
+  EXPECT_EQ(clear.replayed, 1u);
+  EXPECT_EQ(clear.run, 2u);
+}
+
+TEST(NetFabricOracle, WarmStartAtTheEdgesOfTheKeptFilling) {
+  // nic1.in = 0.2 freezes A in round 0; B and C then split nic0.out's
+  // remaining 0.8 in round 1; D crosses idle NICs and freezes in round 2.
+  ChurnHarness h = unit_crossbar(6);
+  h.fabric.degrade_link(2, 0.2);
+  start_at(h, 0.1, 1, 0);  // A
+  start_at(h, 0.2, 2, 0);  // B
+  start_at(h, 0.3, 3, 0);  // C
+  start_at(h, 0.4, 4, 5);  // D
+  Rounds before;
+  Rounds cancel_a;
+  Rounds cancel_d;
+  Rounds add_e;
+  h.engine.at(1.0, [&] {
+    ASSERT_EQ(h.fabric.flow_rate(h.ids[0]), 0.2);
+    before = rounds_of(h.fabric);
+    h.cancel(0);  // A froze in round 0: nothing repeats
+    cancel_a = rounds_of(h.fabric);
+    h.cancel(3);  // D froze in round 1 of the new filling: round 0 repeats
+    cancel_d = rounds_of(h.fabric);
+    // B and C share nic0.out in round 0. E crosses idle NICs above that
+    // level, so it outlasts every old round: all of them repeat.
+    h.start(4, 5, 1000000);
+    h.engine.after(0.0, [&] { add_e = rounds_of(h.fabric); });
+  });
+  h.engine.run();
+  EXPECT_EQ(cancel_a.replayed - before.replayed, 0u);
+  EXPECT_EQ(cancel_a.run - before.run, 2u);
+  EXPECT_EQ(cancel_d.replayed - cancel_a.replayed, 1u);
+  EXPECT_EQ(cancel_d.run - cancel_a.run, 1u);
+  EXPECT_EQ(add_e.replayed - cancel_d.replayed, 1u);
+  EXPECT_EQ(add_e.run - cancel_d.run, 2u);
   EXPECT_EQ(h.fabric.active_flows(), 0);
 }
 
