@@ -10,11 +10,14 @@
 // record_traces = false) — and checks on every run that each task finished
 // exactly once, the iteration count is exact and no iteration time is
 // negative. All six runs must give the same schedule fingerprint, and with
-// prof on every alloc tag must balance back to zero at teardown.
+// prof on every alloc tag must balance back to zero at teardown. Every run
+// also checks one owner per core at each ownership change and LeWI round
+// (watch_ownership).
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -105,6 +108,31 @@ inline apps::SyntheticConfig workload_of(const Scenario& s) {
   return app;
 }
 
+/// Checks one owner per core on `rt` whenever ownership is recorded and
+/// after every LeWI round: the registry's own invariants hold, and each
+/// core's owner is a live resident of its node. Reports the first
+/// violation of the run only.
+inline void watch_ownership(core::ClusterRuntime& rt) {
+  rt.observe_ownership([&rt, reported = false](
+                           int node, const dlb::NodeCores& nc) mutable {
+    nc.check_invariants();
+    if (reported) return;
+    const auto& residents = rt.topology().workers_on_node(node);
+    for (int c = 0; c < nc.core_count(); ++c) {
+      const dlb::WorkerId w = nc.owner(c);
+      if (std::find(residents.begin(), residents.end(), w) ==
+              residents.end() ||
+          !rt.worker_alive(w)) {
+        ADD_FAILURE() << "t=" << rt.now() << ": core " << c << " of node "
+                      << node << " is owned by worker " << w
+                      << ", not a live resident";
+        reported = true;
+        return;
+      }
+    }
+  });
+}
+
 /// Runs `s` once with `cfg` (the scenario's config, possibly with a
 /// record-only toggle set), checks the per-run invariants and returns the
 /// schedule fingerprint. The runtime is destroyed before returning.
@@ -112,6 +140,7 @@ inline std::uint64_t run_checked(const Scenario& s,
                                  const core::RuntimeConfig& cfg) {
   apps::SyntheticWorkload wl(workload_of(s));
   core::ClusterRuntime rt(cfg);
+  watch_ownership(rt);
   fault::FaultPlan plan;
   if (s.fault == Fault::LossJitter) {
     plan.lose_messages(s.loss_rate, s.fault_at, s.fault_until)

@@ -11,16 +11,22 @@
 // detection mode, one fault, scheduling and DROM policy, cluster shape) and
 // checks the invariants of config_sweep.hpp: exactly-once completion, exact
 // iteration count, non-negative iteration times, alloc tags back to zero,
-// same seed same schedule, and record-only toggles leaving the schedule
-// bit-identical. Its pinned counterpart is ConfigSweep.* in tlb_tests.
+// one owner per core, same seed same schedule, and record-only toggles
+// leaving the schedule bit-identical. Its pinned counterpart is
+// ConfigSweep.* in tlb_tests. A failing draw is shrunk: each switch is
+// turned back to its default in turn (fabric, Heartbeat, the fault, the
+// sched policy, the DROM policy) and stays off while the draw still fails;
+// the minimal scenario is printed.
 //
 // The scenario seed comes from TLB_RESIL_SWEEP_SEED (CI passes the
 // workflow run id); it defaults to 42 and is always logged so any failure
 // reproduces with a one-line env var.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -146,6 +152,7 @@ TEST(ResilSweep, RandomFaultScenariosPreserveInvariants) {
     }
 
     SCOPED_TRACE("round " + std::to_string(round) + ": " + s.describe);
+    sweep::watch_ownership(rt);
     apps::SyntheticWorkload wl(s.app);
     fault::FaultInjector injector(std::move(plan));
     injector.attach(rt);
@@ -217,6 +224,39 @@ sweep::Scenario draw_config_scenario(std::mt19937_64& rng) {
   return s;
 }
 
+/// True when check_scenario reports any failure for `s`; the failures
+/// themselves are swallowed.
+bool scenario_fails(const sweep::Scenario& s, const std::string& path) {
+  ::testing::TestPartResultArray failures;
+  {
+    const ::testing::ScopedFakeTestPartResultReporter intercept(
+        ::testing::ScopedFakeTestPartResultReporter::
+            INTERCEPT_ONLY_CURRENT_THREAD,
+        &failures);
+    sweep::check_scenario(s, path);
+  }
+  return failures.size() > 0;
+}
+
+/// Turns the switches of a failing `s` back to their defaults one at a
+/// time, keeping each change while the scenario still fails.
+sweep::Scenario shrink(sweep::Scenario s, const std::string& path) {
+  const std::function<void(sweep::Scenario&)> drops[] = {
+      [](sweep::Scenario& t) { t.net = false; },
+      [](sweep::Scenario& t) { t.detection = resil::DetectionMode::Oracle; },
+      [](sweep::Scenario& t) { t.fault = sweep::Fault::None; },
+      [](sweep::Scenario& t) { t.sched = sweep::kSchedPolicies[0]; },
+      [](sweep::Scenario& t) { t.policy = core::PolicyKind::Global; },
+  };
+  for (const auto& drop : drops) {
+    sweep::Scenario t = s;
+    drop(t);
+    if (sweep::describe(t) == sweep::describe(s)) continue;  // already off
+    if (scenario_fails(t, path)) s = t;
+  }
+  return s;
+}
+
 TEST(ResilSweep, RandomConfigScenariosPreserveInvariants) {
   const std::uint64_t seed = sweep_seed();
   std::printf("[resil_sweep] config seed=%llu\n",
@@ -229,7 +269,13 @@ TEST(ResilSweep, RandomConfigScenariosPreserveInvariants) {
   for (int round = 0; round < kScenarios; ++round) {
     const sweep::Scenario s = draw_config_scenario(rng);
     SCOPED_TRACE("round " + std::to_string(round) + ": " + sweep::describe(s));
-    sweep::check_scenario(s, stream_path);
+    if (!scenario_fails(s, stream_path)) continue;
+    std::printf("[resil_sweep] config seed=%llu round %d fails\n",
+                static_cast<unsigned long long>(seed), round);
+    sweep::check_scenario(s, stream_path);  // report the failures themselves
+    const sweep::Scenario minimal = shrink(s, stream_path);
+    ADD_FAILURE() << "config seed " << seed << " round " << round
+                  << " shrinks to: " << sweep::describe(minimal);
   }
 }
 
