@@ -5,11 +5,14 @@
 #include <string>
 #include <vector>
 
+#include "resil/config.hpp"
 #include "sched/stats.hpp"
 
 namespace tlb::core {
 
-struct RunResult {
+/// The Heartbeat-mode counters (resil::Counters, all zero under Oracle
+/// detection) are inherited.
+struct RunResult : resil::Counters {
   /// Simulated time at which the last apprank completed its last
   /// iteration (the paper's execution time / time-to-solution).
   double makespan = 0.0;
@@ -39,17 +42,7 @@ struct RunResult {
   /// Control-plane transmissions lost on the wire; each was retransmitted.
   std::uint64_t retransmissions = 0;
 
-  // Failure detection / graceful degradation (tlb::resil; all zero in
-  // DetectionMode::Oracle).
-  std::uint64_t heartbeat_messages = 0;   ///< heartbeats sent on ctrl plane
-  std::uint64_t detections = 0;           ///< true suspicions (worker was dead)
-  std::uint64_t false_suspicions = 0;     ///< suspicions of live workers
-  double detection_latency_sum = 0.0;     ///< sum over true detections
-  std::uint64_t lease_retransmits = 0;    ///< offload copies re-sent
-  std::uint64_t lease_expiries = 0;       ///< leases that exhausted attempts
-  std::uint64_t duplicates_suppressed = 0;  ///< stale completions dropped
-  std::uint64_t quarantine_ejections = 0;
-  std::uint64_t quarantine_readmissions = 0;
+  // Graceful degradation (tlb::resil).
   std::uint64_t policy_downshifts = 0;    ///< solver fallback-chain drops
   std::uint64_t rewired_edges = 0;        ///< expander edges added post-crash
   /// Retired tasks not finished exactly once (nanos::TaskPool::

@@ -6,14 +6,13 @@
 
 namespace tlb::resil {
 
-LeaseRecord& LeaseTable::grant(std::uint64_t task, int worker,
-                               sim::SimTime now) {
+LeaseRecord& LeaseTable::grant(std::uint64_t task, int worker, double work) {
   assert(leases_.find(task) == leases_.end() &&
          "a task holds at most one live lease");
   LeaseRecord rec;
   rec.worker = worker;
   rec.epoch = next_epoch_++;
-  rec.granted_at = now;
+  rec.work = work;
   auto [it, inserted] = leases_.emplace(task, rec);
   (void)inserted;
   return it->second;

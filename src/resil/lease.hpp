@@ -1,18 +1,10 @@
-// Task leases: the home runtime's bookkeeping of its outstanding remote
-// assignments (paper §5.5 "offloading is final" made failure-aware).
-//
-// Every remote assignment is covered by a lease carrying a monotonically
-// increasing epoch. The offload message must be acknowledged by the helper
-// within a timeout or it is retransmitted with capped exponential backoff;
-// when attempts exhaust, the lease expires and the task is re-queued
-// elsewhere under a fresh epoch. A completion (or late ACK, or zombie
-// execution under temporary link degradation) that names a stale epoch is
-// suppressed — this is what makes re-execution exactly-once at the home
-// runtime even when a falsely-suspected worker comes back.
-//
-// The table is keyed by task id in a std::map so iteration order (and thus
-// re-queue order on suspicion) is deterministic across standard-library
-// implementations.
+// Task leases: the home runtime's table of its outstanding remote
+// assignments (paper §5.5 "offloading is final" made failure-aware). Each
+// grant draws a fresh, monotonically increasing epoch, so a message that
+// names a stale one is told apart; resil::Monitor (resil/monitor.hpp) runs
+// the ACK / retransmit / expiry protocol over the table. Keyed by task id
+// in a std::map, so iteration order (and thus re-queue order on suspicion)
+// is deterministic across standard-library implementations.
 #pragma once
 
 #include <cstdint>
@@ -46,15 +38,16 @@ struct LeaseRecord {
   /// flight; the worker's in-flight accounting is already settled, so a
   /// re-queue on suspicion must not charge it again.
   bool completion_in_flight = false;
-  sim::SimTime granted_at = 0.0;
+  double work = 0.0;  ///< the task's work, carried by every offload copy
   sim::EventId timer = sim::kInvalidEvent;  ///< pending expiry event
 };
 
 class LeaseTable {
  public:
-  /// Grants a fresh lease for `task` on `worker`; epochs are drawn from an
-  /// internal monotone counter so no two grants ever share one.
-  LeaseRecord& grant(std::uint64_t task, int worker, sim::SimTime now);
+  /// Grants a fresh lease for `task` (of `work`) on `worker`; epochs are
+  /// drawn from an internal monotone counter so no two grants ever share
+  /// one.
+  LeaseRecord& grant(std::uint64_t task, int worker, double work);
 
   [[nodiscard]] LeaseRecord* find(std::uint64_t task);
   [[nodiscard]] const LeaseRecord* find(std::uint64_t task) const;
@@ -67,7 +60,6 @@ class LeaseTable {
   [[nodiscard]] std::vector<std::uint64_t> tasks_on(int worker) const;
 
   [[nodiscard]] std::size_t size() const { return leases_.size(); }
-  [[nodiscard]] bool empty() const { return leases_.empty(); }
 
   /// Retransmit delay before attempt `attempt` (1-based count of
   /// transmissions already made): timeout * backoff^(attempt-1), capped.

@@ -52,8 +52,6 @@ class PhiAccrualDetector {
   /// True once at least two heartbeats have arrived.
   [[nodiscard]] bool started() const { return !intervals_.empty(); }
 
-  [[nodiscard]] sim::SimTime last_arrival() const { return last_; }
-
   /// Forgets all history (used when a quarantined worker is readmitted, so
   /// stale pre-ejection gaps do not poison the fresh estimate).
   void reset();

@@ -31,17 +31,13 @@ sim::SimTime Quarantine::eject(int w, sim::SimTime now) {
   assert(!s.ejected && "worker is already quarantined");
   s.ejected = true;
   s.ejected_at = now;
-  s.cooled_until = now + cooling(s.ejections);
-  s.ejections += 1;
-  return s.cooled_until;
+  return now + cooling(s.ejections++);
 }
 
 sim::SimTime Quarantine::extend(int w, sim::SimTime now) {
   State& s = state_.at(static_cast<std::size_t>(w));
   assert(s.ejected && "extending a worker that is not quarantined");
-  s.cooled_until = now + cooling(s.ejections);
-  s.ejections += 1;
-  return s.cooled_until;
+  return now + cooling(s.ejections++);
 }
 
 void Quarantine::readmit(int w) {

@@ -2,7 +2,7 @@
 //
 // Workers accumulating consecutive lease expiries — or whose heartbeat phi
 // crosses the detection threshold — are ejected from scheduler candidacy
-// for a cooling period. After cooling, the runtime probes: if the worker
+// for a cooling period. After cooling, the monitor probes: if the worker
 // has produced a heartbeat since ejection it is readmitted (false
 // suspicion, e.g. a temporary link blackout); otherwise it is re-ejected
 // with an exponentially growing, capped cooling period. A fail-stopped
@@ -58,9 +58,6 @@ class Quarantine {
   [[nodiscard]] sim::SimTime ejected_at(int w) const {
     return state_.at(static_cast<std::size_t>(w)).ejected_at;
   }
-  [[nodiscard]] sim::SimTime cooled_until(int w) const {
-    return state_.at(static_cast<std::size_t>(w)).cooled_until;
-  }
   [[nodiscard]] int expiry_streak(int w) const {
     return state_.at(static_cast<std::size_t>(w)).streak;
   }
@@ -71,7 +68,6 @@ class Quarantine {
     int ejections = 0;   ///< lifetime ejection count (drives backoff)
     bool ejected = false;
     sim::SimTime ejected_at = 0.0;
-    sim::SimTime cooled_until = 0.0;
   };
   /// Cooling period of the next ejection of a worker ejected
   /// `ejections` times before.

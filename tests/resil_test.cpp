@@ -1,6 +1,7 @@
 // Tests of the failure-detection / graceful-degradation layer (tlb::resil):
 // phi-accrual detector, task leases with capped backoff, outlier
-// quarantine, heartbeat-mode crash recovery with exactly-once completion
+// quarantine, the Heartbeat-mode protocol (resil::Monitor) against a fake
+// host, heartbeat-mode crash recovery with exactly-once completion
 // accounting, link-blackout false-suspicion + readmission, the solver
 // fallback chain, and expander rewiring after a disconnecting crash.
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,8 +21,10 @@
 #include "fault/plan.hpp"
 #include "fingerprint.hpp"
 #include "resil/lease.hpp"
+#include "resil/monitor.hpp"
 #include "resil/phi_detector.hpp"
 #include "resil/quarantine.hpp"
+#include "vmpi/comm.hpp"
 
 namespace tlb {
 namespace {
@@ -170,6 +174,236 @@ TEST(Quarantine, StreakEjectionAndGrowingCooldown) {
   // The ejection count survives readmission: the next ejection starts at
   // the capped cooling straight away (flapping pays full price).
   EXPECT_DOUBLE_EQ(q.eject(0, 40.0), 48.0);
+}
+
+// --- the Heartbeat-mode protocol against a fake host --------------------------
+//
+// resil::Monitor reaches the runtime only through resil::Host, so these
+// tests run the protocol on a bare engine and control plane: worker 0 is
+// the home (apprank process) on node 0, workers 1 and 2 are its helpers on
+// nodes 1 and 2. The fake host records every call with its time.
+
+struct FakeHost final : resil::Host {
+  explicit FakeHost(const sim::Engine& e) : engine(e) {}
+  bool worker_alive(int w) const override {
+    return alive[static_cast<std::size_t>(w)] != 0;
+  }
+  int home_of(int) const override { return 0; }
+  int node_of(int w) const override { return w; }
+  double node_speed(int) const override { return 1.0; }
+  void offload_delivered(std::uint64_t task, int w) override {
+    delivered.emplace_back(task, w);
+  }
+  void complete_task(std::uint64_t task) override {
+    completed.push_back(task);
+  }
+  void void_assignment(std::uint64_t task, int w, std::uint64_t epoch,
+                       bool was_delivered, bool settled) override {
+    voided.push_back({task, w, epoch, was_delivered, settled, engine.now()});
+    if (on_void) on_void(task);
+  }
+  void replan(int w, resil::Verdict verdict) override {
+    verdicts.push_back({w, verdict, engine.now()});
+  }
+  void mark(std::string label) override { marks.push_back(std::move(label)); }
+
+  struct Voided {
+    std::uint64_t task;
+    int worker;
+    std::uint64_t epoch;
+    bool delivered;
+    bool settled;
+    sim::SimTime at;
+  };
+  struct Replan {
+    int worker;
+    resil::Verdict verdict;
+    sim::SimTime at;
+  };
+  const sim::Engine& engine;
+  std::vector<char> alive = {1, 1, 1};
+  std::vector<std::pair<std::uint64_t, int>> delivered;
+  std::vector<std::uint64_t> completed;
+  std::vector<Voided> voided;
+  std::vector<Replan> verdicts;
+  std::vector<std::string> marks;
+  std::function<void(std::uint64_t task)> on_void;  ///< e.g. re-offload
+};
+
+/// A monitor over one home and two helpers, each on its own node.
+struct ProtocolRig {
+  explicit ProtocolRig(sim::SimTime latency = sim::LinkSpec{}.latency)
+      : ctrl(engine, link_of(latency), {0, 1, 2}),
+        monitor(engine, ctrl, host, 3) {}
+  static sim::LinkSpec link_of(sim::SimTime latency) {
+    sim::LinkSpec link;
+    link.latency = latency;
+    return link;
+  }
+  /// Ends the run at `t`: pending timers and messages become no-ops.
+  void stop_at(sim::SimTime t) {
+    engine.at(t, [this] { monitor.stop(); });
+  }
+  sim::Engine engine;
+  FakeHost host{engine};
+  vmpi::Communicator ctrl;
+  resil::Monitor monitor;
+};
+
+TEST(Monitor, StaleEpochCompletionIsSuppressedAndCounted) {
+  ProtocolRig rig;
+  rig.host.alive[1] = 0;  // helper 1 is down: its lease will expire
+  rig.monitor.note_crash(1);
+  rig.host.on_void = [&rig](std::uint64_t task) {
+    rig.monitor.offload(task, 2, 1.0);  // re-queued onto helper 2
+  };
+  rig.monitor.offload(7, 1, 1.0);
+  const std::uint64_t stale = rig.monitor.epoch_of(7, 1);
+  rig.engine.run();
+  ASSERT_EQ(rig.host.voided.size(), 1u);
+  ASSERT_EQ(rig.host.delivered.size(), 1u);
+  EXPECT_EQ(rig.host.delivered[0], (std::pair<std::uint64_t, int>{7, 2}));
+  const std::uint64_t fresh = rig.monitor.epoch_of(7, 2);
+  EXPECT_GT(fresh, stale);
+
+  // A zombie of the first assignment reports under the stale epoch: it is
+  // suppressed and counted, and the lease stays open.
+  rig.monitor.send_completion(7, 1, stale);
+  rig.engine.run();
+  EXPECT_TRUE(rig.host.completed.empty());
+  EXPECT_EQ(rig.monitor.counters().duplicates_suppressed, 1u);
+  EXPECT_EQ(rig.monitor.outstanding_leases(), 1u);
+
+  // The current execution's completion is accepted exactly once.
+  rig.monitor.send_completion(7, 2, fresh);
+  rig.engine.run();
+  EXPECT_EQ(rig.host.completed, std::vector<std::uint64_t>{7});
+  EXPECT_EQ(rig.monitor.counters().duplicates_suppressed, 1u);
+  EXPECT_EQ(rig.monitor.outstanding_leases(), 0u);
+}
+
+TEST(Monitor, DuplicateOffloadCopyIsReAckedWithoutSecondDelivery) {
+  // A one-way latency of 0.04 s puts the ACK (0.08 s) after the first
+  // lease timeout (0.05 s): the retransmitted copy reaches the helper
+  // after the original.
+  ProtocolRig rig(0.04);
+  rig.monitor.offload(7, 1, 1.0);
+  rig.engine.run();
+  EXPECT_EQ(rig.host.delivered.size(), 1u);
+  EXPECT_EQ(rig.monitor.counters().lease_retransmits, 1u);
+  // One retransmitted offload and two ACKs (the original's and the
+  // duplicate's).
+  EXPECT_EQ(rig.monitor.control_messages(), 3u);
+  EXPECT_EQ(rig.monitor.counters().lease_expiries, 0u);
+  EXPECT_TRUE(rig.host.voided.empty());
+  EXPECT_EQ(rig.monitor.outstanding_leases(), 1u);
+}
+
+TEST(Monitor, RetransmitsFollowBackoffThenTheLeaseExpires) {
+  ProtocolRig rig;
+  rig.host.alive[1] = 0;  // every copy is delivered into a corpse
+  rig.monitor.offload(7, 1, 1.0);
+  // Transmission k + 1 follows transmission k by backoff_delay(k); the
+  // lease expires backoff_delay(kLeaseMaxAttempts) after the last one.
+  std::vector<sim::SimTime> sent = {0.0};
+  for (int k = 1; k < resil::kLeaseMaxAttempts; ++k) {
+    sent.push_back(sent.back() + resil::LeaseTable::backoff_delay(k));
+  }
+  const sim::SimTime expiry =
+      sent.back() + resil::LeaseTable::backoff_delay(resil::kLeaseMaxAttempts);
+  std::vector<std::uint64_t> seen;  // retransmits just before each send
+  for (std::size_t k = 1; k < sent.size(); ++k) {
+    rig.engine.at((sent[k - 1] + sent[k]) / 2, [&rig, &seen] {
+      seen.push_back(rig.monitor.counters().lease_retransmits);
+    });
+  }
+  rig.engine.run();
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(rig.monitor.counters().lease_retransmits,
+            static_cast<std::uint64_t>(resil::kLeaseMaxAttempts - 1));
+  EXPECT_EQ(rig.monitor.counters().lease_expiries, 1u);
+  ASSERT_EQ(rig.host.voided.size(), 1u);
+  EXPECT_DOUBLE_EQ(rig.host.voided[0].at, expiry);
+  EXPECT_FALSE(rig.host.voided[0].delivered);
+  EXPECT_FALSE(rig.host.voided[0].settled);
+  ASSERT_EQ(rig.host.verdicts.size(), 1u);
+  EXPECT_EQ(rig.host.verdicts[0].verdict, resil::Verdict::Expired);
+  EXPECT_FALSE(rig.monitor.ejected(1));
+  EXPECT_TRUE(rig.host.delivered.empty());
+}
+
+TEST(Monitor, ConsecutiveExpiriesEscalateToSuspicion) {
+  ProtocolRig rig;
+  rig.host.alive[1] = 0;
+  rig.monitor.note_crash(1);
+  for (int task = 1; task <= resil::kQuarantineThreshold; ++task) {
+    rig.monitor.offload(static_cast<std::uint64_t>(task), 1, 1.0);
+  }
+  rig.stop_at(5.0);  // a dead worker is probed forever otherwise
+  rig.engine.run();
+  // The first threshold - 1 expiries only move their task; the last one
+  // quarantines the worker, which voids its remaining lease.
+  ASSERT_EQ(rig.host.verdicts.size(),
+            static_cast<std::size_t>(resil::kQuarantineThreshold));
+  for (int k = 0; k + 1 < resil::kQuarantineThreshold; ++k) {
+    EXPECT_EQ(rig.host.verdicts[static_cast<std::size_t>(k)].verdict,
+              resil::Verdict::Expired);
+  }
+  EXPECT_EQ(rig.host.verdicts.back().verdict, resil::Verdict::Suspected);
+  EXPECT_EQ(rig.host.voided.size(),
+            static_cast<std::size_t>(resil::kQuarantineThreshold));
+  EXPECT_TRUE(rig.monitor.ejected(1));
+  EXPECT_EQ(rig.monitor.outstanding_leases(), 0u);
+  const resil::Counters& c = rig.monitor.counters();
+  EXPECT_EQ(c.lease_expiries,
+            static_cast<std::uint64_t>(resil::kQuarantineThreshold));
+  EXPECT_EQ(c.quarantine_ejections, 1u);
+  EXPECT_EQ(c.detections, 1u);
+  EXPECT_EQ(c.false_suspicions, 0u);
+  EXPECT_DOUBLE_EQ(c.detection_latency_sum, rig.host.verdicts.back().at);
+}
+
+TEST(Monitor, ProbeReadmitsAHeardWorkerAndExtendsASilentOne) {
+  ProtocolRig rig;
+  rig.host.alive[2] = 0;  // helper 2 never beats
+  rig.monitor.note_crash(2);
+  rig.monitor.start();
+  // A 2 s control-plane stall holds back helper 1's beat at 0.525 s and,
+  // FIFO behind it, every later one: it is suspected while alive, and
+  // heard again only after its first probe.
+  rig.engine.at(0.49, [&rig] {
+    vmpi::LinkFault stall;
+    stall.latency_mult = 2.0 / sim::LinkSpec{}.latency;
+    rig.ctrl.set_link_fault(stall);
+  });
+  rig.engine.at(0.53, [&rig] { rig.ctrl.set_link_fault({}); });
+  rig.stop_at(10.0);
+  rig.engine.run();
+
+  const resil::Counters& c = rig.monitor.counters();
+  EXPECT_EQ(c.detections, 1u);        // helper 2
+  EXPECT_EQ(c.false_suspicions, 1u);  // helper 1
+  EXPECT_EQ(c.quarantine_ejections, 2u);
+  EXPECT_EQ(c.quarantine_readmissions, 1u);
+  EXPECT_FALSE(rig.monitor.ejected(1));
+  EXPECT_TRUE(rig.monitor.ejected(2));  // silent: every probe extends
+
+  std::vector<FakeHost::Replan> of_1;
+  for (const FakeHost::Replan& r : rig.host.verdicts) {
+    if (r.worker == 1) of_1.push_back(r);
+  }
+  ASSERT_EQ(of_1.size(), 2u);
+  EXPECT_EQ(of_1[0].verdict, resil::Verdict::Suspected);
+  EXPECT_EQ(of_1[1].verdict, resil::Verdict::Readmitted);
+  // Still silent at the first probe (one cooling period on), so the
+  // cooling was extended by the grown period; readmitted at the second.
+  EXPECT_NEAR(of_1[1].at,
+              of_1[0].at + resil::kQuarantineCooling +
+                  resil::kQuarantineCooling * resil::kQuarantineBackoff,
+              1e-9);
+  EXPECT_EQ(std::count(rig.host.marks.begin(), rig.host.marks.end(),
+                       std::string("readmitted worker 1")),
+            1);
 }
 
 // --- static ownership plan (last fallback rung) ------------------------------
