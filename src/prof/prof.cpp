@@ -306,26 +306,41 @@ std::string Profiler::to_json() const {
   return os.str();
 }
 
-double current_rss_mb() {
+namespace {
+
+/// The "`field`: N kB" line of /proc/self/status in MB; negative when the
+/// file or the line cannot be read.
+double status_mb(const char* field) {
 #if defined(__linux__)
   std::ifstream status("/proc/self/status");
+  const std::string prefix = std::string(field) + ":";
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) {
+    if (line.rfind(prefix, 0) == 0) {
       long kb = 0;
-      std::sscanf(line.c_str(), "VmRSS: %ld", &kb);
+      std::sscanf(line.c_str() + prefix.size(), "%ld", &kb);
       return static_cast<double>(kb) / 1024.0;
     }
   }
 #endif
-  return 0.0;
+  (void)field;
+  return -1.0;
 }
 
+}  // namespace
+
+double current_rss_mb() { return std::max(0.0, status_mb("VmRSS")); }
+
 double peak_rss_mb() {
+  // VmHWM is kept exactly; getrusage's ru_maxrss (KB) is updated lazily,
+  // can read below a VmRSS taken just before it, and keeps the peak of the
+  // image the process had before exec (its launcher's).
+  const double hwm = status_mb("VmHWM");
+  if (hwm >= 0.0) return hwm;
 #if defined(__linux__)
   struct rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KB
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
 #else
   return 0.0;
 #endif

@@ -229,8 +229,9 @@ class ScopedPhase {
   int node_ = -1;  ///< -1 = profiler was off at construction
 };
 
-// Current resident set / peak resident set of this process in MB.
-// Linux-only (reads /proc/self/status and getrusage); returns 0 elsewhere.
+// Current resident set (VmRSS) / peak resident set (VmHWM, or getrusage's
+// ru_maxrss when /proc is unreadable) of this process in MB. Linux-only
+// (reads /proc/self/status); returns 0 elsewhere.
 [[nodiscard]] double current_rss_mb();
 [[nodiscard]] double peak_rss_mb();
 

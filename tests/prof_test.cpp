@@ -296,4 +296,20 @@ TEST_F(ProfTest, DisabledPathRecordsNothing) {
   EXPECT_TRUE(p.phases().empty());
 }
 
+TEST_F(ProfTest, PeakRssIsNeverBelowCurrentRss) {
+  // Touch every page of a fresh 32 MB buffer, so the resident set grows
+  // just before it is read; the high-water mark must already cover it.
+  // The second round grows past a peak already recorded, where a lazily
+  // updated high-water mark (getrusage's ru_maxrss) reads low.
+  for (int round = 0; round < 2; ++round) {
+    std::vector<char> buffer(std::size_t{32} << 20);
+    volatile char* pages = buffer.data();
+    for (std::size_t i = 0; i < buffer.size(); i += 4096) pages[i] = 1;
+    const double current = prof::current_rss_mb();
+    const double peak = prof::peak_rss_mb();
+    EXPECT_GT(current, 32.0) << "round " << round;
+    EXPECT_GE(peak, current) << "round " << round;
+  }
+}
+
 }  // namespace
