@@ -966,9 +966,9 @@ void ClusterRuntime::set_link_fault(const vmpi::LinkFault& fault) {
   }
 }
 
-void ClusterRuntime::mark_trace(std::string label, trace::MarkKind kind,
+void ClusterRuntime::mark_trace(std::string_view label, trace::MarkKind kind,
                                 std::int64_t value) {
-  recorder_->mark(engine_.now(), kind, value, std::move(label));
+  recorder_->mark(engine_.now(), kind, value, label);
 }
 
 void ClusterRuntime::rescue_task(nanos::TaskId id, WorkerId from,

@@ -35,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -231,7 +232,7 @@ class ClusterRuntime : private sched::RuntimeView, private resil::Host {
 
   /// Records one timeline mark at the current simulated time
   /// (trace::Recorder::mark).
-  void mark_trace(std::string label,
+  void mark_trace(std::string_view label,
                   trace::MarkKind kind = trace::MarkKind::Generic,
                   std::int64_t value = 0);
 
@@ -362,7 +363,7 @@ class ClusterRuntime : private sched::RuntimeView, private resil::Host {
   void void_assignment(nanos::TaskId id, WorkerId w, std::uint64_t epoch,
                        bool delivered, bool settled) override;
   void replan(WorkerId w, resil::Verdict verdict) override;
-  void mark(std::string label) override { mark_trace(std::move(label)); }
+  void mark(std::string_view label) override { mark_trace(label); }
   /// Adds a replacement helper edge when `apprank` has no usable helper
   /// left (expander rewire across graph / topology / vmpi / DLB layers).
   void maybe_rewire(int apprank);

@@ -141,6 +141,16 @@ void Fabric::cancel(FlowId id) {
   if (injected) solve(&removed);
 }
 
+void Fabric::set_recorder(trace::Recorder* recorder) {
+  recorder_ = recorder;
+  if (recorder_ == nullptr || !mark_labels_.empty()) return;
+  mark_labels_.reserve(2 * static_cast<std::size_t>(topo_.link_count()));
+  for (LinkId l = 0; l < topo_.link_count(); ++l) {
+    mark_labels_.push_back("net congestion: " + topo_.link(l).name);
+    mark_labels_.push_back("net cleared: " + topo_.link(l).name);
+  }
+}
+
 void Fabric::set_global_fault(double latency_mult, double bandwidth_mult) {
   assert(latency_mult > 0.0 && bandwidth_mult > 0.0);
   latency_mult_ = latency_mult;
@@ -355,9 +365,7 @@ void Fabric::solve(const Change* change) {
         recorder_->mark(now,
                         congested ? trace::MarkKind::NetCongestion
                                   : trace::MarkKind::NetCleared,
-                        l,
-                        (congested ? "net congestion: " : "net cleared: ") +
-                            topo_.link(l).name);
+                        l, mark_labels_[2 * sl + (congested ? 0 : 1)]);
       }
     }
   }

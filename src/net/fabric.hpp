@@ -57,6 +57,7 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -163,8 +164,9 @@ class Fabric {
   static constexpr double kCongestionThreshold = 0.95;
 
   /// Attaches a recorder that receives "net congestion"/"net cleared"
-  /// timeline marks for links crossing kCongestionThreshold.
-  void set_recorder(trace::Recorder* recorder) { recorder_ = recorder; }
+  /// timeline marks for links crossing kCongestionThreshold; null
+  /// detaches.
+  void set_recorder(trace::Recorder* recorder);
 
  private:
   /// Round of a flow that no filling has frozen yet.
@@ -254,6 +256,9 @@ class Fabric {
   std::vector<double> peak_util_;
   std::vector<char> congested_;
   trace::Recorder* recorder_ = nullptr;
+  /// Per link, its congestion then its cleared mark label (built once, by
+  /// set_recorder).
+  std::vector<std::string> mark_labels_;
   std::vector<double> fcts_;
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;

@@ -142,7 +142,8 @@ void SpanRecorder::close() {
 
 SpanCollector::~SpanCollector() {
   // Balance the obs.span charges (spans at dense-slot growth, attempts
-  // and instants at store) so alive bytes return to zero at teardown.
+  // and instants at store; the name pool returns its own) so alive bytes
+  // return to zero at teardown.
   if (!prof::enabled()) return;
   std::size_t bytes = spans_.size() * sizeof(TaskSpan) +
                       instants_.size() * sizeof(InstantEvent);
@@ -165,9 +166,9 @@ void SpanCollector::store_span(TaskSpan span) {
   slot = std::move(span);
 }
 
-void SpanCollector::store_instant(InstantEvent event) {
+void SpanCollector::store_instant(sim::SimTime t, std::string_view name) {
   prof::alloc_note(prof::AllocTag::ObsSpan, sizeof(InstantEvent));
-  instants_.push_back(std::move(event));
+  instants_.push_back(InstantEvent{t, names_.intern(name)});
 }
 
 }  // namespace tlb::obs

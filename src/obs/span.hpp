@@ -18,10 +18,12 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "nanos/task.hpp"
+#include "obs/label_pool.hpp"
+#include "prof/prof.hpp"
 #include "sim/time.hpp"
 
 namespace tlb::obs {
@@ -105,10 +107,11 @@ class SpanRecorder : public SpanSink {
       return attempts.empty() ? nullptr : &attempts.back();
     }
   };
-  /// A timeline mark as the span store sees it: time and label.
+  /// A timeline mark as the span store sees it: time and label. The
+  /// collector's name views its own label pool.
   struct InstantEvent {
     sim::SimTime t = 0.0;
-    std::string name;
+    std::string_view name;
   };
   /// Run aggregates, handed to the backend once by close().
   struct RunTotals {
@@ -133,9 +136,10 @@ class SpanRecorder : public SpanSink {
   void task_done(nanos::TaskId id, sim::SimTime t) final;
   void task_rescued(nanos::TaskId id, int worker, sim::SimTime t) final;
 
-  /// Stores one timeline mark as a named instant.
-  void instant(sim::SimTime t, const std::string& name) {
-    store_instant(InstantEvent{t, name});
+  /// Stores one timeline mark as a named instant. `name` need only
+  /// outlive the call.
+  void instant(sim::SimTime t, std::string_view name) {
+    store_instant(t, name);
   }
 
   /// Stores every still-open span (id order, done_at -1), then the run
@@ -156,7 +160,7 @@ class SpanRecorder : public SpanSink {
 
  protected:
   virtual void store_span(TaskSpan span) = 0;
-  virtual void store_instant(InstantEvent event) = 0;
+  virtual void store_instant(sim::SimTime t, std::string_view name) = 0;
   virtual void store_totals(const RunTotals& totals) = 0;
 
   double transfer_wait_ = 0.0;
@@ -175,7 +179,8 @@ class SpanRecorder : public SpanSink {
 };
 
 /// In-memory backend: closed spans land at their dense task-id slot,
-/// instants are kept in emission order. The exporters (chrome_trace,
+/// instants are kept in emission order with their names interned. The
+/// exporters (chrome_trace,
 /// flame, critical_path) read this view; the spill-format oracle in
 /// tests/stream_reader.hpp builds the same view from a spill file by
 /// calling the three store entry points with the file's records.
@@ -194,7 +199,7 @@ class SpanCollector final : public SpanRecorder {
   }
 
   void store_span(TaskSpan span) override;
-  void store_instant(InstantEvent event) override;
+  void store_instant(sim::SimTime t, std::string_view name) override;
   /// Live runs hand back the totals the hooks accumulated; a spill
   /// reader hands over the file's footer.
   void store_totals(const RunTotals& totals) override {
@@ -205,6 +210,7 @@ class SpanCollector final : public SpanRecorder {
  private:
   std::vector<TaskSpan> spans_;
   std::vector<InstantEvent> instants_;
+  LabelPool names_{prof::AllocTag::ObsSpan};  ///< instants view it
 };
 
 }  // namespace tlb::obs

@@ -32,6 +32,8 @@ const char* alloc_tag_name(AllocTag tag) {
       return "core.exec";
     case AllocTag::CorePending:
       return "core.pending";
+    case AllocTag::TraceMark:
+      return "trace.mark";
     case AllocTag::Count:
       break;
   }

@@ -46,6 +46,7 @@ enum class AllocTag : int {
   ObsSpan,        ///< obs::SpanRecorder open spans + their store
   CoreExec,       ///< core runtime per-execution bookkeeping (running_)
   CorePending,    ///< core runtime pending input-transfer records
+  TraceMark,      ///< trace::Recorder timeline marks + their label pool
   Count,
 };
 inline constexpr int kAllocTagCount = static_cast<int>(AllocTag::Count);

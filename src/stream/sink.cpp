@@ -97,12 +97,12 @@ void StreamSink::store_span(TaskSpan span) {
   ++spans_spilled_;
 }
 
-void StreamSink::store_instant(InstantEvent event) {
+void StreamSink::store_instant(sim::SimTime t, std::string_view name) {
   begin_record(RecordType::Instant);
-  put_f64(event.t);
+  put_f64(t);
   put_i32(-1);  // node slot: marks are cluster-scoped
-  put_u32(static_cast<std::uint32_t>(event.name.size()));
-  put_bytes(event.name.data(), event.name.size());
+  put_u32(static_cast<std::uint32_t>(name.size()));
+  put_bytes(name.data(), name.size());
   end_record();
   ++instants_written_;
 }

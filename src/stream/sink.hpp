@@ -48,7 +48,7 @@ class StreamSink final : public obs::SpanRecorder {
 
  private:
   void store_span(TaskSpan span) override;
-  void store_instant(InstantEvent event) override;
+  void store_instant(sim::SimTime t, std::string_view name) override;
   /// Writes the footer and the trailer, flushes, and closes the file.
   void store_totals(const RunTotals& totals) override;
 

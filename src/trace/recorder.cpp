@@ -17,6 +17,14 @@ Recorder::Recorder(int nodes, int appranks, bool series)
   assert(nodes > 0 && appranks > 0);
 }
 
+Recorder::~Recorder() {
+  // Balance the trace.mark charge of each stored mark (the label pool
+  // returns its own).
+  if (!marks_.empty()) {
+    prof::free_note(prof::AllocTag::TraceMark, marks_.size() * sizeof(Mark));
+  }
+}
+
 void Recorder::busy_delta(sim::SimTime t, int node, int apprank, int delta) {
   if (!series_) return;
   busy_[idx(node, apprank)].add(t, delta);
@@ -38,10 +46,11 @@ void Recorder::task_executed(int node, int home_node, double work) {
 }
 
 void Recorder::mark(sim::SimTime t, MarkKind kind, std::int64_t value,
-                    std::string label) {
+                    std::string_view label) {
   assert(marks_.empty() || t >= marks_.back().t);
   if (!marks_.empty() && t < marks_.back().t) t = marks_.back().t;
-  marks_.push_back(Mark{t, kind, value, std::move(label)});
+  prof::alloc_note(prof::AllocTag::TraceMark, sizeof(Mark));
+  marks_.push_back(Mark{t, kind, value, labels_.intern(label)});
   if (spans_ != nullptr) spans_->instant(t, marks_.back().label);
 }
 

@@ -13,8 +13,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/label_pool.hpp"
+#include "prof/prof.hpp"
 #include "trace/step_series.hpp"
 
 namespace tlb::obs {
@@ -35,12 +38,14 @@ enum class MarkKind : std::uint8_t {
   FaultInjected,  ///< a perturbation began (value = fault target)
 };
 
-/// One discrete runtime event on the timeline.
+/// One discrete runtime event on the timeline. The label views the
+/// recording Recorder's label pool and is valid for that recorder's
+/// lifetime.
 struct Mark {
   sim::SimTime t = 0.0;
   MarkKind kind = MarkKind::Generic;
   std::int64_t value = 0;
-  std::string label;
+  std::string_view label;
 
   bool operator==(const Mark&) const = default;
 };
@@ -50,6 +55,7 @@ class Recorder {
   /// With `series` false, busy_delta and set_owned record nothing and every
   /// busy / owned / node-busy series stays empty.
   Recorder(int nodes, int appranks, bool series = true);
+  ~Recorder();
 
   [[nodiscard]] int nodes() const { return nodes_; }
   [[nodiscard]] int appranks() const { return appranks_; }
@@ -64,11 +70,14 @@ class Recorder {
   /// and the recovery analysis all read these marks. Times must
   /// be non-decreasing: a violation asserts in debug builds and is clamped
   /// to the previous mark's time in release builds, so the list stays
-  /// sorted either way. With a span store attached the mark is also handed
-  /// to it as an instant.
+  /// sorted either way. The label is interned: each distinct label is
+  /// stored once. With a span store attached the mark is also handed to
+  /// it as an instant.
   void mark(sim::SimTime t, MarkKind kind, std::int64_t value,
-            std::string label);
+            std::string_view label);
   [[nodiscard]] const std::vector<Mark>& marks() const { return marks_; }
+  /// Distinct mark labels stored (one pool entry each).
+  [[nodiscard]] std::size_t distinct_labels() const { return labels_.size(); }
 
   /// Forwards every later mark to `spans` as a named instant; null
   /// detaches. The store must outlive its attachment.
@@ -102,6 +111,7 @@ class Recorder {
   std::vector<StepSeries> owned_;
   std::vector<StepSeries> node_busy_;
   std::vector<Mark> marks_;
+  obs::LabelPool labels_{prof::AllocTag::TraceMark};  ///< marks view it
   obs::SpanRecorder* spans_ = nullptr;
   std::uint64_t tasks_total_ = 0;
   std::uint64_t tasks_off_ = 0;

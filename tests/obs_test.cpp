@@ -4,7 +4,9 @@
 // marks / Paraver export, and the determinism contract (span collection
 // keeps schedules bit-identical to the golden fingerprints).
 #include <map>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -231,6 +233,77 @@ TEST(RecorderMarks, TypedMarksCarryKindAndValue) {
   EXPECT_EQ(rec.marks()[0].value, 7);
   EXPECT_EQ(rec.marks()[0].label, "net congestion: spine0");
   EXPECT_EQ(rec.marks()[1].kind, trace::MarkKind::NetCleared);
+}
+
+// A mark is a fixed-size record whose label views the recorder's pool, so
+// neither store may be copied away from its pool.
+static_assert(sizeof(trace::Mark) <= 40);
+static_assert(!std::is_copy_constructible_v<trace::Recorder>);
+static_assert(!std::is_copy_assignable_v<trace::Recorder>);
+static_assert(!std::is_copy_constructible_v<obs::SpanCollector>);
+static_assert(!std::is_copy_assignable_v<obs::SpanCollector>);
+
+TEST(RecorderMarks, EqualLabelsShareOnePooledCopy) {
+  trace::Recorder rec(1, 1);
+  const std::string first = "net congestion: spine0";
+  rec.mark(0.1, trace::MarkKind::NetCongestion, 0, first);
+  rec.mark(0.2, trace::MarkKind::NetCleared, 0, "net cleared: spine0");
+  rec.mark(0.3, trace::MarkKind::NetCongestion, 0,
+           std::string("net congestion: ") + "spine0");
+  const std::vector<trace::Mark>& marks = rec.marks();
+  ASSERT_EQ(marks.size(), 3u);
+  EXPECT_EQ(marks[0].label, first);
+  EXPECT_NE(marks[0].label.data(), first.data());  // the pool's own copy
+  EXPECT_EQ(marks[0].label.data(), marks[2].label.data());
+  EXPECT_NE(marks[0].label.data(), marks[1].label.data());
+  EXPECT_EQ(rec.distinct_labels(), 2u);
+}
+
+TEST(RecorderMarks, ManyMarksOverFewLabelsReadBackIntact) {
+  // Long labels (heap) and short ones (inline in the pool's node), over
+  // enough marks to grow the mark vector and rehash the pool many times.
+  constexpr int kLabels = 320;
+  constexpr int kMarks = 100000;
+  const auto label_of = [](int i) {
+    // Appended piecewise: GCC 12 at -O3 raises a false -Wrestrict on
+    // `"literal" + std::to_string(...)`.
+    std::string label = i % 3 == 0 ? "l" : "net congestion: leaf";
+    label += std::to_string(i);
+    if (i % 3 != 0) {
+      label += "->spine";
+      label += std::to_string(i % 7);
+    }
+    return label;
+  };
+  trace::Recorder rec(1, 1);
+  for (int i = 0; i < kMarks; ++i) {
+    rec.mark(i * 1e-6, trace::MarkKind::Generic, i % kLabels,
+             label_of(i % kLabels));
+  }
+  ASSERT_EQ(rec.marks().size(), static_cast<std::size_t>(kMarks));
+  EXPECT_EQ(rec.distinct_labels(), static_cast<std::size_t>(kLabels));
+  int wrong = 0;
+  std::set<const char*> copies;
+  for (const trace::Mark& m : rec.marks()) {
+    if (m.label != label_of(static_cast<int>(m.value))) ++wrong;
+    copies.insert(m.label.data());
+  }
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(copies.size(), static_cast<std::size_t>(kLabels));
+}
+
+TEST(SpanCollectorInstants, EqualNamesShareOnePooledCopy) {
+  obs::SpanCollector spans;
+  std::string name = "policy restored";
+  spans.instant(0.1, name);
+  spans.instant(0.2, "net cleared: spine0");
+  spans.instant(0.3, std::string("policy ") + "restored");
+  name.assign("overwritten after the call");
+  const auto& instants = spans.instants();
+  ASSERT_EQ(instants.size(), 3u);
+  EXPECT_EQ(instants[0].name, "policy restored");
+  EXPECT_EQ(instants[0].name.data(), instants[2].name.data());
+  EXPECT_EQ(instants[1].name, "net cleared: spine0");
 }
 
 TEST(Paraver, TypedMarksExportAsDedicatedEventTypes) {

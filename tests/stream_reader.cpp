@@ -149,12 +149,10 @@ StreamReader::StreamReader(std::string path) {
         break;
       }
       case RecordType::Instant: {
-        obs::SpanCollector::InstantEvent e;
-        e.t = c.get<double>("instant time");
+        const auto t = c.get<double>("instant time");
         (void)c.get<std::int32_t>("instant node");  // always -1
         const auto len = c.get<std::uint32_t>("instant name length");
-        e.name = c.get_string(len, "instant name");
-        spans_.store_instant(std::move(e));
+        spans_.store_instant(t, c.get_string(len, "instant name"));
         ++instants;
         break;
       }

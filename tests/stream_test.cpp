@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -329,6 +331,36 @@ TEST(Timeline, EveryMarkReachesEveryExporter) {
     EXPECT_EQ(instants[i].name, stream_marks[i].label);
   }
   std::remove(path.c_str());
+}
+
+// Congestion marks repeat one of two labels per link, and the recorder
+// stores each label once: the pool holds one entry per distinct label,
+// every mark of a label views the same pooled copy, and there are no more
+// congestion labels than links have states.
+TEST(Timeline, CongestionMarksShareOneLabelPerLinkState) {
+  core::ClusterRuntime rt(congested_config());
+  apps::SyntheticWorkload wl(congested_workload());
+  rt.run(wl);
+  ASSERT_NE(rt.fabric(), nullptr);
+  const std::size_t links =
+      static_cast<std::size_t>(rt.fabric()->topology().link_count());
+  std::set<std::string_view> labels;
+  std::set<const char*> copies;
+  std::set<std::string_view> net_labels;
+  std::size_t net_marks = 0;
+  for (const trace::Mark& m : rt.recorder().marks()) {
+    labels.insert(m.label);
+    copies.insert(m.label.data());
+    if (m.kind == trace::MarkKind::NetCongestion ||
+        m.kind == trace::MarkKind::NetCleared) {
+      ++net_marks;
+      net_labels.insert(m.label);
+    }
+  }
+  EXPECT_EQ(rt.recorder().distinct_labels(), labels.size());
+  EXPECT_EQ(copies.size(), labels.size());
+  EXPECT_GT(net_marks, net_labels.size());  // some label repeats
+  EXPECT_LE(net_labels.size(), 2 * links);
 }
 
 // A rescue is drawn once, on the voided attempt's track — not a second
