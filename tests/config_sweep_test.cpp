@@ -41,13 +41,13 @@ constexpr Pinned kPins[] = {
     {false, DetectionMode::Oracle, Fault::Crash, 0x3358b5de00362e28ull},
     {false, DetectionMode::Heartbeat, Fault::None, 0x7062eb771be7cf7aull},
     {false, DetectionMode::Heartbeat, Fault::LossJitter, 0x2eb661fae355aa05ull},
-    {false, DetectionMode::Heartbeat, Fault::Crash, 0xbd67d8b6fd54bdcdull},
+    {false, DetectionMode::Heartbeat, Fault::Crash, 0x7de50d35229d4274ull},
     {true, DetectionMode::Oracle, Fault::None, 0x8a29465f7f4d1206ull},
     {true, DetectionMode::Oracle, Fault::LossJitter, 0x992aa2bdae1d10f0ull},
     {true, DetectionMode::Oracle, Fault::Crash, 0x862bf8452ed1d470ull},
     {true, DetectionMode::Heartbeat, Fault::None, 0xbbdd061447182ba6ull},
     {true, DetectionMode::Heartbeat, Fault::LossJitter, 0x5976bba51e764392ull},
-    {true, DetectionMode::Heartbeat, Fault::Crash, 0x2bc3b4ef00f91225ull},
+    {true, DetectionMode::Heartbeat, Fault::Crash, 0x1be5c115384a2111ull},
 };
 
 TEST(ConfigSweep, PinnedScenariosHoldInvariantsAndFingerprints) {
