@@ -52,9 +52,9 @@ void scenario(int nodes, double imbalance, tlb::bench::JsonReport& report) {
     tlb::apps::SyntheticWorkload wl(scfg);
     tlb::core::ClusterRuntime rt(cfg);
     const auto r = rt.run(wl);
-    std::vector<const tlb::trace::StepSeries*> node_busy;
+    std::vector<tlb::trace::StepSeries> node_busy;
     for (int n = 0; n < nodes; ++n) {
-      node_busy.push_back(&rt.recorder().node_busy(n));
+      node_busy.push_back(rt.recorder().node_busy(n));
     }
     rows.push_back(tlb::metrics::node_imbalance_series(node_busy, 0.0,
                                                        r.makespan, bins));

@@ -90,9 +90,9 @@ void run_combo(resil::DetectionMode detector, core::PolicyKind policy,
   injector.attach(rt);
   const auto r = rt.run(wl);
 
-  std::vector<const trace::StepSeries*> node_busy;
+  std::vector<trace::StepSeries> node_busy;
   for (int n = 0; n < kNodes; ++n) {
-    node_busy.push_back(&rt.recorder().node_busy(n));
+    node_busy.push_back(rt.recorder().node_busy(n));
   }
   // Iteration-sized bins so barrier drains do not read as imbalance; trim
   // the end-of-run drain from the analysis window.

@@ -105,9 +105,9 @@ struct RuntimeConfig {
   svc::SvcConfig svc;
 
   std::uint64_t seed = 42;       ///< expander generation seed
-  /// Keep the busy / owned / node-busy step series for the trace figures.
-  /// False records none of them (timeline marks and offload statistics are
-  /// kept either way); the schedule is the same.
+  /// Keep the busy / owned step series for the trace figures (node totals
+  /// are derived from them). False records none of them (timeline marks and
+  /// offload statistics are kept either way); the schedule is the same.
   bool record_traces = true;
 
   [[nodiscard]] bool drom_active() const {

@@ -29,13 +29,13 @@ double imbalance(std::span<const double> loads) {
 }
 
 std::vector<double> node_imbalance_series(
-    const std::vector<const trace::StepSeries*>& node_busy, double t0,
+    std::span<const trace::StepSeries> node_busy, double t0,
     double t1, int bins) {
   assert(bins > 0 && t1 > t0);
   std::vector<std::vector<double>> sampled;
   sampled.reserve(node_busy.size());
-  for (const trace::StepSeries* s : node_busy) {
-    sampled.push_back(s->sample(t0, t1, bins));
+  for (const trace::StepSeries& s : node_busy) {
+    sampled.push_back(s.sample(t0, t1, bins));
   }
   std::vector<double> out(static_cast<std::size_t>(bins), 1.0);
   std::vector<double> loads(node_busy.size());

@@ -18,7 +18,7 @@ double imbalance(std::span<const double> loads);
 /// `node_busy[n]` is the node-n busy series from the trace recorder. Bins
 /// where every node is idle report 1.0.
 std::vector<double> node_imbalance_series(
-    const std::vector<const trace::StepSeries*>& node_busy, double t0,
+    std::span<const trace::StepSeries> node_busy, double t0,
     double t1, int bins);
 
 /// First time (bin start) from which the series stays at or below

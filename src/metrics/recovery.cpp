@@ -8,14 +8,14 @@ namespace tlb::metrics {
 
 std::vector<RecoveryReport> recovery_reports(
     const std::vector<trace::Mark>& marks,
-    const std::vector<const trace::StepSeries*>& node_busy, double t0,
+    std::span<const trace::StepSeries> node_busy, double t0,
     double t1, int bins, double threshold, int hold) {
   std::vector<RecoveryReport> reports;
   if (t1 <= t0 || bins <= 0) return reports;
 
   auto total_busy_rate = [&](double a, double b) {
     double rate = 0.0;
-    for (const trace::StepSeries* s : node_busy) rate += s->average(a, b);
+    for (const trace::StepSeries& s : node_busy) rate += s.average(a, b);
     return rate;
   };
 

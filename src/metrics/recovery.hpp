@@ -8,6 +8,7 @@
 // convergence analysis.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,7 @@ struct RecoveryReport {
 /// convergence_time.
 [[nodiscard]] std::vector<RecoveryReport> recovery_reports(
     const std::vector<trace::Mark>& marks,
-    const std::vector<const trace::StepSeries*>& node_busy, double t0,
+    std::span<const trace::StepSeries> node_busy, double t0,
     double t1, int bins, double threshold, int hold);
 
 }  // namespace tlb::metrics

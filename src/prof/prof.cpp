@@ -34,6 +34,8 @@ const char* alloc_tag_name(AllocTag tag) {
       return "core.pending";
     case AllocTag::TraceMark:
       return "trace.mark";
+    case AllocTag::TraceSeries:
+      return "trace.series";
     case AllocTag::Count:
       break;
   }

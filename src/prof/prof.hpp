@@ -47,6 +47,7 @@ enum class AllocTag : int {
   CoreExec,       ///< core runtime per-execution bookkeeping (running_)
   CorePending,    ///< core runtime pending input-transfer records
   TraceMark,      ///< trace::Recorder timeline marks + their label pool
+  TraceSeries,    ///< trace::Recorder busy/owned step-series storage
   Count,
 };
 inline constexpr int kAllocTagCount = static_cast<int>(AllocTag::Count);

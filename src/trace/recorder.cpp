@@ -1,5 +1,6 @@
 #include "trace/recorder.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -7,33 +8,67 @@
 
 namespace tlb::trace {
 
+namespace {
+
+constexpr std::size_t kPointBytes = sizeof(StepSeries::Point);
+
+std::size_t rows(int nodes, int appranks, bool series) {
+  return series ? static_cast<std::size_t>(nodes) *
+                      static_cast<std::size_t>(appranks)
+                : 0;
+}
+
+/// Charges a row's storage growth since `before` (its old capacity).
+void charge_growth(const StepSeries& row, std::size_t before) {
+  if (row.capacity() != before) {
+    prof::alloc_note(prof::AllocTag::TraceSeries,
+                     (row.capacity() - before) * kPointBytes);
+  }
+}
+
+const StepSeries& empty_series() {
+  static const StepSeries kEmpty;
+  return kEmpty;
+}
+
+}  // namespace
+
 Recorder::Recorder(int nodes, int appranks, bool series)
     : nodes_(nodes),
       appranks_(appranks),
-      series_(series),
-      busy_(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(appranks)),
-      owned_(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(appranks)),
-      node_busy_(static_cast<std::size_t>(nodes)) {
+      busy_(rows(nodes, appranks, series)),
+      owned_(rows(nodes, appranks, series)) {
   assert(nodes > 0 && appranks > 0);
 }
 
 Recorder::~Recorder() {
   // Balance the trace.mark charge of each stored mark (the label pool
-  // returns its own).
+  // returns its own) and the trace.series charge of every row's storage.
   if (!marks_.empty()) {
     prof::free_note(prof::AllocTag::TraceMark, marks_.size() * sizeof(Mark));
+  }
+  std::size_t points = 0;
+  for (const auto& row : busy_) points += row.capacity();
+  for (const auto& row : owned_) points += row.capacity();
+  if (points > 0) {
+    prof::free_note(prof::AllocTag::TraceSeries, points * kPointBytes);
   }
 }
 
 void Recorder::busy_delta(sim::SimTime t, int node, int apprank, int delta) {
-  if (!series_) return;
-  busy_[idx(node, apprank)].add(t, delta);
-  node_busy_[static_cast<std::size_t>(node)].add(t, delta);
+  if (busy_.empty()) return;
+  StepSeries& row = busy_[idx(node, apprank)];
+  const std::size_t before = row.capacity();
+  row.add(t, delta);
+  charge_growth(row, before);
 }
 
 void Recorder::set_owned(sim::SimTime t, int node, int apprank, int count) {
-  if (!series_) return;
-  owned_[idx(node, apprank)].set(t, count);
+  if (owned_.empty()) return;
+  StepSeries& row = owned_[idx(node, apprank)];
+  const std::size_t before = row.capacity();
+  row.set(t, count);
+  charge_growth(row, before);
 }
 
 void Recorder::task_executed(int node, int home_node, double work) {
@@ -55,15 +90,32 @@ void Recorder::mark(sim::SimTime t, MarkKind kind, std::int64_t value,
 }
 
 const StepSeries& Recorder::busy(int node, int apprank) const {
-  return busy_[idx(node, apprank)];
+  return busy_.empty() ? empty_series() : busy_[idx(node, apprank)];
 }
 
 const StepSeries& Recorder::owned(int node, int apprank) const {
-  return owned_[idx(node, apprank)];
+  return owned_.empty() ? empty_series() : owned_[idx(node, apprank)];
 }
 
-const StepSeries& Recorder::node_busy(int node) const {
-  return node_busy_.at(static_cast<std::size_t>(node));
+StepSeries Recorder::node_busy(int node) const {
+  assert(node >= 0 && node < nodes_);
+  StepSeries total;
+  if (busy_.empty()) return total;
+  // Replay every row's value steps as deltas, in stable time order: the
+  // total at the end of each instant is the sum of the rows there.
+  std::vector<StepSeries::Point> steps;
+  for (int a = 0; a < appranks_; ++a) {
+    double prev = 0.0;
+    for (const auto& [t, v] : busy_[idx(node, a)].points()) {
+      steps.emplace_back(t, v - prev);
+      prev = v;
+    }
+  }
+  std::stable_sort(
+      steps.begin(), steps.end(),
+      [](const auto& x, const auto& y) { return x.first < y.first; });
+  for (const auto& [t, delta] : steps) total.add(t, delta);
+  return total;
 }
 
 std::string ascii_sparkline(const std::vector<double>& values, double peak) {

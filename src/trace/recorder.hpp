@@ -1,14 +1,15 @@
 // Execution trace recorder.
 //
-// Captures, per (node, apprank):
+// Stores two step series kinds per (node, apprank):
 //   - busy cores: number of cores executing that apprank's tasks on that
 //     node (the left-hand traces of Fig 9);
 //   - owned cores: DROM ownership (the right-hand traces of Fig 9);
-// plus per-node totals, offload statistics and the one list of timeline
-// marks. Renderers below turn the series into ASCII timelines for the
-// paper's trace figures. The three series kinds are optional
+// plus offload statistics and the one list of timeline marks. Per-node
+// totals (node_busy) are not stored: they are derived on demand from the
+// node's busy rows. Renderers below turn the series into ASCII timelines
+// for the paper's trace figures. The series are optional
 // (RuntimeConfig::record_traces); marks and offload statistics are always
-// kept.
+// kept. Row capacity is charged to the trace.series alloc tag.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +53,8 @@ struct Mark {
 
 class Recorder {
  public:
-  /// With `series` false, busy_delta and set_owned record nothing and every
-  /// busy / owned / node-busy series stays empty.
+  /// With `series` false, busy_delta and set_owned record nothing, no row
+  /// is allocated and every busy / owned / node-busy series is empty.
   Recorder(int nodes, int appranks, bool series = true);
   ~Recorder();
 
@@ -85,8 +86,9 @@ class Recorder {
 
   [[nodiscard]] const StepSeries& busy(int node, int apprank) const;
   [[nodiscard]] const StepSeries& owned(int node, int apprank) const;
-  /// Total busy cores on a node (all appranks).
-  [[nodiscard]] const StepSeries& node_busy(int node) const;
+  /// Total busy cores on a node (all appranks), built from the node's busy
+  /// rows on each call: its value at any time is the sum of theirs.
+  [[nodiscard]] StepSeries node_busy(int node) const;
 
   // Offload statistics (paper Fig 5 discussion: the global policy
   // minimises task offloading).
@@ -106,10 +108,8 @@ class Recorder {
 
   int nodes_;
   int appranks_;
-  bool series_;
-  std::vector<StepSeries> busy_;
-  std::vector<StepSeries> owned_;
-  std::vector<StepSeries> node_busy_;
+  std::vector<StepSeries> busy_;   ///< empty when series are off
+  std::vector<StepSeries> owned_;  ///< empty when series are off
   std::vector<Mark> marks_;
   obs::LabelPool labels_{prof::AllocTag::TraceMark};  ///< marks view it
   obs::SpanRecorder* spans_ = nullptr;

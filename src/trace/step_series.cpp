@@ -14,7 +14,13 @@ void StepSeries::set(sim::SimTime t, double value) {
   if (!points_.empty()) {
     assert(t >= points_.back().first && "series times must be non-decreasing");
     if (points_.back().first == t) {
-      points_.back().second = value;
+      // Overwrite; back to the value before this instant means no change.
+      const std::size_t n = points_.size();
+      if (n >= 2 && points_[n - 2].second == value) {
+        points_.pop_back();
+      } else {
+        points_.back().second = value;
+      }
       return;
     }
     if (points_.back().second == value) return;  // no change

@@ -36,10 +36,10 @@ apps::SyntheticConfig synth(int appranks, int iterations, int tasks,
   return scfg;
 }
 
-std::vector<const trace::StepSeries*> busy_rows(const core::ClusterRuntime& rt) {
-  std::vector<const trace::StepSeries*> rows;
+std::vector<trace::StepSeries> busy_rows(const core::ClusterRuntime& rt) {
+  std::vector<trace::StepSeries> rows;
   for (int n = 0; n < rt.topology().node_count(); ++n) {
-    rows.push_back(&rt.recorder().node_busy(n));
+    rows.push_back(rt.recorder().node_busy(n));
   }
   return rows;
 }
@@ -236,8 +236,9 @@ TEST(Recovery, AnalyseMeasuresReconvergenceAndGoodput) {
       {5.0, trace::MarkKind::FaultInjected, 1, "knock-out"},
       {10.0, trace::MarkKind::Generic, 0, "knock-out recovered"},
   };
+  const std::vector<trace::StepSeries> nodes{a, b};
   const auto reports =
-      metrics::recovery_reports(marks, {&a, &b}, 0.0, 20.0, 30, 1.10, 2);
+      metrics::recovery_reports(marks, nodes, 0.0, 20.0, 30, 1.10, 2);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].label, "knock-out");
   EXPECT_NEAR(reports[0].reconverge_time, 5.0, 0.6);  // one bin of slack

@@ -192,8 +192,8 @@ TEST(PaperClaims, DromConvergesNodeImbalanceLewiOnlyDoesNot) {
     apps::SyntheticWorkload wl(scfg);
     core::ClusterRuntime rt(cfg);
     const auto r = rt.run(wl);
-    std::vector<const trace::StepSeries*> node_busy;
-    for (int n = 0; n < 4; ++n) node_busy.push_back(&rt.recorder().node_busy(n));
+    std::vector<trace::StepSeries> node_busy;
+    for (int n = 0; n < 4; ++n) node_busy.push_back(rt.recorder().node_busy(n));
     const auto series =
         metrics::node_imbalance_series(node_busy, 0.0, r.makespan, 24);
     double tail = 0.0;

@@ -196,6 +196,7 @@ TEST_F(ProfTest, AllocCountersBalanceToZeroAfterTeardown) {
     EXPECT_GT(peak_of("core.exec"), 0);
     EXPECT_GT(peak_of("core.pending"), 0);
     EXPECT_GT(peak_of("trace.mark"), 0);
+    EXPECT_GT(peak_of("trace.series"), 0);
     EXPECT_EQ(peak_of("obs.span") > 0, std::strcmp(spans, "off") != 0);
   }
   std::remove(path.c_str());

@@ -1,9 +1,12 @@
 // End-to-end tests of the ClusterRuntime on small clusters.
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "apps/synthetic.hpp"
 #include "core/runtime.hpp"
 #include "fingerprint.hpp"
+#include "prof/prof.hpp"
 
 namespace tlb::core {
 namespace {
@@ -269,16 +272,36 @@ TEST(Runtime, RecorderBusyNeverExceedsNodeCores) {
 TEST(Runtime, RecordTracesOffDropsSeriesOnly) {
   // The busy / owned / node-busy series are record-only: turning them off
   // leaves the schedule, the timeline marks and the offload statistics
-  // untouched, and every series empty.
+  // untouched, and every series empty. Both runs are profiled: the series
+  // storage is charged to trace.series, and with series off nothing is.
+  struct ProfilerOff {
+    ~ProfilerOff() {
+      prof::Profiler::instance().disable();
+      prof::Profiler::instance().reset();
+    }
+  } profiler_off;
+  auto series_tag = [] {
+    for (const prof::TagStats& t : prof::Profiler::instance().alloc_stats()) {
+      if (std::string_view(t.tag) == "trace.series") return t;
+    }
+    ADD_FAILURE() << "no trace.series tag";
+    return prof::TagStats{};
+  };
   auto cfg = base_config(2, 4, 2, 2);
+  cfg.prof.enabled = true;
+  prof::Profiler::instance().reset();
   apps::SyntheticWorkload wl_on(synth(4, 1.6, 3));
   ClusterRuntime on(cfg);
   const auto r_on = on.run(wl_on);
+  EXPECT_GT(series_tag().peak_bytes, 0);
 
+  prof::Profiler::instance().reset();
   cfg.record_traces = false;
   apps::SyntheticWorkload wl_off(synth(4, 1.6, 3));
   ClusterRuntime off(cfg);
   const auto r_off = off.run(wl_off);
+  EXPECT_EQ(series_tag().allocs, 0u);
+  EXPECT_EQ(series_tag().peak_bytes, 0);
 
   EXPECT_EQ(schedule_fingerprint(on, r_on), schedule_fingerprint(off, r_off));
   EXPECT_EQ(on.recorder().marks(), off.recorder().marks());

@@ -298,9 +298,9 @@ TEST(Timeline, EveryMarkReachesEveryExporter) {
   EXPECT_EQ(exported, expected);
 
   // Recovery analysis: one report per injection mark.
-  std::vector<const trace::StepSeries*> busy;
+  std::vector<trace::StepSeries> busy;
   for (int n = 0; n < rt.topology().node_count(); ++n) {
-    busy.push_back(&rt.recorder().node_busy(n));
+    busy.push_back(rt.recorder().node_busy(n));
   }
   const auto reports =
       metrics::recovery_reports(marks, busy, 0.0, r.makespan, 8, 1.10, 2);

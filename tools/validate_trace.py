@@ -15,6 +15,8 @@ Two formats, selected by extension:
       - header matches  #Paraver (...):<end>_ns:0:1:1(<threads>:1)
       - every record is  2:cpu:1:1:thread:time:type:value  with
         1 <= thread <= <threads>, 0 <= time <= <end>, non-decreasing times;
+      - busy/owned records (types 90000001/90000002) are canonical: no
+        record repeats the previous value of its (thread, type);
       - .row declares LEVEL THREAD SIZE <threads> plus one label per thread;
       - .pcf names every event type the .prv uses (and all six tlb types).
 
@@ -29,6 +31,8 @@ import re
 import sys
 
 TLB_EVENT_TYPES = [90000001, 90000002, 90000003, 90000004, 90000005, 90000006]
+# Step-series types: each record is a change of value, never a repeat.
+SERIES_EVENT_TYPES = {90000001, 90000002}
 
 PRV_HEADER = re.compile(
     r"^#Paraver \([^)]*\):(?P<end>\d+)_ns:0:1:1\((?P<threads>\d+):1\)$"
@@ -104,6 +108,8 @@ def validate_prv(path: str) -> str:
     used_types = set()
     last_time = 0
     records = 0
+    last_value: dict[tuple[int, int], int] = {}
+    repeats = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -119,10 +125,19 @@ def validate_prv(path: str) -> str:
         if time < last_time:
             fail(f"line {lineno}: time {time} < previous {last_time}")
         last_time = time
-        used_types.add(int(r.group("type")))
+        kind = int(r.group("type"))
+        used_types.add(kind)
         records += 1
+        if kind in SERIES_EVENT_TYPES:
+            value = int(r.group("value"))
+            if last_value.get((thread, kind)) == value:
+                repeats.append(lineno)
+            last_value[(thread, kind)] = value
     if records == 0:
         fail("no event records")
+    if repeats:
+        fail(f"{len(repeats)} busy/owned records repeat the previous value "
+             f"of their (thread, type), first at line {repeats[0]}")
 
     stem = path[: -len(".prv")]
     extras = []
