@@ -256,6 +256,14 @@ class JsonReport {
   /// Figure-level parameters (node counts, payload sizes, ...).
   JsonObject& config() { return config_; }
 
+  /// Reports `json` and `collapsed` as the figure's "prof" block and
+  /// collapsed-stack fold in place of this process's profiler window (a
+  /// bench whose runs happen in forked children hands one child's back).
+  void use_profile(std::string json, std::string collapsed) {
+    profile_json_ = std::move(json);
+    profile_collapsed_ = std::move(collapsed);
+  }
+
   /// Appends a point to `series` (created on first use, order preserved)
   /// and returns it for chained set() calls.
   JsonObject& point(const std::string& series) {
@@ -298,7 +306,10 @@ class JsonReport {
     std::snprintf(rss, sizeof(rss), "%.1f", peak_rss_mb());
     out += std::string("  \"peak_rss_mb\": ") + rss + ",\n";
     if (prof::enabled()) {
-      out += "  \"prof\": " + prof::Profiler::instance().to_json() + ",\n";
+      out += "  \"prof\": " +
+             (profile_json_.empty() ? prof::Profiler::instance().to_json()
+                                    : profile_json_) +
+             ",\n";
     }
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.1f", wall_ms);
@@ -321,7 +332,9 @@ class JsonReport {
       // Host wall-time flamegraph input (flamegraph.pl-compatible), the
       // host-side counterpart of the obs flame export over sim time.
       write_text_file(dir + "tlb_prof_" + figure_ + ".collapsed",
-                      prof::Profiler::instance().collapsed_stacks());
+                      profile_json_.empty()
+                          ? prof::Profiler::instance().collapsed_stacks()
+                          : profile_collapsed_);
     }
     return true;
   }
@@ -332,6 +345,9 @@ class JsonReport {
   std::chrono::steady_clock::time_point start_;
   JsonObject config_;
   std::vector<std::pair<std::string, std::vector<JsonObject>>> series_;
+  /// Set by use_profile(); empty means this process's profiler window.
+  std::string profile_json_;
+  std::string profile_collapsed_;
   bool written_ = false;
 };
 

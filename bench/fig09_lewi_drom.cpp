@@ -86,8 +86,7 @@ int main() {
         .set("pop_transfer_efficiency", pop.transfer_efficiency);
 
     std::fputs(tlb::obs::render_pop(pop).c_str(), stdout);
-    const tlb::obs::CriticalPath cp =
-        tlb::obs::critical_path(rt.tasks(), *rt.spans());
+    const tlb::obs::CriticalPath cp = tlb::obs::critical_path(*rt.spans());
     std::fputs(tlb::obs::render_critical_path(cp).c_str(), stdout);
 
     if (const char* dir = trace_output_dir()) {

@@ -10,7 +10,8 @@
 //    backend. The collector's resident set grows with total tasks; the
 //    stream sink's with *in-flight* tasks (peak_open_spans), so its RSS
 //    tracks the telemetry-off run while producing the same trace (the
-//    equivalence is pinned bit-for-bit by tests/stream_test.cpp).
+//    equivalence is pinned bit-for-bit by tests/stream_test.cpp). Each
+//    backend runs in a forked child, so its peak RSS is its own.
 //  - "solver": one fabric driven through a seeded arrival/cancel
 //    sequence: wall clock, solves, flows touched, and the filling rounds
 //    run and replayed by the warm-started max-min solve (its bitwise
@@ -41,9 +42,12 @@
 #include <array>
 #include <chrono>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <random>
+#include <string>
 #include <type_traits>
+#include <utility>
 
 #include "apps/synthetic.hpp"
 #include "bench/common.hpp"
@@ -147,8 +151,6 @@ RunSample run_once(int nodes, int tasks_per_rank, Telemetry telemetry,
                    const std::string& stream_path) {
   // Each point gets its own profiler window so solver_wall_share and the
   // allocation peaks describe this run, not everything since main().
-  // (The report-level "prof" block therefore covers the last point run in
-  // this process: the collector telemetry point and the solver arm.)
   const bool prof_on = bench::prof_requested();
   if (prof_on) prof::Profiler::instance().reset();
   RunSample s;
@@ -211,12 +213,57 @@ RunSample run_once(int nodes, int tasks_per_rank, Telemetry telemetry,
   return s;
 }
 
+/// A forked point's profiler window (TLB_PROF=1): the report's "prof"
+/// block and collapsed-stack fold as the child rendered them.
+struct ChildProfile {
+  std::string json;
+  std::string collapsed;
+};
+
+bool write_all(int fd, const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t n = write(fd, bytes, size);
+    if (n <= 0) return false;
+    bytes += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool read_all(int fd, void* data, std::size_t size) {
+  auto* bytes = static_cast<char*>(data);
+  while (size > 0) {
+    const ssize_t n = read(fd, bytes, size);
+    if (n <= 0) return false;
+    bytes += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool write_string(int fd, const std::string& s) {
+  const std::uint64_t size = s.size();
+  return write_all(fd, &size, sizeof(size)) &&
+         write_all(fd, s.data(), s.size());
+}
+
+bool read_string(int fd, std::string& s) {
+  std::uint64_t size = 0;
+  if (!read_all(fd, &size, sizeof(size))) return false;
+  s.resize(static_cast<std::size_t>(size));
+  return read_all(fd, s.data(), s.size());
+}
+
 /// run_once() in a forked child: the point's peak RSS is the child's own
 /// high-water mark, which starts from the pages the child inherits (the
 /// binary and whatever the earlier arms left resident) instead of the
-/// parent's peak so far.
-RunSample run_in_child(int nodes, int tasks_per_rank,
-                       const std::string& stream_path) {
+/// parent's peak so far. With TLB_PROF=1 the child also hands back its
+/// profiler window, which the parent's profiler never sees; it lands in
+/// `profile` when that is non-null.
+RunSample run_in_child(int nodes, int tasks_per_rank, Telemetry telemetry,
+                       const std::string& stream_path,
+                       ChildProfile* profile = nullptr) {
   std::fflush(nullptr);
   int fds[2];
   if (pipe(fds) != 0) {
@@ -231,32 +278,30 @@ RunSample run_in_child(int nodes, int tasks_per_rank,
   if (pid == 0) {
     close(fds[0]);
     const RunSample s =
-        run_once(nodes, tasks_per_rank, Telemetry::Stream, stream_path);
-    const auto* bytes = reinterpret_cast<const char*>(&s);
-    std::size_t sent = 0;
-    while (sent < sizeof(s)) {
-      const ssize_t n = write(fds[1], bytes + sent, sizeof(s) - sent);
-      if (n <= 0) _exit(1);
-      sent += static_cast<std::size_t>(n);
+        run_once(nodes, tasks_per_rank, telemetry, stream_path);
+    bool ok = write_all(fds[1], &s, sizeof(s));
+    if (ok && s.prof_on) {
+      const prof::Profiler& p = prof::Profiler::instance();
+      ok = write_string(fds[1], p.to_json()) &&
+           write_string(fds[1], p.collapsed_stacks());
     }
-    _exit(0);
+    _exit(ok ? 0 : 1);
   }
   close(fds[1]);
   RunSample s;
-  auto* bytes = reinterpret_cast<char*>(&s);
-  std::size_t got = 0;
-  while (got < sizeof(s)) {
-    const ssize_t n = read(fds[0], bytes + got, sizeof(s) - got);
-    if (n <= 0) break;
-    got += static_cast<std::size_t>(n);
+  ChildProfile got;
+  bool ok = read_all(fds[0], &s, sizeof(s));
+  if (ok && s.prof_on) {
+    ok = read_string(fds[0], got.json) && read_string(fds[0], got.collapsed);
   }
   close(fds[0]);
   int status = 0;
   waitpid(pid, &status, 0);
-  if (got != sizeof(s) || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    std::fprintf(stderr, "fig17: scale point at %d nodes failed\n", nodes);
+  if (!ok || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    std::fprintf(stderr, "fig17: point at %d nodes failed\n", nodes);
     std::exit(1);
   }
+  if (profile != nullptr) *profile = std::move(got);
   return s;
 }
 
@@ -270,19 +315,17 @@ void telemetry_arm(bench::JsonReport& report, int nodes, int tasks_per_rank) {
                    " tasks)",
                {"backend", "makespan[s]", "wall[s]", "kev/s", "rss[MB]",
                 "spans", "open_peak"});
-  // Collector last: ru_maxrss is a process-wide high-water mark, and the
-  // collector's task-count-proportional footprint would otherwise mask
-  // the off/stream readings.
   const struct {
     Telemetry telemetry;
     const char* name;
   } backends[] = {{Telemetry::Off, "off"},
                   {Telemetry::Stream, "stream"},
                   {Telemetry::Collector, "collector"}};
+  ChildProfile profile;
   for (const auto& b : backends) {
     const std::string spill = bench_dir() + "/fig17_telemetry.stream";
     const RunSample s =
-        run_once(nodes, tasks_per_rank, b.telemetry, spill);
+        run_in_child(nodes, tasks_per_rank, b.telemetry, spill, &profile);
     const std::uint64_t spans = b.telemetry == Telemetry::Stream
                                     ? s.spans_spilled
                                     : (b.telemetry == Telemetry::Collector
@@ -311,6 +354,11 @@ void telemetry_arm(bench::JsonReport& report, int nodes, int tasks_per_rank) {
         .set("stream_bytes", s.stream_bytes)
         .set("peak_open_spans", s.peak_open_spans);
     if (b.telemetry == Telemetry::Stream) std::remove(spill.c_str());
+  }
+  // The report's "prof" block covers the last backend's run (the
+  // collector's): this process ran none of them.
+  if (!profile.json.empty()) {
+    report.use_profile(std::move(profile.json), std::move(profile.collapsed));
   }
 }
 
@@ -395,7 +443,8 @@ void scale_arm(bench::JsonReport& report, const std::vector<int>& node_counts,
   for (const int nodes : node_counts) {
     const std::string spill =
         bench_dir() + "/fig17_scale_n" + std::to_string(nodes) + ".stream";
-    const RunSample s = run_in_child(nodes, tasks_per_rank, spill);
+    const RunSample s =
+        run_in_child(nodes, tasks_per_rank, Telemetry::Stream, spill);
     const double vs_seed = kSeedBaselineEventsPerSec > 0.0
                                ? s.events_per_sec / kSeedBaselineEventsPerSec
                                : 0.0;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 #include "solver/allocation.hpp"
 
@@ -17,15 +16,6 @@ const char* to_string(PolicyKind kind) {
     case PolicyKind::Global: return "global";
   }
   return "?";
-}
-
-PolicyKind parse_policy_kind(const std::string& name) {
-  for (const PolicyKind k :
-       {PolicyKind::None, PolicyKind::Local, PolicyKind::Global}) {
-    if (name == to_string(k)) return k;
-  }
-  throw std::invalid_argument("unknown DROM policy '" + name +
-                              "'; valid values: none, local, global");
 }
 
 namespace {

@@ -7,7 +7,6 @@
 // over the whole cluster via solver::solve_allocation.
 #pragma once
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,14 +20,9 @@ enum class PolicyKind {
   Global,  ///< global linear-program solve (§5.4.2)
 };
 
-/// Canonical name of a policy ("none", "local", "global") — the inverse
-/// of parse_policy_kind, used by benches/reports so every name rendering
-/// agrees.
+/// Canonical name of a policy ("none", "local", "global"), used by
+/// benches/reports so every name rendering agrees.
 [[nodiscard]] const char* to_string(PolicyKind kind);
-
-/// Parses a policy name. Unknown names throw std::invalid_argument
-/// listing the valid values — never a silent fallback to a default.
-[[nodiscard]] PolicyKind parse_policy_kind(const std::string& name);
 
 /// Ownership targets for every node: targets[n] lists (worker, cores) for
 /// each worker resident on node n; counts sum to node_cores[n], each >= 1.

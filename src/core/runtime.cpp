@@ -120,8 +120,6 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   }
   // Every timeline mark also becomes an instant of the span store.
   recorder_->attach_spans(span_recorder_.get());
-  // The collector's critical path reads successor edges after the run.
-  if (spans() != nullptr) pool_.keep_retired_records();
 
   // Contention-aware interconnect (tlb::net): replace the analytic cost
   // model with a shared-link fabric. The control plane routes its
@@ -293,12 +291,10 @@ void ClusterRuntime::start_iteration_all() {
       iteration_work += spec.work;
       const nanos::TaskId id =
           pool_.create(a, spec.work, spec.accesses, spec.offloadable);
-      nanos::Task& t = pool_.get(id);
-      t.created_at = engine_.now();
       sink().task_created(id, a, engine_.now());
       if (st.deps->register_task(id)) {
-        t.ready_at = engine_.now();
-        sink().task_ready(id, engine_.now());
+        pool_.get(id).ready_at = engine_.now();
+        sink().task_ready(id, nanos::kNoTask, engine_.now());
         on_task_ready(id);
       }
     }
@@ -497,7 +493,6 @@ void ClusterRuntime::finish_assignment(nanos::TaskId id, WorkerId w) {
       pd.flows.push_back(fabric_->start_flow(
           src, info.node, b, [this, id] { on_input_arrived(id); }));
     }
-    task.transfer_bytes = bytes;
     task.data_ready_at = engine_.now();
     if (bytes > 0) {
       result_.transfer_bytes += bytes;
@@ -515,7 +510,6 @@ void ClusterRuntime::finish_assignment(nanos::TaskId id, WorkerId w) {
   }
   const std::uint64_t bytes =
       loc.missing_input_bytes(task.accesses, info.node);
-  task.transfer_bytes = bytes;
   sim::SimTime cost = 0.0;
   if (bytes > 0) {
     cost = vmpi::faulted_link_time(config_.cluster.link, link_fault_, bytes,
@@ -740,12 +734,13 @@ void ClusterRuntime::complete_task(nanos::TaskId id) {
   const int apprank = pool_.get(id).apprank;
   ApprankState& state = appranks_[static_cast<std::size_t>(apprank)];
   sink().task_done(id, engine_.now());
-  const auto ready = state.deps->on_task_finished(id);
+  const auto ready = state.deps->on_task_finished(id, engine_.now());
   std::vector<int> touched;
   for (nanos::TaskId r : ready) {
-    nanos::Task& rt = pool_.get(r);
-    rt.ready_at = engine_.now();
-    sink().task_ready(r, engine_.now());
+    // on_task_finished left ready_at at this completion and released_by
+    // at the predecessor the critical path follows.
+    const nanos::Task& rt = pool_.get(r);
+    sink().task_ready(r, rt.released_by, engine_.now());
     on_task_ready(r);
     if (rt.state == nanos::TaskState::Scheduled) {
       touched.push_back(rt.scheduled_node);

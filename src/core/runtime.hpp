@@ -122,10 +122,8 @@ class ClusterRuntime : private sched::RuntimeView, private resil::Host {
   [[nodiscard]] const RuntimeConfig& config() const { return config_; }
   [[nodiscard]] sim::SimTime now() const override { return engine_.now(); }
   /// The task records. Each iteration's block retires at its barrier
-  /// (the last one when the run ends) and is freed then, unless a span
-  /// collector is attached (spans() non-null), whose critical path reads
-  /// the successor edges after the run. digest() folds every retired
-  /// record; observe_retired_tasks() sees each one.
+  /// (the last one when the run ends) and is freed then. digest() folds
+  /// every retired record; observe_retired_tasks() sees each one.
   [[nodiscard]] const nanos::TaskPool& tasks() const { return pool_; }
   /// Calls `fn` with each task record as it retires, in id order. Set it
   /// before the run; checks of single records after a run go here.

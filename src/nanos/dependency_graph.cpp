@@ -63,7 +63,8 @@ bool DependencyGraph::register_task(TaskId id) {
   return false;
 }
 
-std::vector<TaskId> DependencyGraph::on_task_finished(TaskId id) {
+std::vector<TaskId> DependencyGraph::on_task_finished(TaskId id,
+                                                      sim::SimTime now) {
   Task& task = pool_.get(id);
   assert(task.state != TaskState::Finished && "double finish");
   task.state = TaskState::Finished;
@@ -74,6 +75,11 @@ std::vector<TaskId> DependencyGraph::on_task_finished(TaskId id) {
   for (TaskId s : task.successors) {
     Task& succ = pool_.get(s);
     assert(succ.deps_remaining > 0);
+    if (now > succ.ready_at ||
+        (now == succ.ready_at && id < succ.released_by)) {
+      succ.ready_at = now;
+      succ.released_by = id;
+    }
     if (--succ.deps_remaining == 0) {
       assert(succ.state == TaskState::Created);
       succ.state = TaskState::Ready;

@@ -28,8 +28,11 @@ class DependencyGraph {
   /// below the pool's retired watermark count as finished.
   bool register_task(TaskId id);
 
-  /// Marks a task finished and returns the tasks that became ready.
-  std::vector<TaskId> on_task_finished(TaskId id);
+  /// Marks a task finished at `now` and returns the tasks that became
+  /// ready. Every successor's ready_at and released_by take this
+  /// completion if it is the latest so far (ties to the lower id), so a
+  /// released task names the predecessor the critical path follows.
+  std::vector<TaskId> on_task_finished(TaskId id, sim::SimTime now);
 
   /// Number of registered-but-unfinished tasks (taskwait support).
   [[nodiscard]] std::size_t live_tasks() const { return live_; }

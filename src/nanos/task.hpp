@@ -55,6 +55,10 @@ struct Task {
   // Dependency bookkeeping (managed by DependencyGraph).
   int deps_remaining = 0;
   std::vector<TaskId> successors;
+  /// The predecessor whose completion released the task last (latest
+  /// completion, ties to the lower id); kNoTask for a task with no edges.
+  /// The critical path's dependency edge.
+  TaskId released_by = kNoTask;
 
   // Execution record.
   TaskState state = TaskState::Created;
@@ -66,14 +70,14 @@ struct Task {
   int executions = 0;
   /// Times the task was detected lost on a crashed worker and re-queued.
   int reexecutions = 0;
-  sim::SimTime created_at = 0.0;
+  /// When the task became ready. While it waits on dependencies, the
+  /// latest completion among its finished predecessors.
   sim::SimTime ready_at = 0.0;
   sim::SimTime start_at = 0.0;
   sim::SimTime finish_at = 0.0;
   /// Earliest time the task's input data is resident on scheduled_node
   /// (transfers are initiated at assignment, §5.5's prefetch rationale).
   sim::SimTime data_ready_at = 0.0;
-  std::uint64_t transfer_bytes = 0;  ///< input bytes moved to run it
 };
 
 /// Offset basis and one step of the 64-bit FNV-1a hash that folds retired
@@ -128,8 +132,7 @@ class TaskPool {
   /// Ids below this are retired: finished, and never written again.
   [[nodiscard]] TaskId retired() const { return retired_; }
 
-  /// Retires ids [retired(), end) in id order. Their records are freed
-  /// unless keep_retired_records() was called.
+  /// Retires ids [retired(), end) in id order and frees their records.
   void retire_below(TaskId end) {
     for (; retired_ < end; ++retired_) {
       const Task& t = get(retired_);
@@ -146,7 +149,6 @@ class TaskPool {
       digest_ = fnv_mix(digest_, std::bit_cast<std::uint64_t>(t.start_at));
       digest_ = fnv_mix(digest_, std::bit_cast<std::uint64_t>(t.finish_at));
     }
-    if (keep_retired_) return;
     for (; freed_ < retired_; ++freed_) {
       prof::free_note(prof::AllocTag::NanosTask, charged_bytes(tasks_.front()));
       tasks_.pop_front();
@@ -166,10 +168,6 @@ class TaskPool {
 
   /// Called with each record as it retires, in id order.
   void set_retire_observer(RetireObserver fn) { observer_ = std::move(fn); }
-
-  /// Retired records stay readable until the pool is destroyed (a span
-  /// collector's critical path reads their successor edges after the run).
-  void keep_retired_records() { keep_retired_ = true; }
 
  private:
   // Attribution estimate for tlb::prof: the task record plus its access
@@ -199,7 +197,6 @@ class TaskPool {
   std::uint64_t digest_ = kFnvOffset;
   std::uint64_t not_exactly_once_ = 0;
   RetireObserver observer_;
-  bool keep_retired_ = false;
 };
 
 }  // namespace tlb::nanos

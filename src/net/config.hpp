@@ -12,8 +12,6 @@
 // hardware as the analytic formula — just with contention.
 #pragma once
 
-#include <string>
-
 #include "sim/cluster_spec.hpp"
 #include "sim/time.hpp"
 
@@ -33,14 +31,6 @@ enum class TopologyKind {
   /// pressure shows up (MareNostrum 4's Omni-Path is a fat-tree).
   FatTree,
 };
-
-/// Canonical name of a topology ("crossbar", "fat-tree") — the inverse of
-/// parse_topology_kind.
-[[nodiscard]] const char* to_string(TopologyKind kind);
-
-/// Parses a topology name. Unknown names throw std::invalid_argument
-/// listing the valid values — never a silent fallback to a default.
-[[nodiscard]] TopologyKind parse_topology_kind(const std::string& name);
 
 struct NetConfig {
   /// Master switch. When false the runtime keeps the analytic LinkSpec

@@ -7,24 +7,6 @@
 
 namespace tlb::net {
 
-const char* to_string(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::Crossbar:
-      return "crossbar";
-    case TopologyKind::FatTree:
-      return "fat-tree";
-  }
-  return "?";
-}
-
-TopologyKind parse_topology_kind(const std::string& name) {
-  for (const TopologyKind k : {TopologyKind::Crossbar, TopologyKind::FatTree}) {
-    if (name == to_string(k)) return k;
-  }
-  throw std::invalid_argument("unknown net topology '" + name +
-                              "'; valid values: crossbar, fat-tree");
-}
-
 const char* to_string(LinkKind kind) {
   switch (kind) {
     case LinkKind::NicInject:

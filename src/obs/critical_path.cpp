@@ -6,47 +6,18 @@
 
 namespace tlb::obs {
 
-namespace {
-
-/// Completion time of a task in the span record; -1 when never completed.
-double done_at(const SpanCollector& spans, nanos::TaskId id) {
-  if (static_cast<std::size_t>(id) >= spans.spans().size()) return -1.0;
-  return spans.span(id).done_at;
-}
-
-}  // namespace
-
-CriticalPath critical_path(const nanos::TaskPool& pool,
-                           const SpanCollector& spans) {
+CriticalPath critical_path(const SpanCollector& spans) {
   CriticalPath cp;
-  const std::size_t n = std::min(pool.size(), spans.spans().size());
+  const std::size_t n = spans.spans().size();
   if (n == 0) return cp;
-
-  // Dependency predecessors: for every task the predecessor whose
-  // completion released it last. Successor edges point from lower to
-  // higher ids (dependencies are registered at creation against earlier
-  // tasks), so ascending iteration with strict improvement breaks ties
-  // towards the lower predecessor id.
-  std::vector<nanos::TaskId> pred(n, nanos::kNoTask);
-  std::vector<double> pred_done(n, -1.0);
-  for (std::size_t u = 0; u < n; ++u) {
-    const double du = done_at(spans, static_cast<nanos::TaskId>(u));
-    if (du < 0.0) continue;
-    for (const nanos::TaskId v : pool.get(static_cast<nanos::TaskId>(u))
-                                     .successors) {
-      if (static_cast<std::size_t>(v) >= n) continue;
-      if (du > pred_done[static_cast<std::size_t>(v)]) {
-        pred_done[static_cast<std::size_t>(v)] = du;
-        pred[static_cast<std::size_t>(v)] = static_cast<nanos::TaskId>(u);
-      }
-    }
-  }
+  // Completion time of a task; -1 when never completed.
+  auto done_at = [&](std::size_t id) { return spans.spans()[id].done_at; };
 
   // Chain tail: the globally last-completing task (ties -> lower id).
   nanos::TaskId tail = nanos::kNoTask;
   double tail_done = -1.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double d = done_at(spans, static_cast<nanos::TaskId>(i));
+    const double d = done_at(i);
     if (d > tail_done) {
       tail_done = d;
       tail = static_cast<nanos::TaskId>(i);
@@ -61,12 +32,12 @@ CriticalPath critical_path(const nanos::TaskPool& pool,
   nanos::TaskId cur = tail;
   while (cur != nanos::kNoTask) {
     chain.push_back(cur);
-    nanos::TaskId prev = pred[static_cast<std::size_t>(cur)];
+    nanos::TaskId prev = spans.span(cur).released_by;
     if (prev == nanos::kNoTask) {
       const double created = spans.span(cur).created_at;
       double best = -1.0;
       for (std::size_t i = 0; i < n; ++i) {
-        const double d = done_at(spans, static_cast<nanos::TaskId>(i));
+        const double d = done_at(i);
         if (d >= 0.0 && d <= created && d > best) {
           best = d;
           prev = static_cast<nanos::TaskId>(i);

@@ -1,13 +1,17 @@
 // Critical-path analysis over the span DAG (tlb::obs).
 //
 // The DAG's nodes are tasks; its edges are (a) data dependencies inside an
-// iteration (nanos::Task::successors) and (b) the implicit barrier edge
-// between iterations (a task created at an iteration start is ordered
-// after every task completed before that instant). The critical path is
-// the chain found by walking back from the last-completing task, at each
-// step following the predecessor whose completion released the current
-// task last (ties broken towards the lower task id, so the walk is
-// deterministic).
+// iteration and (b) the implicit barrier edge between iterations (a task
+// created at an iteration start is ordered after every task completed
+// before that instant). The critical path is the chain found by walking
+// back from the last-completing task, at each step following the
+// predecessor whose completion released the current task last (ties
+// broken towards the lower task id, so the walk is deterministic). The
+// dependency graph picks that predecessor while the run is live and the
+// span records it (TaskSpan::released_by); a task with none follows its
+// barrier edge. The walk needs no task record, so every record retires at
+// its barrier. A spill file carries no release ids: a collector rebuilt
+// from one (tests/stream_reader.hpp) follows barrier edges only.
 //
 // Each chain link's duration — from the predecessor's completion (or time
 // zero) to the task's own completion — is split into:
@@ -24,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "nanos/task.hpp"
 #include "obs/span.hpp"
 
 namespace tlb::obs {
@@ -37,11 +40,9 @@ struct CriticalPath {
   std::vector<nanos::TaskId> chain;  ///< first -> last task on the path
 };
 
-/// Computes the critical path of a completed run. `pool` supplies the
-/// dependency edges, `spans` the observed lifecycle timestamps (requires
+/// Computes the critical path of a completed run from its spans (requires
 /// RuntimeConfig::obs.spans; an empty collector yields an empty path).
-CriticalPath critical_path(const nanos::TaskPool& pool,
-                           const SpanCollector& spans);
+CriticalPath critical_path(const SpanCollector& spans);
 
 /// One-paragraph text rendering (length, breakdown percentages, chain
 /// size).

@@ -54,12 +54,16 @@ void SpanRecorder::task_created(nanos::TaskId id, int apprank,
   s.created_at = t;
 }
 
-void SpanRecorder::task_ready(nanos::TaskId id, sim::SimTime t) {
+void SpanRecorder::task_ready(nanos::TaskId id, nanos::TaskId released_by,
+                              sim::SimTime t) {
   TaskSpan& s = at(id);
   // Only the first readiness counts as the lifecycle edge; a rescue that
   // re-queues the task keeps the original ready time (the re-queue itself
   // is recorded on the voided attempt).
-  if (s.ready_at < 0.0) s.ready_at = t;
+  if (s.ready_at < 0.0) {
+    s.ready_at = t;
+    s.released_by = released_by;
+  }
 }
 
 void SpanRecorder::task_scheduled(nanos::TaskId id, int worker, int node,

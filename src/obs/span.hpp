@@ -39,7 +39,10 @@ class SpanSink {
 
   virtual void task_created(nanos::TaskId /*id*/, int /*apprank*/,
                             sim::SimTime /*t*/) {}
-  virtual void task_ready(nanos::TaskId /*id*/, sim::SimTime /*t*/) {}
+  /// `released_by` is the predecessor whose completion released the task
+  /// (nanos::Task::released_by), or kNoTask.
+  virtual void task_ready(nanos::TaskId /*id*/, nanos::TaskId /*released_by*/,
+                          sim::SimTime /*t*/) {}
   /// `offloaded` = scheduled off the task's home node.
   virtual void task_scheduled(nanos::TaskId /*id*/, int /*worker*/,
                               int /*node*/, bool /*offloaded*/,
@@ -95,10 +98,14 @@ class SpanRecorder : public SpanSink {
   };
   struct TaskSpan {
     nanos::TaskId id = nanos::kNoTask;
-    int apprank = -1;
+    /// The critical path's dependency edge: the predecessor whose
+    /// completion released the task (kNoTask for a task with no edges).
+    /// The spill format does not carry it.
+    nanos::TaskId released_by = nanos::kNoTask;
     sim::SimTime created_at = -1.0;
     sim::SimTime ready_at = -1.0;
     sim::SimTime done_at = -1.0;
+    int apprank = -1;
     SchedVerdict verdict = SchedVerdict::Baseline;
     std::vector<Attempt> attempts;
 
@@ -123,7 +130,8 @@ class SpanRecorder : public SpanSink {
   ~SpanRecorder() override;
 
   void task_created(nanos::TaskId id, int apprank, sim::SimTime t) final;
-  void task_ready(nanos::TaskId id, sim::SimTime t) final;
+  void task_ready(nanos::TaskId id, nanos::TaskId released_by,
+                  sim::SimTime t) final;
   void task_scheduled(nanos::TaskId id, int worker, int node, bool offloaded,
                       sim::SimTime t) final;
   void sched_decision(nanos::TaskId id, SchedVerdict verdict) final;
@@ -178,12 +186,15 @@ class SpanRecorder : public SpanSink {
   bool closed_ = false;
 };
 
+// apprank and verdict share one 8 B slot, so the release id adds no size.
+static_assert(sizeof(SpanRecorder::TaskSpan) <= 72);
+
 /// In-memory backend: closed spans land at their dense task-id slot,
 /// instants are kept in emission order with their names interned. The
-/// exporters (chrome_trace,
-/// flame, critical_path) read this view; the spill-format oracle in
-/// tests/stream_reader.hpp builds the same view from a spill file by
-/// calling the three store entry points with the file's records.
+/// exporters (chrome_trace, flame, critical_path) read this view; the
+/// spill-format oracle in tests/stream_reader.hpp builds the same view
+/// from a spill file by calling the three store entry points with the
+/// file's records (with no release ids, which the spill does not carry).
 class SpanCollector final : public SpanRecorder {
  public:
   ~SpanCollector() override;

@@ -9,10 +9,11 @@
 // record-only toggle (obs.spans, obs.stream to a temp file, prof,
 // record_traces = false) — and checks on every run that each task finished
 // exactly once, the iteration count is exact and no iteration time is
-// negative. All six runs must give the same schedule fingerprint, and with
-// prof on every alloc tag must balance back to zero at teardown. Every run
-// also checks one owner per core at each ownership change and LeWI round
-// (watch_ownership).
+// negative. The obs.spans run also checks its critical path against the
+// successor-walk oracle (critical_path_oracle.hpp). All six runs must
+// give the same schedule fingerprint, and with prof on every alloc tag
+// must balance back to zero at teardown. Every run also checks one owner
+// per core at each ownership change and LeWI round (watch_ownership).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/runtime.hpp"
+#include "critical_path_oracle.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "fingerprint.hpp"
@@ -150,8 +152,14 @@ inline std::uint64_t run_checked(const Scenario& s,
   }
   fault::FaultInjector injector(std::move(plan));
   injector.attach(rt);
+  obs::oracle::CriticalPathOracle oracle;
+  if (cfg.obs.spans) oracle.observe(rt);
   const core::RunResult r = rt.run(wl);
 
+  if (rt.spans() != nullptr) {
+    obs::oracle::expect_same_path(obs::critical_path(*rt.spans()),
+                                  oracle.compute(*rt.spans()));
+  }
   EXPECT_EQ(r.iteration_times.size(), static_cast<std::size_t>(s.iterations));
   for (std::size_t i = 0; i < r.iteration_times.size(); ++i) {
     EXPECT_GE(r.iteration_times[i], 0.0) << "iteration " << i;

@@ -57,7 +57,7 @@ TEST(DependencyGraph, ReadAfterWrite) {
   bool ready = true;
   const TaskId r = f.add({in(0, 10)}, &ready);
   EXPECT_FALSE(ready);
-  const auto now_ready = f.graph.on_task_finished(w);
+  const auto now_ready = f.graph.on_task_finished(w, 0.0);
   ASSERT_EQ(now_ready.size(), 1u);
   EXPECT_EQ(now_ready[0], r);
 }
@@ -68,20 +68,20 @@ TEST(DependencyGraph, WriteAfterWrite) {
   bool ready = true;
   f.add({out(0, 10)}, &ready);
   EXPECT_FALSE(ready);
-  EXPECT_EQ(f.graph.on_task_finished(w1).size(), 1u);
+  EXPECT_EQ(f.graph.on_task_finished(w1, 0.0).size(), 1u);
 }
 
 TEST(DependencyGraph, WriteAfterRead) {
   DepFixture f;
   const TaskId w = f.add({out(0, 10)});
-  f.graph.on_task_finished(w);
+  f.graph.on_task_finished(w, 0.0);
   bool r_ready = false;
   const TaskId r = f.add({in(0, 10)}, &r_ready);
   EXPECT_TRUE(r_ready);  // writer already finished
   bool w2_ready = true;
   f.add({out(0, 10)}, &w2_ready);
   EXPECT_FALSE(w2_ready);  // WAR on the live reader
-  EXPECT_EQ(f.graph.on_task_finished(r).size(), 1u);
+  EXPECT_EQ(f.graph.on_task_finished(r, 0.0).size(), 1u);
 }
 
 TEST(DependencyGraph, ConcurrentReadersShareReadiness) {
@@ -93,20 +93,20 @@ TEST(DependencyGraph, ConcurrentReadersShareReadiness) {
   f.add({in(0, 10)}, &rb);
   EXPECT_FALSE(ra);
   EXPECT_FALSE(rb);
-  EXPECT_EQ(f.graph.on_task_finished(w).size(), 2u);  // both release
+  EXPECT_EQ(f.graph.on_task_finished(w, 0.0).size(), 2u);  // both release
 }
 
 TEST(DependencyGraph, WriterWaitsForAllReaders) {
   DepFixture f;
   const TaskId w = f.add({out(0, 10)});
-  f.graph.on_task_finished(w);
+  f.graph.on_task_finished(w, 0.0);
   const TaskId r1 = f.add({in(0, 10)});
   const TaskId r2 = f.add({in(0, 10)});
   bool w2_ready = true;
   f.add({out(0, 10)}, &w2_ready);
   EXPECT_FALSE(w2_ready);
-  EXPECT_TRUE(f.graph.on_task_finished(r1).empty());
-  EXPECT_EQ(f.graph.on_task_finished(r2).size(), 1u);
+  EXPECT_TRUE(f.graph.on_task_finished(r1, 0.0).empty());
+  EXPECT_EQ(f.graph.on_task_finished(r2, 0.0).size(), 1u);
 }
 
 TEST(DependencyGraph, PartialOverlapCreatesDependency) {
@@ -115,7 +115,7 @@ TEST(DependencyGraph, PartialOverlapCreatesDependency) {
   bool ready = true;
   f.add({in(5, 10)}, &ready);  // overlaps bytes 5..9
   EXPECT_FALSE(ready);
-  EXPECT_EQ(f.graph.on_task_finished(w).size(), 1u);
+  EXPECT_EQ(f.graph.on_task_finished(w, 0.0).size(), 1u);
 }
 
 TEST(DependencyGraph, DisjointRegionsCommute) {
@@ -135,8 +135,8 @@ TEST(DependencyGraph, InOutActsAsReadAndWrite) {
   bool c_ready = true;
   f.add({inout(0, 10)}, &c_ready);
   EXPECT_FALSE(c_ready);
-  EXPECT_EQ(f.graph.on_task_finished(a).size(), 1u);
-  EXPECT_EQ(f.graph.on_task_finished(b).size(), 1u);
+  EXPECT_EQ(f.graph.on_task_finished(a, 0.0).size(), 1u);
+  EXPECT_EQ(f.graph.on_task_finished(b, 0.0).size(), 1u);
 }
 
 TEST(DependencyGraph, ChainReleasesInOrder) {
@@ -144,7 +144,8 @@ TEST(DependencyGraph, ChainReleasesInOrder) {
   std::vector<TaskId> chain;
   for (int i = 0; i < 5; ++i) chain.push_back(f.add({inout(0, 8)}));
   for (int i = 0; i + 1 < 5; ++i) {
-    const auto ready = f.graph.on_task_finished(chain[static_cast<std::size_t>(i)]);
+    const auto ready =
+        f.graph.on_task_finished(chain[static_cast<std::size_t>(i)], 0.0);
     ASSERT_EQ(ready.size(), 1u);
     EXPECT_EQ(ready[0], chain[static_cast<std::size_t>(i) + 1]);
   }
@@ -157,7 +158,7 @@ TEST(DependencyGraph, MultiRegionTaskDedupesPredecessors) {
   const TaskId r = f.add({in(0, 5), in(25, 5)}, &ready);
   EXPECT_FALSE(ready);
   EXPECT_EQ(f.pool.get(r).deps_remaining, 1);
-  EXPECT_EQ(f.graph.on_task_finished(w).size(), 1u);
+  EXPECT_EQ(f.graph.on_task_finished(w, 0.0).size(), 1u);
 }
 
 TEST(DependencyGraph, LiveTaskCountTracksLifecycle) {
@@ -165,9 +166,9 @@ TEST(DependencyGraph, LiveTaskCountTracksLifecycle) {
   const TaskId a = f.add({out(0, 4)});
   const TaskId b = f.add({in(0, 4)});
   EXPECT_EQ(f.graph.live_tasks(), 2u);
-  f.graph.on_task_finished(a);
+  f.graph.on_task_finished(a, 0.0);
   EXPECT_EQ(f.graph.live_tasks(), 1u);
-  f.graph.on_task_finished(b);
+  f.graph.on_task_finished(b, 0.0);
   EXPECT_EQ(f.graph.live_tasks(), 0u);
 }
 
@@ -487,7 +488,7 @@ void expect_dependencies_match_oracle(bool retire) {
     auto finish = [&](std::size_t k) {
       const TaskId id = ready[k];
       ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(k));
-      const std::vector<TaskId> released = graph.on_task_finished(id);
+      const std::vector<TaskId> released = graph.on_task_finished(id, 0.0);
       ASSERT_EQ(released, ref.on_task_finished(id)) << "finishing " << id;
       ready.insert(ready.end(), released.begin(), released.end());
       if (!retire) return;
@@ -571,21 +572,15 @@ TEST(TaskPool, ReadingARetiredIdThrows) {
 }
 
 TEST(TaskPool, DigestFoldsRetiredRecordsInIdOrder) {
-  // Retiring in two blocks folds the same digest as one block, and the
-  // records kept readable by keep_retired_records() fold identically.
+  // Retiring in two blocks folds the same digest as one block.
   TaskPool whole;
   TaskPool split;
-  TaskPool kept;
-  for (TaskPool* pool : {&whole, &split, &kept}) create_finished(*pool, 6);
-  kept.keep_retired_records();
+  for (TaskPool* pool : {&whole, &split}) create_finished(*pool, 6);
   whole.retire_below(6);
   split.retire_below(2);
   split.retire_below(6);
-  kept.retire_below(6);
   EXPECT_NE(whole.digest(), kFnvOffset);
   EXPECT_EQ(split.digest(), whole.digest());
-  EXPECT_EQ(kept.digest(), whole.digest());
-  EXPECT_EQ(kept.get(0).finish_at, 1.0);
 }
 
 TEST(TaskPool, CountsRecordsNotFinishedExactlyOnce) {

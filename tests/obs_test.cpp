@@ -3,6 +3,7 @@
 // efficiency agreement with TALP, critical-path breakdown, typed trace
 // marks / Paraver export, and the determinism contract (span collection
 // keeps schedules bit-identical to the golden fingerprints).
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -11,9 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/nbody/workload.hpp"
 #include "apps/synthetic.hpp"
 #include "core/runtime.hpp"
+#include "critical_path_oracle.hpp"
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
 #include "fingerprint.hpp"
+#include "nanos/dependency_graph.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/pop.hpp"
@@ -181,7 +187,7 @@ TEST(CriticalPath, BreakdownSumsToLength) {
   apps::SyntheticWorkload wl(plain_workload());
   core::ClusterRuntime rt(cfg);
   const auto r = rt.run(wl);
-  const obs::CriticalPath cp = obs::critical_path(rt.tasks(), *rt.spans());
+  const obs::CriticalPath cp = obs::critical_path(*rt.spans());
   ASSERT_FALSE(cp.chain.empty());
   EXPECT_GT(cp.length, 0.0);
   EXPECT_LE(cp.length, r.makespan + 1e-9);
@@ -202,11 +208,138 @@ TEST(CriticalPath, BreakdownSumsToLength) {
 }
 
 TEST(CriticalPath, EmptyCollectorYieldsEmptyPath) {
-  nanos::TaskPool pool;
   obs::SpanCollector spans;
-  const obs::CriticalPath cp = obs::critical_path(pool, spans);
+  const obs::CriticalPath cp = obs::critical_path(spans);
   EXPECT_EQ(cp.length, 0.0);
   EXPECT_TRUE(cp.chain.empty());
+}
+
+// --- critical path against the successor-walk oracle ---------------------------
+
+struct OracleRun {
+  core::RunResult result;
+  std::uint64_t fingerprint = 0;
+  std::size_t with_predecessor = 0;  ///< tasks with a dependency edge in
+};
+
+/// Runs `wl` on `cfg` with spans on (and the faults `plan` builds for the
+/// runtime, if any), then expects the span-based critical path to equal
+/// the oracle's bit for bit, and every span's release id to be the
+/// oracle's releasing predecessor.
+OracleRun check_against_oracle(
+    core::RuntimeConfig cfg, core::Workload& wl,
+    const std::function<fault::FaultPlan(const core::ClusterRuntime&)>&
+        plan = {}) {
+  cfg.obs.spans = true;
+  core::ClusterRuntime rt(cfg);
+  fault::FaultInjector injector(plan ? plan(rt) : fault::FaultPlan());
+  injector.attach(rt);
+  obs::oracle::CriticalPathOracle oracle;
+  oracle.observe(rt);
+  OracleRun out;
+  out.result = rt.run(wl);
+  out.fingerprint = core::schedule_fingerprint(rt, out.result);
+  out.with_predecessor = oracle.tasks_with_predecessor();
+
+  const obs::SpanCollector& spans = *rt.spans();
+  const obs::CriticalPath cp = obs::critical_path(spans);
+  EXPECT_FALSE(cp.chain.empty());
+  obs::oracle::expect_same_path(cp, oracle.compute(spans));
+  const std::vector<nanos::TaskId> pred = oracle.releasing_predecessors(spans);
+  EXPECT_EQ(pred.size(), spans.spans().size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    if (spans.spans()[i].released_by != pred[i]) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  return out;
+}
+
+TEST(CriticalPathOracle, MatchesOnTheGoldenRuns) {
+  apps::SyntheticWorkload plain(plain_workload());
+  EXPECT_EQ(check_against_oracle(plain_config(), plain).fingerprint,
+            kGoldenPlain);
+  apps::SyntheticWorkload net(net_workload());
+  EXPECT_EQ(check_against_oracle(net_config(), net).fingerprint, kGoldenNet);
+}
+
+// nbody's update tasks read what its force tasks wrote: about half the
+// tasks have a dependency predecessor, so the path follows data edges.
+TEST(CriticalPathOracle, MatchesOnNbodyWithDependencyEdges) {
+  apps::nbody::NBodyConfig ncfg;
+  ncfg.appranks = 8;
+  ncfg.iterations = 3;
+  apps::nbody::NBodyWorkload wl(ncfg);
+  const OracleRun run = check_against_oracle(plain_config(), wl);
+  EXPECT_GT(run.with_predecessor, 0u);
+}
+
+// The Resil.HeartbeatDetectsCrashAndRecovers run: a helper crashes, the
+// heartbeats detect it and its voided tasks are rescued and re-executed.
+TEST(CriticalPathOracle, MatchesUnderCrashRescueAndReexecution) {
+  core::RuntimeConfig cfg;
+  cfg.cluster = sim::ClusterSpec::homogeneous(4, 16);
+  cfg.appranks_per_node = 1;
+  cfg.degree = 3;
+  cfg.policy = core::PolicyKind::Global;
+  cfg.resil.detection = resil::DetectionMode::Heartbeat;
+  apps::SyntheticConfig scfg;
+  scfg.appranks = 4;
+  scfg.iterations = 8;
+  scfg.tasks_per_rank = 240;
+  scfg.imbalance = 2.5;
+  apps::SyntheticWorkload clean(scfg);
+  const double crash_at = core::ClusterRuntime(cfg).run(clean).makespan * 0.45;
+
+  apps::SyntheticWorkload wl(scfg);
+  const OracleRun run =
+      check_against_oracle(cfg, wl, [&](const core::ClusterRuntime& rt) {
+        return fault::FaultPlan().crash_worker(
+            rt.topology().workers_of_apprank(0)[1], crash_at);
+      });
+  EXPECT_EQ(run.result.detections, 1u);
+  EXPECT_GT(run.result.tasks_reexecuted, 0u);
+}
+
+// Two predecessors complete at the same instant. Whichever of them
+// finishes second releases the task, yet the release id is the lower one,
+// as in the oracle's walk: the graph weighs every edge, not only the
+// releasing one.
+TEST(CriticalPathOracle, SameInstantTieGoesToTheLowerId) {
+  for (const nanos::TaskId first : {nanos::TaskId{0}, nanos::TaskId{1}}) {
+    SCOPED_TRACE(first == 0 ? "higher id releases" : "lower id releases");
+    nanos::TaskPool pool;
+    nanos::DependencyGraph graph(pool);
+    obs::SpanCollector spans;
+    obs::oracle::CriticalPathOracle oracle;
+    pool.set_retire_observer([&](const nanos::Task& t) { oracle.record(t); });
+    // Tasks 0 and 1 each write a block; task 2 reads both.
+    pool.create(0, 1.0, {{0, 8, nanos::AccessMode::Out}});
+    pool.create(0, 1.0, {{8, 8, nanos::AccessMode::Out}});
+    pool.create(0, 2.0, {{0, 16, nanos::AccessMode::In}});
+    for (nanos::TaskId id = 0; id < 3; ++id) {
+      spans.task_created(id, 0, 0.0);
+      if (graph.register_task(id)) spans.task_ready(id, nanos::kNoTask, 0.0);
+    }
+    auto run = [&](nanos::TaskId id, sim::SimTime start, sim::SimTime end) {
+      spans.task_scheduled(id, 0, 0, false, start);
+      spans.exec_begin(id, 0, 0, static_cast<int>(id), start);
+      spans.exec_end(id, end);
+      spans.task_done(id, end);
+      return graph.on_task_finished(id, end);
+    };
+    EXPECT_TRUE(run(first, 0.0, 1.0).empty());
+    EXPECT_EQ(run(1 - first, 0.0, 1.0), (std::vector<nanos::TaskId>{2}));
+    EXPECT_EQ(pool.get(2).released_by, 0u);
+    spans.task_ready(2, pool.get(2).released_by, 1.0);
+    run(2, 1.0, 3.0);
+    spans.close();
+    pool.retire_below(3);
+
+    const obs::CriticalPath cp = obs::critical_path(spans);
+    EXPECT_EQ(cp.chain, (std::vector<nanos::TaskId>{0, 2}));
+    obs::oracle::expect_same_path(cp, oracle.compute(spans));
+  }
 }
 
 // --- typed trace marks -------------------------------------------------------

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -638,28 +637,10 @@ TEST(Resil, HeartbeatCrashGoldenSchedule) {
 // HeartbeatCrashGoldenSchedule suspects no live worker whose completion is
 // still on its way, so it suppresses no stale completion; the same crash
 // under that second of jitter does (242 of them after their barrier,
-// counted with a probe). With a span
-// collector attached the records stay readable, so an end-of-run fold over
-// all of them must equal the digest taken barrier by barrier.
+// counted with a probe). A span collector keeps no record past its
+// barrier either, so with one attached the run must still make the same
+// schedule.
 TEST(Resil, RecordsDoNotChangeAfterTheirBarrier) {
-  auto end_of_run_fold = [](const nanos::TaskPool& pool) {
-    auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
-    auto signed_bits = [](int v) {
-      return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-    };
-    std::uint64_t h = nanos::kFnvOffset;
-    for (nanos::TaskId id = 0; id < pool.size(); ++id) {
-      const nanos::Task& t = pool.get(id);
-      h = nanos::fnv_mix(h, t.id);
-      h = nanos::fnv_mix(h, signed_bits(t.scheduled_node));
-      h = nanos::fnv_mix(h, signed_bits(t.executed_worker));
-      h = nanos::fnv_mix(h, signed_bits(t.executed_core));
-      h = nanos::fnv_mix(h, static_cast<std::uint64_t>(t.executions));
-      h = nanos::fnv_mix(h, bits(t.start_at));
-      h = nanos::fnv_mix(h, bits(t.finish_at));
-    }
-    return h;
-  };
   enum class Fault { Jitter, Crash, CrashJitter };
   for (const Fault fault : {Fault::Jitter, Fault::Crash, Fault::CrashJitter}) {
     SCOPED_TRACE(fault == Fault::Jitter  ? "jitter"
@@ -708,7 +689,6 @@ TEST(Resil, RecordsDoNotChangeAfterTheirBarrier) {
         continue;
       }
       EXPECT_EQ(core::schedule_fingerprint(rt, r), fingerprint);
-      EXPECT_EQ(rt.tasks().digest(), end_of_run_fold(rt.tasks()));
     }
   }
 }

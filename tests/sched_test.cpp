@@ -243,37 +243,6 @@ TEST(SchedRegistry, UnknownPolicyNameThrowsListingValidValues) {
   }
 }
 
-TEST(NameParsing, PolicyKindRoundTripsAndRejectsUnknown) {
-  for (const core::PolicyKind k :
-       {core::PolicyKind::None, core::PolicyKind::Local,
-        core::PolicyKind::Global}) {
-    EXPECT_EQ(core::parse_policy_kind(core::to_string(k)), k);
-  }
-  try {
-    (void)core::parse_policy_kind("glboal");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("glboal"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("global"), std::string::npos) << msg;
-  }
-}
-
-TEST(NameParsing, TopologyKindRoundTripsAndRejectsUnknown) {
-  for (const net::TopologyKind k :
-       {net::TopologyKind::Crossbar, net::TopologyKind::FatTree}) {
-    EXPECT_EQ(net::parse_topology_kind(net::to_string(k)), k);
-  }
-  try {
-    (void)net::parse_topology_kind("dragonfly");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("dragonfly"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("fat-tree"), std::string::npos) << msg;
-  }
-}
-
 // --- feedback policies --------------------------------------------------------
 
 // On an oversubscribed fat-tree with heavy per-task input data the

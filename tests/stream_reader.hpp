@@ -7,7 +7,9 @@
 // spans at their dense task-id slots, instants in original emission
 // order, the footer's totals — so every exporter (obs::chrome_trace_json,
 // obs::collapsed_stacks, obs::critical_path) runs unchanged on streamed
-// runs. Windowed metric snapshots are exposed alongside.
+// runs. The spill carries no release ids (TaskSpan::released_by stays
+// kNoTask), so a critical path over a read-back spill follows barrier
+// edges only. Windowed metric snapshots are exposed alongside.
 //
 // Validation: the header magic/version, the trailer (footer offset +
 // closing magic), every record prelude/payload bound, and the footer's
