@@ -132,6 +132,8 @@ struct RunSample {
   std::uint64_t spans_spilled = 0;
   std::uint64_t stream_bytes = 0;
   std::uint64_t peak_open_spans = 0;
+  std::uint64_t marks = 0;         ///< timeline marks recorded
+  std::uint64_t marks_stored = 0;  ///< of those, kept in memory
   std::uint64_t solver_runs = 0;
   std::uint64_t solver_flows_touched = 0;
   std::uint64_t solver_rounds = 0;
@@ -169,6 +171,8 @@ RunSample run_once(int nodes, int tasks_per_rank, Telemetry telemetry,
       s.wall_s > 0.0 ? static_cast<double>(s.events_fired) / s.wall_s : 0.0;
   s.rss_mb = bench::current_rss_mb();
   s.peak_rss_mb = bench::peak_rss_mb();
+  s.marks = rt.recorder().mark_count();
+  s.marks_stored = rt.recorder().marks().size();
   if (const stream::StreamSink* sink = rt.stream_sink()) {
     s.spans_spilled = sink->spans_spilled();
     s.stream_bytes = sink->bytes_written();
@@ -352,7 +356,9 @@ void telemetry_arm(bench::JsonReport& report, int nodes, int tasks_per_rank) {
         .set("peak_rss_mb", s.peak_rss_mb)
         .set("spans_spilled", s.spans_spilled)
         .set("stream_bytes", s.stream_bytes)
-        .set("peak_open_spans", s.peak_open_spans);
+        .set("peak_open_spans", s.peak_open_spans)
+        .set("marks", s.marks)
+        .set("marks_stored", s.marks_stored);
     if (b.telemetry == Telemetry::Stream) std::remove(spill.c_str());
   }
   // The report's "prof" block covers the last backend's run (the

@@ -107,7 +107,7 @@ struct RuntimeConfig {
   std::uint64_t seed = 42;       ///< expander generation seed
   /// Keep the busy / owned step series for the trace figures (node totals
   /// are derived from them). False records none of them (timeline marks and
-  /// offload statistics are kept either way); the schedule is the same.
+  /// offload statistics are recorded either way); the schedule is the same.
   bool record_traces = true;
 
   [[nodiscard]] bool drom_active() const {

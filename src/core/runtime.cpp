@@ -118,8 +118,9 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   } else if (config_.obs.spans) {
     span_recorder_ = std::make_unique<obs::SpanCollector>();
   }
-  // Every timeline mark also becomes an instant of the span store.
-  recorder_->attach_spans(span_recorder_.get());
+  // Every timeline mark also becomes an instant of the span store; a
+  // spill is the run's mark record, so the recorder keeps none of them.
+  recorder_->attach_spans(span_recorder_.get(), config_.obs.stream.enabled);
 
   // Contention-aware interconnect (tlb::net): replace the analytic cost
   // model with a shared-link fabric. The control plane routes its

@@ -17,8 +17,10 @@ struct ObsConfig {
   /// runtime records spans through a bounded-memory StreamSink that
   /// spills finished spans to stream.path instead of the in-memory
   /// collector (which this field supersedes — `spans` is implied). The
-  /// default (disabled) keeps the in-memory collector semantics and is
-  /// bit-identical either way; see stream/config.hpp.
+  /// spill is then also the run's only record of the timeline marks
+  /// (trace::Recorder::marks() stays empty). The default (disabled) keeps
+  /// the in-memory collector semantics and is bit-identical either way;
+  /// see stream/config.hpp.
   stream::StreamConfig stream;
 };
 

@@ -5,7 +5,10 @@
 // memory; StreamSink serializes each span the moment its task_done
 // arrives, so resident span memory is bounded by the in-flight task
 // count (peak concurrency), not the total task count. Instant events are
-// spilled immediately in emission order. The runtime closes the sink at
+// spilled immediately in emission order. They include every timeline
+// mark, and the spill is the run's only record of them: the trace
+// recorder keeps just their count and interned labels, so marks are part
+// of the bounded memory too. The runtime closes the sink at
 // finalize(), which flushes the spans still open (crashed-out or
 // never-finished tasks), the footer aggregates, and the seekable trailer.
 //

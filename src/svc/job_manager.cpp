@@ -64,7 +64,7 @@ JobManager::JobManager(core::RuntimeConfig base)
     throw std::invalid_argument("JobManager: negative fabric_pressure");
   }
   if (base_.prof.enabled) {
-    // Before run() queues the arrivals, as each runtime does before it
+    // Before run() queues the first arrival, as each runtime does before it
     // schedules anything: an event pushed while the profiler is off would
     // have its pop released but its push never charged.
     prof::Profiler::instance().enable(base_.prof.snapshot_every_events);
@@ -224,9 +224,9 @@ SvcResult JobManager::run() {
   // The whole arrival sequence is fixed up front (it is independent of
   // execution by construction), so the offered traffic is identical across
   // admission settings under one seed.
-  const std::vector<Arrival> arrivals = gen.all();
-  records_.reserve(arrivals.size());
-  for (const Arrival& a : arrivals) {
+  arrivals_ = gen.all();
+  records_.reserve(arrivals_.size());
+  for (const Arrival& a : arrivals_) {
     JobRecord rec;
     rec.id = static_cast<int>(records_.size());
     rec.template_index = a.template_index;
@@ -237,8 +237,8 @@ SvcResult JobManager::run() {
     rec.arrival = a.time;
     rec.job_seed = a.job_seed;
     records_.push_back(rec);
-    engine_.at(a.time, [this, a, id = rec.id] { on_arrival(a, id, false); });
   }
+  if (!arrivals_.empty()) schedule_arrival(0);
   if (elastic_ctrl_ != nullptr) schedule_elastic_tick();
   engine_.run();
   finished_.clear();
@@ -345,6 +345,13 @@ void JobManager::decide(int record_id, JobOutcome outcome) {
   }
   rec.outcome = outcome;
   ++decided_;
+}
+
+void JobManager::schedule_arrival(std::size_t index) {
+  engine_.at(arrivals_[index].time, [this, index] {
+    if (index + 1 < arrivals_.size()) schedule_arrival(index + 1);
+    on_arrival(arrivals_[index], static_cast<int>(index), false);
+  });
 }
 
 void JobManager::on_arrival(const Arrival& arrival, int record_id,

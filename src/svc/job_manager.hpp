@@ -179,6 +179,9 @@ class JobManager {
   };
 
   void subscribe_control_types();
+  /// Queues arrival `index` (its record id); when it fires it queues the
+  /// next one first, so one arrival event is pending at a time.
+  void schedule_arrival(std::size_t index);
   void on_arrival(const Arrival& arrival, int record_id, bool is_retry);
   /// Shed-or-retry on a non-admit verdict; updates the record's outcome.
   void reject(const Arrival& arrival, int record_id, AdmitVerdict verdict,
@@ -219,6 +222,8 @@ class JobManager {
   /// Admitted, waiting for a partition (record ids, FCFS).
   std::deque<int> pending_;
   std::size_t decided_ = 0;  ///< records with a terminal outcome
+  /// The offered arrival sequence, fixed by run(); record i is arrival i.
+  std::vector<Arrival> arrivals_;
   std::vector<JobRecord> records_;
   /// Running jobs, in launch order.
   std::vector<std::unique_ptr<LaunchedJob>> launched_;

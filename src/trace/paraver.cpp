@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 namespace tlb::trace {
@@ -50,6 +51,10 @@ int mark_event_type(MarkKind kind) {
 }  // namespace
 
 std::string to_paraver(const Recorder& recorder, sim::SimTime end) {
+  if (recorder.marks_spilled()) {
+    throw std::logic_error(
+        "to_paraver: the recorder's marks went to a stream spill");
+  }
   const int threads = recorder.nodes() * recorder.appranks();
   const std::int64_t end_ns = to_ns(end);
 

@@ -26,7 +26,10 @@ inline constexpr int kParaverSchedSuppressEvent = 90000004;
 inline constexpr int kParaverNetCongestionEvent = 90000005;
 inline constexpr int kParaverNetClearedEvent = 90000006;
 
-/// The .prv trace body for the recorded run ending at `end`.
+/// The .prv trace body for the recorded run ending at `end`. Throws
+/// std::logic_error for a recorder whose marks went to a spill
+/// (Recorder::marks_spilled): the spill keeps no mark kinds or values, so
+/// the trace would silently lose its typed marks.
 std::string to_paraver(const Recorder& recorder, sim::SimTime end);
 
 /// The .row file naming each Paraver thread "node N apprank A".

@@ -82,11 +82,16 @@ void Recorder::task_executed(int node, int home_node, double work) {
 
 void Recorder::mark(sim::SimTime t, MarkKind kind, std::int64_t value,
                     std::string_view label) {
-  assert(marks_.empty() || t >= marks_.back().t);
-  if (!marks_.empty() && t < marks_.back().t) t = marks_.back().t;
-  prof::alloc_note(prof::AllocTag::TraceMark, sizeof(Mark));
-  marks_.push_back(Mark{t, kind, value, labels_.intern(label)});
-  if (spans_ != nullptr) spans_->instant(t, marks_.back().label);
+  assert(mark_count_ == 0 || t >= last_mark_t_);
+  if (mark_count_ > 0 && t < last_mark_t_) t = last_mark_t_;
+  last_mark_t_ = t;
+  ++mark_count_;
+  const std::string_view pooled = labels_.intern(label);
+  if (!marks_spilled_) {
+    prof::alloc_note(prof::AllocTag::TraceMark, sizeof(Mark));
+    marks_.push_back(Mark{t, kind, value, pooled});
+  }
+  if (spans_ != nullptr) spans_->instant(t, pooled);
 }
 
 const StepSeries& Recorder::busy(int node, int apprank) const {

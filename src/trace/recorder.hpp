@@ -8,8 +8,11 @@
 // totals (node_busy) are not stored: they are derived on demand from the
 // node's busy rows. Renderers below turn the series into ASCII timelines
 // for the paper's trace figures. The series are optional
-// (RuntimeConfig::record_traces); marks and offload statistics are always
-// kept. Row capacity is charged to the trace.series alloc tag.
+// (RuntimeConfig::record_traces); offload statistics are always kept, and
+// marks are kept unless a stream sink spills them (attach_spans): then the
+// spill is the run's mark record and the recorder keeps only the count and
+// the interned labels. Row capacity is charged to the trace.series alloc
+// tag.
 #pragma once
 
 #include <cstdint>
@@ -73,16 +76,28 @@ class Recorder {
   /// to the previous mark's time in release builds, so the list stays
   /// sorted either way. The label is interned: each distinct label is
   /// stored once. With a span store attached the mark is also handed to
-  /// it as an instant.
+  /// it as an instant; when that store is the spill, the mark is counted
+  /// and not kept.
   void mark(sim::SimTime t, MarkKind kind, std::int64_t value,
             std::string_view label);
+  /// The marks kept in memory: every mark, or none once they are spilled.
   [[nodiscard]] const std::vector<Mark>& marks() const { return marks_; }
+  /// Marks recorded, kept or spilled.
+  [[nodiscard]] std::uint64_t mark_count() const { return mark_count_; }
   /// Distinct mark labels stored (one pool entry each).
   [[nodiscard]] std::size_t distinct_labels() const { return labels_.size(); }
 
   /// Forwards every later mark to `spans` as a named instant; null
-  /// detaches. The store must outlive its attachment.
-  void attach_spans(obs::SpanRecorder* spans) { spans_ = spans; }
+  /// detaches. With `spill` the store is the run's mark record (a stream
+  /// sink): later marks are not kept, and exporters that need a mark's
+  /// kind or value refuse the recorder. The store must outlive its
+  /// attachment.
+  void attach_spans(obs::SpanRecorder* spans, bool spill) {
+    spans_ = spans;
+    marks_spilled_ = spans != nullptr && spill;
+  }
+  /// True when later marks go to a spill only (attach_spans).
+  [[nodiscard]] bool marks_spilled() const { return marks_spilled_; }
 
   [[nodiscard]] const StepSeries& busy(int node, int apprank) const;
   [[nodiscard]] const StepSeries& owned(int node, int apprank) const;
@@ -111,8 +126,11 @@ class Recorder {
   std::vector<StepSeries> busy_;   ///< empty when series are off
   std::vector<StepSeries> owned_;  ///< empty when series are off
   std::vector<Mark> marks_;
+  std::uint64_t mark_count_ = 0;
+  sim::SimTime last_mark_t_ = 0.0;  ///< clamp floor, valid once counted
   obs::LabelPool labels_{prof::AllocTag::TraceMark};  ///< marks view it
   obs::SpanRecorder* spans_ = nullptr;
+  bool marks_spilled_ = false;
   std::uint64_t tasks_total_ = 0;
   std::uint64_t tasks_off_ = 0;
   double work_total_ = 0.0;

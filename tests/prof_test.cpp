@@ -2,9 +2,10 @@
 // record-only contract (golden schedule fingerprints bit-identical with
 // profiling on), phase-tree accounting invariants (inclusive >=
 // exclusive, parent >= sum of children), per-subsystem allocation
-// counters balancing to zero after runtime teardown, health-snapshot
-// shape and self-thinning, collapsed-stack export format, and the
-// disabled path recording nothing at all.
+// counters balancing to zero after runtime teardown, a streamed run's
+// mark memory not growing with its length, health-snapshot shape and
+// self-thinning, collapsed-stack export format, and the disabled path
+// recording nothing at all.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -199,6 +200,59 @@ TEST_F(ProfTest, AllocCountersBalanceToZeroAfterTeardown) {
     EXPECT_GT(peak_of("trace.series"), 0);
     EXPECT_EQ(peak_of("obs.span") > 0, std::strcmp(spans, "off") != 0);
   }
+  std::remove(path.c_str());
+}
+
+// A streamed run's spill is its mark record: the recorder charges only
+// the interned labels to trace.mark, so the tag's peak is the same for a
+// run twice as long. The collector keeps every mark, so its peak grows.
+TEST_F(ProfTest, StreamedMarkPeakDoesNotGrowWithRunLength) {
+  const std::string path = "prof_test_marks.stream";
+  struct Sample {
+    std::uint64_t marks = 0;
+    std::int64_t peak = 0;
+  };
+  const auto run = [&path](bool stream, int iterations) {
+    prof::Profiler::instance().reset();
+    // A fat-tree with thin uplinks congests in every iteration.
+    core::RuntimeConfig cfg = with_prof(net_config());
+    cfg.cluster = sim::ClusterSpec::homogeneous(8, 4);
+    cfg.degree = 3;
+    cfg.net.uplink_bandwidth = 2e8;
+    cfg.obs.spans = !stream;
+    cfg.obs.stream.enabled = stream;
+    cfg.obs.stream.path = path;
+    apps::SyntheticConfig wcfg;
+    wcfg.appranks = 8;
+    wcfg.iterations = iterations;
+    wcfg.tasks_per_rank = 40;
+    wcfg.imbalance = 2.5;
+    wcfg.bytes_per_task = 4 << 20;
+    apps::SyntheticWorkload wl(wcfg);
+    Sample s;
+    {
+      core::ClusterRuntime rt(cfg);
+      rt.run(wl);
+      s.marks = rt.recorder().mark_count();
+    }
+    for (const prof::TagStats& t : prof::Profiler::instance().alloc_stats()) {
+      if (std::strcmp(t.tag, "trace.mark") == 0) s.peak = t.peak_bytes;
+    }
+    return s;
+  };
+  const int base = 3;
+  const Sample stream_1x = run(true, base);
+  const Sample stream_2x = run(true, 2 * base);
+  ASSERT_GT(stream_1x.marks, 0u);
+  ASSERT_GT(stream_2x.marks, stream_1x.marks);  // the longer run marks more
+  EXPECT_GT(stream_1x.peak, 0);                 // the label pool
+  EXPECT_EQ(stream_2x.peak, stream_1x.peak);
+
+  const Sample collector_1x = run(false, base);
+  const Sample collector_2x = run(false, 2 * base);
+  EXPECT_EQ(collector_1x.marks, stream_1x.marks);
+  EXPECT_EQ(collector_2x.marks, stream_2x.marks);
+  EXPECT_GT(collector_2x.peak, collector_1x.peak);
   std::remove(path.c_str());
 }
 

@@ -4,9 +4,10 @@
 // produces byte-identical Chrome traces and flame folds as the
 // in-memory collector, with and without a crash),
 // one Chrome event per rescue in either backend, one timeline of marks
-// read by every exporter, the bounded working set,
-// windowed metric snapshots, and spill-file validation diagnostics
-// (truncation / corruption throw with the exact byte offset).
+// read by every exporter (kept in the spill only when streaming), the
+// bounded working set, windowed metric snapshots, and spill-file
+// validation diagnostics (truncation / corruption throw with the exact
+// byte offset).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -214,11 +215,11 @@ int paraver_type(trace::MarkKind kind) {
   return 0;
 }
 
-// Every runtime event is recorded once, in the recorder's mark list, and
-// each exporter reads that list: Chrome instants carry every mark's label
-// in mark order, Paraver carries every typed mark, the recovery analysis
-// reports every injection mark, and the spill file holds one instant per
-// mark.
+// Every runtime event is recorded once, and each exporter reads that
+// record: Chrome instants carry every mark's label in mark order, Paraver
+// carries every typed mark, the recovery analysis reports every injection
+// mark, and the spill file holds one instant per mark. A streamed run's
+// spill is its whole record: its recorder keeps no mark, only the count.
 TEST(Timeline, EveryMarkReachesEveryExporter) {
   core::RuntimeConfig cfg = congested_config();
   cfg.obs.spans = true;
@@ -305,19 +306,36 @@ TEST(Timeline, EveryMarkReachesEveryExporter) {
   }
 
   // Spill file: the same run with the stream backend spills one instant
-  // per mark, labels in mark order.
+  // per collector mark, same time and label in mark order, and keeps none
+  // of them in memory.
+  EXPECT_EQ(rt.recorder().mark_count(), marks.size());
   const std::string path = spill_path("timeline");
   core::ClusterRuntime srt(with_stream(congested_config(), path));
   run_perturbed(srt);
+  EXPECT_TRUE(srt.recorder().marks().empty());
+  EXPECT_EQ(srt.recorder().mark_count(), rt.recorder().mark_count());
+  EXPECT_EQ(srt.recorder().distinct_labels(), rt.recorder().distinct_labels());
   const stream::StreamReader reader(path);
   const auto& instants = reader.spans().instants();
-  const std::vector<trace::Mark>& stream_marks = srt.recorder().marks();
-  EXPECT_EQ(stream_marks, marks);
-  ASSERT_EQ(instants.size(), stream_marks.size());
+  ASSERT_EQ(instants.size(), marks.size());
   for (std::size_t i = 0; i < instants.size(); ++i) {
-    EXPECT_EQ(instants[i].t, stream_marks[i].t);
-    EXPECT_EQ(instants[i].name, stream_marks[i].label);
+    EXPECT_EQ(instants[i].t, marks[i].t) << "mark " << i;
+    EXPECT_EQ(instants[i].name, marks[i].label) << "mark " << i;
   }
+  std::remove(path.c_str());
+}
+
+// The spill keeps each mark's time and label but not its kind or value,
+// so a Paraver trace of a streamed run would lose its typed marks without
+// notice: the exporter refuses it instead.
+TEST(Timeline, ParaverRefusesAStreamedRecorder) {
+  const std::string path = spill_path("paraver");
+  core::ClusterRuntime srt(with_stream(congested_config(), path));
+  const core::RunResult r = run_perturbed(srt);
+  ASSERT_GT(srt.recorder().mark_count(), 0u);
+  EXPECT_TRUE(srt.recorder().marks_spilled());
+  EXPECT_THROW(trace::to_paraver(srt.recorder(), r.makespan),
+               std::logic_error);
   std::remove(path.c_str());
 }
 

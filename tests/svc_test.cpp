@@ -1,19 +1,22 @@
 // Tests of the service-traffic subsystem (tlb::svc): arrival-generator
 // determinism and sanity per shape, admission primitives (token bucket,
 // gradient concurrency limiter, retry budget, class shedding), job-manager
-// end-to-end determinism, the concurrency-cap monotonicity contract, the
-// shared-engine equivalence with a standalone ClusterRuntime run, and
-// graceful degradation vs the open-queue baseline under overload.
+// end-to-end determinism, one queued arrival at a time, the concurrency-cap
+// monotonicity contract, the shared-engine equivalence with a standalone
+// ClusterRuntime run, and graceful degradation vs the open-queue baseline
+// under overload.
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/synthetic.hpp"
 #include "core/runtime.hpp"
+#include "prof/prof.hpp"
 #include "svc/admission.hpp"
 #include "svc/arrivals.hpp"
 #include "svc/breaker.hpp"
@@ -322,6 +325,41 @@ TEST(JobManager, RecordsAreConsistent) {
     }
   }
   EXPECT_EQ(completed, r.completed);
+}
+
+// The arrival sequence is fixed up front but queued one event at a time,
+// so the event queue's peak follows the work in flight, not the offered
+// arrival count: a horizon four times longer keeps the sim.event peak
+// within 25% of the short run's.
+TEST(JobManager, EventPeakDoesNotGrowWithTheArrivalCount) {
+  prof::Profiler& profiler = prof::Profiler::instance();
+  struct Sample {
+    std::uint64_t arrived = 0;
+    std::int64_t peak = 0;
+  };
+  const auto run = [&profiler](double horizon) {
+    profiler.disable();
+    profiler.reset();
+    core::RuntimeConfig cfg = service_config(20.0, horizon, true);
+    cfg.prof.enabled = true;
+    Sample s;
+    {
+      svc::JobManager mgr(cfg);
+      s.arrived = mgr.run().arrived;
+    }
+    for (const prof::TagStats& t : profiler.alloc_stats()) {
+      if (std::string_view(t.tag) == "sim.event") s.peak = t.peak_bytes;
+    }
+    profiler.disable();
+    profiler.reset();
+    return s;
+  };
+  const Sample short_run = run(2.0);
+  const Sample long_run = run(8.0);
+  ASSERT_GT(long_run.arrived, 3 * short_run.arrived);
+  ASSERT_GT(short_run.peak, 0);
+  EXPECT_LE(static_cast<double>(long_run.peak),
+            1.25 * static_cast<double>(short_run.peak));
 }
 
 // One job through the shared-engine path must behave like the same
