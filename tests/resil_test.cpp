@@ -185,6 +185,7 @@ TEST(Quarantine, StreakEjectionAndGrowingCooldown) {
 struct FakeHost final : resil::Host {
   explicit FakeHost(const sim::Engine& e) : engine(e) {}
   bool worker_alive(int w) const override {
+    alive_queries.emplace_back(w, engine.now());
     return alive[static_cast<std::size_t>(w)] != 0;
   }
   int home_of(int) const override { return 0; }
@@ -221,6 +222,7 @@ struct FakeHost final : resil::Host {
   };
   const sim::Engine& engine;
   std::vector<char> alive = {1, 1, 1};
+  mutable std::vector<std::pair<int, sim::SimTime>> alive_queries;
   std::vector<std::pair<std::uint64_t, int>> delivered;
   std::vector<std::uint64_t> completed;
   std::vector<Voided> voided;
@@ -403,6 +405,119 @@ TEST(Monitor, ProbeReadmitsAHeardWorkerAndExtendsASilentOne) {
   EXPECT_EQ(std::count(rig.host.marks.begin(), rig.host.marks.end(),
                        std::string("readmitted worker 1")),
             1);
+}
+
+TEST(Monitor, QuarantineCoolingFollowsTheEjectionCount) {
+  constexpr sim::SimTime expire =
+      0.05 + 0.10 + 0.20 + 0.40 + 0.40;  // five transmissions, capped
+  static_assert(resil::kLeaseMaxAttempts == 5);
+  static_assert(resil::kQuarantineThreshold == 3);
+
+  // A silent worker with no heartbeats at all: two expiries, a served
+  // lease, then three expiries. The served lease resets the streak, so
+  // only the third expiry after it ejects.
+  {
+    ProtocolRig rig;
+    rig.host.alive[1] = 0;
+    rig.monitor.offload(1, 1, 1.0);
+    rig.monitor.offload(2, 1, 1.0);
+    rig.engine.at(2.0, [&rig] {
+      rig.host.alive[1] = 1;
+      rig.monitor.offload(3, 1, 1.0);
+    });
+    rig.engine.at(3.0, [&rig] {
+      rig.host.alive[1] = 0;
+      for (std::uint64_t task = 4; task <= 6; ++task) {
+        rig.monitor.offload(task, 1, 1.0);
+      }
+    });
+    const sim::SimTime ejected = 3.0 + expire;
+    rig.stop_at(ejected + 24.0);
+    rig.engine.run();
+    ASSERT_EQ(rig.host.verdicts.size(), 5u);
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(rig.host.verdicts[k].verdict, resil::Verdict::Expired);
+    }
+    EXPECT_EQ(rig.host.verdicts[4].verdict, resil::Verdict::Suspected);
+    EXPECT_NEAR(rig.host.verdicts[4].at, ejected, 1e-9);
+    EXPECT_EQ(rig.monitor.counters().lease_expiries, 5u);
+
+    // Every probe finds it silent: the cooling doubles from 1 s to the
+    // 8 s cap and stays there. Past the ejection, only probes ask whether
+    // the worker is alive.
+    std::vector<sim::SimTime> probes;
+    for (const auto& [w, at] : rig.host.alive_queries) {
+      if (w == 1 && at > ejected + 0.5) probes.push_back(at - ejected);
+    }
+    const std::vector<sim::SimTime> cooling = {1.0, 3.0, 7.0, 15.0, 23.0};
+    ASSERT_EQ(probes.size(), cooling.size());
+    for (std::size_t k = 0; k < cooling.size(); ++k) {
+      EXPECT_NEAR(probes[k], cooling[k], 1e-9) << "probe " << k;
+    }
+  }
+
+  // A beating worker (a joiner, so no sweep judges its phi) whose leases
+  // expire behind a control-plane stall that also holds back its beats.
+  {
+    ProtocolRig rig;
+    constexpr int w = 3;
+    rig.host.alive.push_back(1);
+    ASSERT_EQ(rig.ctrl.add_rank(w), w);
+    rig.monitor.add_worker(w);
+    // Messages sent in [at, at + 0.01) arrive `delay` later, and the
+    // worker's later beats queue behind them; three offloads go out in
+    // the window and all expire.
+    const auto stall_and_offload = [&rig](sim::SimTime at,
+                                          sim::SimTime delay,
+                                          std::uint64_t first_task) {
+      rig.engine.at(at, [&rig, delay] {
+        vmpi::LinkFault stall;
+        stall.latency_mult = delay / sim::LinkSpec{}.latency;
+        rig.ctrl.set_link_fault(stall);
+      });
+      rig.engine.at(at + 0.005, [&rig, first_task] {
+        for (std::uint64_t t = first_task; t < first_task + 3; ++t) {
+          rig.monitor.offload(t, w, 1.0);
+        }
+      });
+      rig.engine.at(at + 0.01, [&rig] { rig.ctrl.set_link_fault({}); });
+    };
+    // First ejection, heard again 10 s on: silent at the probes 1, 3 and
+    // 7 s after it, readmitted at the one 15 s after it, by which time the
+    // cooling has reached the cap. Readmission clears the streak, so the
+    // second stall's first two expiries only move their tasks; the
+    // ejection count survives it, so the second ejection cools for the
+    // capped 8 s straight away and the worker, heard 5 s on, is readmitted
+    // at its first probe.
+    stall_and_offload(1.0, 10.0, 1);
+    stall_and_offload(20.0, 5.0, 4);
+    rig.stop_at(31.0);
+    rig.engine.run();
+    const sim::SimTime first = 1.005 + expire;
+    const sim::SimTime second = 20.005 + expire;
+    const std::vector<FakeHost::Replan> want = {
+        {w, resil::Verdict::Expired, first},
+        {w, resil::Verdict::Expired, first},
+        {w, resil::Verdict::Suspected, first},
+        {w, resil::Verdict::Readmitted, first + 15.0},
+        {w, resil::Verdict::Expired, second},
+        {w, resil::Verdict::Expired, second},
+        {w, resil::Verdict::Suspected, second},
+        {w, resil::Verdict::Readmitted, second + 8.0},
+    };
+    std::vector<FakeHost::Replan> got;
+    for (const FakeHost::Replan& r : rig.host.verdicts) {
+      if (r.worker == w) got.push_back(r);
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].verdict, want[k].verdict) << "verdict " << k;
+      EXPECT_NEAR(got[k].at, want[k].at, 1e-9) << "verdict " << k;
+    }
+    EXPECT_FALSE(rig.monitor.ejected(w));
+    EXPECT_EQ(rig.monitor.counters().quarantine_ejections, 2u);
+    EXPECT_EQ(rig.monitor.counters().quarantine_readmissions, 2u);
+  }
 }
 
 TEST(Monitor, JoinerSilenceCountsFromItsJoinTime) {
