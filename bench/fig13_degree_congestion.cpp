@@ -61,7 +61,6 @@ core::RuntimeConfig runtime_config(int degree, bool fabric) {
   cfg.degree = degree;
   cfg.policy = core::PolicyKind::Global;
   cfg.net.enabled = fabric;
-  cfg.net.topology = net::TopologyKind::FatTree;
   cfg.net.leaf_radix = 4;
   cfg.net.spines = 1;
   // Uplink == one NIC while each leaf aggregates four: 4:1 oversubscribed.

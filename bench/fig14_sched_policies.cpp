@@ -83,7 +83,6 @@ core::RuntimeConfig runtime_config(const std::string& policy,
   cfg.degree = kDegree;
   cfg.policy = core::PolicyKind::Global;
   cfg.net.enabled = true;
-  cfg.net.topology = net::TopologyKind::FatTree;
   cfg.net.leaf_radix = 4;
   cfg.net.spines = 1;
   // leaf_radix NICs share one uplink: uplink = radix * nic / oversub.

@@ -99,7 +99,6 @@ core::RuntimeConfig runtime_config(int nodes, Telemetry telemetry,
   cfg.degree = kDegree;
   cfg.policy = core::PolicyKind::Global;
   cfg.net.enabled = true;
-  cfg.net.topology = net::TopologyKind::FatTree;
   cfg.net.leaf_radix = kLeafRadix;
   cfg.net.spines = kSpines;
   cfg.obs.spans = telemetry == Telemetry::Collector;

@@ -129,15 +129,11 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   if (config_.net.enabled) {
     const sim::LinkSpec& link = config_.cluster.link;
     const net::NetConfig& nconf = config_.net;
-    net::NetTopology topo =
-        nconf.topology == net::TopologyKind::Crossbar
-            ? net::NetTopology::crossbar(topology_->node_count(),
-                                         link.bandwidth, link.latency)
-            : net::NetTopology::fat_tree(
-                  topology_->node_count(), nconf.leaf_radix, nconf.spines,
-                  link.bandwidth, nconf.uplink_bw(link), link.latency,
-                  net::kPerHopLatency);
-    fabric_ = std::make_unique<net::Fabric>(engine_, std::move(topo));
+    fabric_ = std::make_unique<net::Fabric>(
+        engine_, net::NetTopology::fat_tree(
+                     topology_->node_count(), nconf.leaf_radix, nconf.spines,
+                     link.bandwidth, nconf.uplink_bw(link), link.latency,
+                     net::kPerHopLatency));
     fabric_->set_recorder(recorder_.get());
     ctrl_comm_->attach_fabric(fabric_.get());
     link_load_view_ = std::make_unique<net::LinkLoadView>(*fabric_);

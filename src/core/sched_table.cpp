@@ -1,6 +1,7 @@
 #include "core/sched_table.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "hier/hier_scheduler.hpp"
 #include "sched/policies.hpp"
@@ -47,23 +48,17 @@ constexpr Entry kPolicies[] = {
 
 }  // namespace
 
-std::string sched_policy_error(const std::string& name) {
+std::unique_ptr<sched::Scheduler> make_scheduler(
+    const RuntimeConfig& config, const sched::RuntimeView& view) {
   std::string valid;
   for (const Entry& e : kPolicies) {
-    if (name == e.name) return "";
+    if (config.sched.policy == e.name) return e.make(config, view);
     if (!valid.empty()) valid += ", ";
     valid += e.name;
   }
-  return "RuntimeConfig::sched: unknown scheduling policy '" + name +
-         "'; valid values: " + valid;
-}
-
-std::unique_ptr<sched::Scheduler> make_scheduler(
-    const RuntimeConfig& config, const sched::RuntimeView& view) {
-  for (const Entry& e : kPolicies) {
-    if (config.sched.policy == e.name) return e.make(config, view);
-  }
-  throw std::invalid_argument(sched_policy_error(config.sched.policy));
+  throw std::invalid_argument(
+      "RuntimeConfig::sched: unknown scheduling policy '" +
+      config.sched.policy + "'; valid values: " + valid);
 }
 
 }  // namespace tlb::core

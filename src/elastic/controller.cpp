@@ -5,15 +5,6 @@
 
 namespace tlb::elastic {
 
-const char* to_string(ScaleDecision d) {
-  switch (d) {
-    case ScaleDecision::Hold: return "hold";
-    case ScaleDecision::Out: return "out";
-    case ScaleDecision::In: return "in";
-  }
-  return "?";
-}
-
 ElasticController::ElasticController(const ElasticConfig& config)
     : config_(config),
       min_nodes_(config.min_nodes),

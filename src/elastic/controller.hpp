@@ -26,8 +26,6 @@ enum class ScaleDecision {
   In,   ///< remove up to ElasticConfig::step idle nodes
 };
 
-[[nodiscard]] const char* to_string(ScaleDecision d);
-
 class ElasticController {
  public:
   explicit ElasticController(const ElasticConfig& config);

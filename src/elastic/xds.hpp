@@ -1,14 +1,14 @@
 // xDS-style hot-swap control plane (tlb::elastic).
 //
 // Envoy's dynamic-resource model, adapted: a management server pushes
-// versioned, typed configuration resources (scheduler policy, node-set
-// bounds, admission knobs); the data plane applies each push and answers
+// versioned, typed configuration resources (node-set bounds, admission
+// knobs); the data plane applies each push and answers
 // ACK or NACK. A NACKed push is rolled back — the last ACKed resource of
 // that type is re-applied — so an invalid config can never wedge the
 // running system, and no push ever requires a process restart.
 //
 // A Resource is (type_url, version, payload):
-//   - type_url names the resource type ("tlb.sched.policy", ...); each
+//   - type_url names the resource type ("tlb.svc.admission", ...); each
 //     type has exactly one subscribed applier.
 //   - version must be strictly increasing per type; a stale or replayed
 //     version is NACKed without invoking the applier (xDS's monotone

@@ -5,16 +5,6 @@
 
 namespace tlb::fault {
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::NodeSlowdown: return "slowdown";
-    case FaultKind::LinkDegrade: return "link-degrade";
-    case FaultKind::MessageLoss: return "message-loss";
-    case FaultKind::WorkerCrash: return "crash";
-  }
-  return "?";
-}
-
 std::string FaultEvent::label() const {
   char buf[96];
   switch (kind) {

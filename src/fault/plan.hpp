@@ -24,8 +24,6 @@ enum class FaultKind {
   WorkerCrash,   ///< fail-stop crash of a helper rank (never recovers)
 };
 
-[[nodiscard]] const char* to_string(FaultKind kind);
-
 struct FaultEvent {
   FaultKind kind = FaultKind::NodeSlowdown;
   sim::SimTime at = 0.0;

@@ -21,11 +21,6 @@ namespace tlb::net {
 inline constexpr sim::SimTime kPerHopLatency = 5e-7;
 
 enum class TopologyKind {
-  /// Every node connects through one non-blocking crossbar switch: the
-  /// only shared resources are the per-node NIC injection/ejection links.
-  /// With a single flow in flight this reproduces the analytic
-  /// latency + bytes/bandwidth cost exactly.
-  Crossbar,
   /// Two-level fat-tree: node -> leaf switch -> spine. Leaf uplinks are
   /// shared by every cross-leaf flow, which is where offloading-degree
   /// pressure shows up (MareNostrum 4's Omni-Path is a fat-tree).
@@ -37,12 +32,13 @@ struct NetConfig {
   /// cost model and is bit-identical to a build without tlb::net.
   bool enabled = false;
 
+  /// The only topology; kept because the benchmark driver assigns it.
   TopologyKind topology = TopologyKind::FatTree;
 
-  /// Nodes attached to each leaf switch (FatTree only).
+  /// Nodes attached to each leaf switch.
   int leaf_radix = 4;
   /// Spine switches; cross-leaf routes are spread over them by a fixed
-  /// per-(src,dst) hash (FatTree only).
+  /// per-(src,dst) hash.
   int spines = 2;
 
   /// Per leaf<->spine link bandwidth, bytes/s. 0 = LinkSpec::bandwidth.

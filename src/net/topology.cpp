@@ -1,29 +1,13 @@
 #include "net/topology.hpp"
 
-#include <cassert>
 #include <stdexcept>
-
-#include "net/config.hpp"
 
 namespace tlb::net {
 
-const char* to_string(LinkKind kind) {
-  switch (kind) {
-    case LinkKind::NicInject:
-      return "nic-inject";
-    case LinkKind::NicEject:
-      return "nic-eject";
-    case LinkKind::LeafUp:
-      return "leaf-up";
-    case LinkKind::LeafDown:
-      return "leaf-down";
-  }
-  return "?";
-}
-
-namespace {
-
-void check_common(int nodes, double nic_bandwidth, sim::SimTime latency) {
+NetTopology NetTopology::fat_tree(int nodes, int leaf_radix, int spines,
+                                  double nic_bandwidth,
+                                  double uplink_bandwidth, sim::SimTime latency,
+                                  sim::SimTime per_hop) {
   if (nodes <= 0) throw std::invalid_argument("NetTopology: nodes must be > 0");
   if (nic_bandwidth <= 0.0) {
     throw std::invalid_argument("NetTopology: nic_bandwidth must be > 0");
@@ -31,42 +15,6 @@ void check_common(int nodes, double nic_bandwidth, sim::SimTime latency) {
   if (latency < 0.0) {
     throw std::invalid_argument("NetTopology: negative latency");
   }
-}
-
-}  // namespace
-
-NetTopology NetTopology::crossbar(int nodes, double nic_bandwidth,
-                                  sim::SimTime latency) {
-  check_common(nodes, nic_bandwidth, latency);
-  NetTopology t;
-  t.nodes_ = nodes;
-  t.leaves_ = 1;
-  t.leaf_radix_ = nodes;
-  // Link layout: inject[n] = 2n, eject[n] = 2n + 1.
-  t.links_.reserve(static_cast<std::size_t>(nodes) * 2);
-  for (int n = 0; n < nodes; ++n) {
-    t.links_.push_back({LinkKind::NicInject, nic_bandwidth,
-                        "nic" + std::to_string(n) + ".in"});
-    t.links_.push_back({LinkKind::NicEject, nic_bandwidth,
-                        "nic" + std::to_string(n) + ".out"});
-  }
-  t.routes_.resize(static_cast<std::size_t>(nodes) * nodes);
-  t.latencies_.assign(static_cast<std::size_t>(nodes) * nodes, 0.0);
-  for (int s = 0; s < nodes; ++s) {
-    for (int d = 0; d < nodes; ++d) {
-      if (s == d) continue;
-      t.routes_[t.index(s, d)] = {2 * s, 2 * d + 1};
-      t.latencies_[t.index(s, d)] = latency;
-    }
-  }
-  return t;
-}
-
-NetTopology NetTopology::fat_tree(int nodes, int leaf_radix, int spines,
-                                  double nic_bandwidth,
-                                  double uplink_bandwidth, sim::SimTime latency,
-                                  sim::SimTime per_hop) {
-  check_common(nodes, nic_bandwidth, latency);
   if (leaf_radix <= 0 || spines <= 0) {
     throw std::invalid_argument("NetTopology: leaf_radix and spines must be > 0");
   }

@@ -1,21 +1,19 @@
 // Physical interconnect topology: links, switches, deterministic routes.
 //
 // A NetTopology is a static description of the fabric between compute
-// nodes: a set of directed links (NIC injection/ejection plus, for the
-// fat-tree, leaf<->spine links) and a precomputed route — an ordered list
-// of link ids — for every (src, dst) node pair. Routing is deterministic:
-// the route of a pair is a pure function of the topology parameters, so
-// two Fabric instances built from the same NetConfig route identically
-// and simulations are reproducible.
+// nodes: a set of directed links (NIC injection/ejection plus leaf<->spine
+// links) and a precomputed route — an ordered list of link ids — for
+// every (src, dst) node pair. Routing is deterministic: the route of a
+// pair is a pure function of the topology parameters, so two Fabric
+// instances built from the same NetConfig route identically and
+// simulations are reproducible.
 //
-// Builders mirror NetConfig::TopologyKind:
-//  - crossbar(): one non-blocking switch; routes are {inject, eject} and
-//    the only contention points are the per-node NICs.
-//  - fat_tree(): nodes -> leaf switches -> spines. Same-leaf routes stay
-//    under the leaf ({inject, eject}); cross-leaf routes add an uplink
-//    and a downlink through a spine chosen by a fixed per-pair hash
-//    (static ECMP — real fabrics hash flows, we hash the pair so the
-//    choice is reproducible).
+// fat_tree() builds nodes -> leaf switches -> spines. Same-leaf routes
+// stay under the leaf ({inject, eject}); cross-leaf routes add an uplink
+// and a downlink through a spine chosen by a fixed per-pair hash (static
+// ECMP — real fabrics hash flows, we hash the pair so the choice is
+// reproducible). A single leaf holding every node is a non-blocking
+// switch whose only contention points are the per-node NICs.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +34,6 @@ enum class LinkKind {
   LeafDown,   ///< spine -> leaf switch
 };
 
-[[nodiscard]] const char* to_string(LinkKind kind);
-
 struct Link {
   LinkKind kind = LinkKind::NicInject;
   double capacity = 0.0;        ///< bytes/s, nominal (before faults)
@@ -46,11 +42,6 @@ struct Link {
 
 class NetTopology {
  public:
-  /// Flat crossbar over `nodes` nodes. Every node gets an injection and
-  /// an ejection link of `nic_bandwidth`; a path costs `latency`.
-  static NetTopology crossbar(int nodes, double nic_bandwidth,
-                              sim::SimTime latency);
-
   /// Two-level fat-tree: ceil(nodes / leaf_radix) leaf switches, `spines`
   /// spine switches, a leaf<->spine link pair per (leaf, spine). Same-leaf
   /// paths cost `latency`; cross-leaf paths cost latency + 2 * per_hop.
@@ -78,14 +69,12 @@ class NetTopology {
     return latencies_[index(src, dst)];
   }
 
-  /// Leaf switch of a node (0 for the crossbar).
-  [[nodiscard]] int leaf_of(NodeId n) const {
-    return leaf_radix_ > 0 ? n / leaf_radix_ : 0;
-  }
+  /// Leaf switch of a node.
+  [[nodiscard]] int leaf_of(NodeId n) const { return n / leaf_radix_; }
   [[nodiscard]] int leaf_count() const { return leaves_; }
 
-  /// All LeafUp link ids (the classic congestion points; empty for the
-  /// crossbar).
+  /// All LeafUp link ids (the classic congestion points; idle on a single
+  /// leaf, which routes nothing through a spine).
   [[nodiscard]] std::vector<LinkId> leaf_uplinks() const;
 
  private:

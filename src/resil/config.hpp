@@ -7,7 +7,7 @@
 // crashes are announced to the runtime directly and no resil::Monitor
 // (resil/monitor.hpp) is built. Their tuning is fixed:
 // see the constants in resil/phi_detector.hpp, resil/lease.hpp and
-// resil/quarantine.hpp.
+// resil/monitor.hpp.
 #pragma once
 
 #include <cstdint>

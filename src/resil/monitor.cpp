@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <string>
 
 #include "prof/prof.hpp"
@@ -13,8 +14,7 @@ Monitor::Monitor(sim::Engine& engine, vmpi::Communicator& ctrl, Host& host,
     : engine_(engine),
       ctrl_(ctrl),
       host_(host),
-      peers_(static_cast<std::size_t>(workers)),
-      quarantine_(workers) {}
+      peers_(static_cast<std::size_t>(workers)) {}
 
 void Monitor::start() {
   constexpr sim::SimTime period = kHeartbeatPeriod;
@@ -34,7 +34,6 @@ void Monitor::start() {
 void Monitor::add_worker(int w) {
   assert(static_cast<std::size_t>(w) == peers_.size());
   peers_.emplace_back().joined = engine_.now();
-  quarantine_.add_worker();
   engine_.after(kHeartbeatPeriod, [this, w] { send_heartbeat(w); });
 }
 
@@ -55,8 +54,8 @@ void Monitor::sweep() {
   PROF_SCOPE("resil.sweep");
   const sim::SimTime now = engine_.now();
   for (int w = 0; w < static_cast<int>(peers_.size()); ++w) {
-    if (host_.home_of(w) == w || quarantine_.ejected(w)) continue;
     const Peer& peer = peers_[static_cast<std::size_t>(w)];
+    if (host_.home_of(w) == w || peer.ejected) continue;
     if (peer.detector.started()) {
       if (peer.detector.phi(now) > kPhiThreshold) suspect(w);
     } else {
@@ -150,7 +149,7 @@ void Monitor::on_ack(std::uint64_t task, int w, std::uint64_t epoch) {
   lease->acked = true;
   engine_.cancel(lease->timer);
   lease->timer = sim::kInvalidEvent;
-  quarantine_.record_success(w);
+  peers_[static_cast<std::size_t>(w)].expiry_streak = 0;
 }
 
 void Monitor::on_lease_timeout(std::uint64_t task) {
@@ -172,9 +171,12 @@ void Monitor::on_lease_timeout(std::uint64_t task) {
   // worker moves towards quarantine.
   ++counters_.lease_expiries;
   lease->timer = sim::kInvalidEvent;
-  if (quarantine_.record_expiry(w) && !quarantine_.ejected(w)) {
+  Peer& peer = peers_[static_cast<std::size_t>(w)];
+  peer.expiry_streak += 1;
+  if (peer.ejected) return;
+  if (peer.expiry_streak >= kQuarantineThreshold) {
     suspect(w);  // voids every lease on w, including this one
-  } else if (!quarantine_.ejected(w)) {
+  } else {
     requeue(task);
     host_.replan(w, Verdict::Expired);
   }
@@ -205,7 +207,7 @@ void Monitor::on_completion(std::uint64_t task, int w, std::uint64_t epoch) {
   }
   engine_.cancel(lease->timer);
   leases_.revoke(task);
-  quarantine_.record_success(w);
+  peers_[static_cast<std::size_t>(w)].expiry_streak = 0;
   host_.complete_task(task);
 }
 
@@ -222,13 +224,13 @@ void Monitor::requeue(std::uint64_t task) {
 }
 
 void Monitor::suspect(int w) {
-  if (done_ || quarantine_.ejected(w)) return;
+  Peer& peer = peers_[static_cast<std::size_t>(w)];
+  if (done_ || peer.ejected) return;
   assert(host_.home_of(w) != w && "home workers are never suspected");
   // Detection verdict: real failure or false suspicion?
   if (!host_.worker_alive(w)) {
     ++counters_.detections;
-    counters_.detection_latency_sum +=
-        engine_.now() - peers_[static_cast<std::size_t>(w)].crashed_at;
+    counters_.detection_latency_sum += engine_.now() - peer.crashed_at;
     host_.mark("detected crash of worker " + std::to_string(w));
   } else {
     ++counters_.false_suspicions;
@@ -238,7 +240,9 @@ void Monitor::suspect(int w) {
   // Outlier ejection (Envoy-style): out of scheduler candidacy until the
   // cooling period ends, then probed back in.
   ++counters_.quarantine_ejections;
-  engine_.at(quarantine_.eject(w, engine_.now()), [this, w] { probe(w); });
+  peer.ejected = true;
+  peer.ejected_at = engine_.now();
+  cool(w);
 
   // Void everything leased to the suspect, in ascending task-id order.
   for (const std::uint64_t task : leases_.tasks_on(w)) requeue(task);
@@ -246,13 +250,13 @@ void Monitor::suspect(int w) {
 }
 
 void Monitor::probe(int w) {
-  if (done_ || !quarantine_.ejected(w)) return;
+  Peer& peer = peers_[static_cast<std::size_t>(w)];
+  if (done_ || !peer.ejected) return;
   // The probe is a liveness check: has the worker produced a heartbeat
   // since it was ejected?
-  Peer& peer = peers_[static_cast<std::size_t>(w)];
-  if (host_.worker_alive(w) &&
-      peer.last_heartbeat > quarantine_.ejected_at(w)) {
-    quarantine_.readmit(w);
+  if (host_.worker_alive(w) && peer.last_heartbeat > peer.ejected_at) {
+    peer.ejected = false;
+    peer.expiry_streak = 0;
     // Forget pre-ejection inter-arrival history (it includes the silence
     // that caused the ejection and would poison the fresh estimate).
     peer.detector.reset();
@@ -262,7 +266,16 @@ void Monitor::probe(int w) {
     return;
   }
   // Still silent: extend the quarantine with a longer (capped) cooling.
-  engine_.at(quarantine_.extend(w, engine_.now()), [this, w] { probe(w); });
+  cool(w);
+}
+
+void Monitor::cool(int w) {
+  int& ejections = peers_[static_cast<std::size_t>(w)].ejections;
+  const sim::SimTime cooling =
+      std::min(kQuarantineCooling * std::pow(kQuarantineBackoff, ejections),
+               kQuarantineCoolingCap);
+  ++ejections;
+  engine_.at(engine_.now() + cooling, [this, w] { probe(w); });
 }
 
 }  // namespace tlb::resil

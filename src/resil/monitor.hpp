@@ -5,10 +5,13 @@
 // retransmitted with capped backoff until it expires; a completion that
 // names a stale epoch (ghost or zombie) is suppressed, so each task
 // completes exactly once at its home; repeated expiries or a phi crossing
-// quarantine a helper until a probe hears it again. The runtime builds one
-// only in Heartbeat mode and serves it through the narrow Host interface,
-// keeping liveness, executions and DLB state itself; to the runtime an
-// epoch is an opaque token. Unit tests drive it against a fake Host.
+// quarantine a helper until a probe hears it again (Envoy-style outlier
+// ejection: the cooling before each probe doubles up to a cap, so a
+// fail-stopped helper converges to the longest cooling and never returns).
+// The runtime builds one only in Heartbeat mode and serves it through the
+// narrow Host interface, keeping liveness, executions and DLB state
+// itself; to the runtime an epoch is an opaque token. Unit tests drive it
+// against a fake Host.
 #pragma once
 
 #include <cstdint>
@@ -18,11 +21,20 @@
 #include "resil/config.hpp"
 #include "resil/lease.hpp"
 #include "resil/phi_detector.hpp"
-#include "resil/quarantine.hpp"
 #include "sim/engine.hpp"
 #include "vmpi/comm.hpp"
 
 namespace tlb::resil {
+
+/// Consecutive lease expiries that eject a worker from pick_worker
+/// candidacy (phi crossings eject immediately).
+inline constexpr int kQuarantineThreshold = 3;
+/// Initial cooling period before an ejected worker is probed back in.
+inline constexpr sim::SimTime kQuarantineCooling = 1.0;
+/// Cooling grows by this factor on every consecutive re-ejection.
+inline constexpr double kQuarantineBackoff = 2.0;
+/// Upper bound on the cooling period.
+inline constexpr sim::SimTime kQuarantineCoolingCap = 8.0;
 
 /// What the monitor concluded about a helper (Host::replan).
 enum class Verdict { Expired, Suspected, Readmitted };
@@ -74,7 +86,9 @@ class Monitor {
   /// Helper `w` finished `task` under `epoch`: report it to the home.
   void send_completion(std::uint64_t task, int w, std::uint64_t epoch);
 
-  [[nodiscard]] bool ejected(int w) const { return quarantine_.ejected(w); }
+  [[nodiscard]] bool ejected(int w) const {
+    return peers_[static_cast<std::size_t>(w)].ejected;
+  }
   [[nodiscard]] std::size_t outstanding_leases() const {
     return leases_.size();
   }
@@ -102,6 +116,10 @@ class Monitor {
   void suspect(int w);
   /// End of cooling: readmit `w` if heard since its ejection, else extend.
   void probe(int w);
+  /// Schedules the probe of ejected `w` one cooling period from now; the
+  /// period doubles (capped) with every ejection and extension, and
+  /// readmission does not reset it, so a flapping worker pays in full.
+  void cool(int w);
 
   sim::Engine& engine_;
   vmpi::Communicator& ctrl_;
@@ -112,9 +130,12 @@ class Monitor {
     sim::SimTime joined = 0.0;           ///< start of the run, or its rewire
     sim::SimTime last_heartbeat = -1.0;  ///< last arrival (-1 = none)
     sim::SimTime crashed_at = -1.0;      ///< physical crash (-1 = alive)
+    int expiry_streak = 0;  ///< consecutive lease expiries
+    int ejections = 0;      ///< ejections and extensions so far
+    bool ejected = false;
+    sim::SimTime ejected_at = 0.0;
   };
   std::vector<Peer> peers_;  ///< per worker
-  Quarantine quarantine_;
   Counters counters_;
   std::uint64_t control_messages_ = 0;
   bool done_ = false;

@@ -24,8 +24,6 @@
 #include "sched/policies.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 namespace tlb::sched {
 
@@ -100,15 +98,6 @@ void AdaptiveScheduler::elect() {
   elected_regime_ = regime_;
   exploit_windows_ = 0;
   set_mode(best);
-  // Diagnostic trace of each election (off unless explicitly requested).
-  if (std::getenv("TLB_ADAPTIVE_DEBUG") != nullptr) {
-    std::fprintf(stderr,
-                 "[adaptive] t=%.3f elect=%s rates={loc %.1f cong %.1f "
-                 "wait %.1f}/s waits={%.4f %.4f %.4f}s regime=%d\n",
-                 view_.now(), to_string(best), probe_rate_[0],
-                 probe_rate_[1], probe_rate_[2], probe_wait_[0],
-                 probe_wait_[1], probe_wait_[2], regime_);
-  }
 }
 
 void AdaptiveScheduler::step(const nanos::Task& task) {

@@ -208,14 +208,6 @@ class AdaptiveScheduler : public Scheduler {
   [[nodiscard]] const WaittimeScheduler& waittime() const {
     return waittime_;
   }
-  [[nodiscard]] static const char* to_string(Mode m) {
-    switch (m) {
-      case Mode::Locality: return "locality";
-      case Mode::Congestion: return "congestion";
-      case Mode::Waittime: return "waittime";
-    }
-    return "?";
-  }
 
  protected:
   /// Hottest current path utilization from the apprank's home node to any

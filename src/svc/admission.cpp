@@ -98,15 +98,6 @@ void RetryBudget::settle() {
 
 // --- AdmissionController -----------------------------------------------------
 
-const char* to_string(AdmitVerdict v) {
-  switch (v) {
-    case AdmitVerdict::Admit: return "admit";
-    case AdmitVerdict::ShedBucket: return "shed-bucket";
-    case AdmitVerdict::ShedLimit: return "shed-limit";
-  }
-  return "?";
-}
-
 AdmissionController::AdmissionController(const AdmissionConfig& config)
     : config_(config),
       bucket_(config.bucket_rate, config.bucket_burst),

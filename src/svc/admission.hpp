@@ -104,8 +104,6 @@ enum class AdmitVerdict {
   ShedLimit,   ///< class's share of the concurrency limit exhausted
 };
 
-[[nodiscard]] const char* to_string(AdmitVerdict v);
-
 /// Composes bucket + limiter + class fractions. The caller supplies the
 /// current in-flight count (running + queued jobs) and the deadline class.
 class AdmissionController {

@@ -16,6 +16,13 @@ namespace {
 constexpr std::uint64_t kSeedArrivals = 0x5E21;
 constexpr std::uint64_t kSeedJobs = 0x5E22;
 constexpr double kTwoPi = 6.283185307179586476925286766559;
+/// Bursty shape: mean normal-state dwell, so that bursts take
+/// kBurstFraction of the time.
+constexpr double kNormalDwell =
+    kBurstDwell * (1.0 - kBurstFraction) / kBurstFraction;
+// The normal-state rate that keeps the long-run mean at the nominal rate
+// stays positive.
+static_assert(kBurstFraction * kBurstFactor < 1.0);
 }  // namespace
 
 ArrivalGenerator::ArrivalGenerator(ArrivalConfig config,
@@ -67,14 +74,8 @@ ArrivalGenerator::ArrivalGenerator(ArrivalConfig config,
         "ArrivalGenerator: template weights sum to zero");
   }
   if (config_.shape == ArrivalShape::Bursty) {
-    if (config_.burst_fraction <= 0.0 || config_.burst_fraction >= 1.0) {
-      throw std::invalid_argument(
-          "ArrivalGenerator: burst_fraction must be in (0, 1)");
-    }
     // Start in the normal state; first toggle after one normal dwell.
-    switch_at_ = rng_.exponential(kBurstDwell *
-                                  (1.0 - config_.burst_fraction) /
-                                  config_.burst_fraction);
+    switch_at_ = rng_.exponential(kNormalDwell);
   }
 }
 
@@ -83,13 +84,9 @@ double ArrivalGenerator::burst_rate_high() const {
 }
 
 double ArrivalGenerator::burst_rate_low() const {
-  // Chosen so fraction * high + (1 - fraction) * low == rate; clamped when
-  // kBurstFactor * burst_fraction >= 1 would push it negative (the mean
-  // then exceeds the nominal rate — the knobs over-ask, not a crash).
-  const double f = config_.burst_fraction;
-  const double low =
-      config_.rate * (1.0 - f * kBurstFactor) / (1.0 - f);
-  return low > 1e-3 * config_.rate ? low : 1e-3 * config_.rate;
+  // Chosen so fraction * high + (1 - fraction) * low == rate.
+  return config_.rate * (1.0 - kBurstFraction * kBurstFactor) /
+         (1.0 - kBurstFraction);
 }
 
 void ArrivalGenerator::advance() {
@@ -113,11 +110,8 @@ void ArrivalGenerator::advance() {
         }
         now_ = switch_at_;
         in_burst_ = !in_burst_;
-        const double dwell =
-            in_burst_ ? kBurstDwell
-                      : kBurstDwell * (1.0 - config_.burst_fraction) /
-                            config_.burst_fraction;
-        switch_at_ = now_ + rng_.exponential(dwell);
+        switch_at_ =
+            now_ + rng_.exponential(in_burst_ ? kBurstDwell : kNormalDwell);
       }
     }
     case ArrivalShape::Diurnal: {
@@ -138,18 +132,14 @@ void ArrivalGenerator::advance() {
 }
 
 std::optional<Arrival> ArrivalGenerator::next() {
-  if (config_.max_arrivals > 0 && emitted_ >= config_.max_arrivals) {
-    return std::nullopt;
-  }
   if (config_.shape == ArrivalShape::Trace) {
     // Verbatim replay: no RNG draws, so the emitted sequence is the trace
-    // itself (subject to the same horizon / max_arrivals caps).
+    // itself (subject to the same horizon).
     if (trace_pos_ >= config_.trace.size()) return std::nullopt;
     const Arrival a = config_.trace[trace_pos_];
     if (a.time > config_.horizon) return std::nullopt;
     ++trace_pos_;
     now_ = a.time;
-    ++emitted_;
     return a;
   }
   advance();
@@ -165,7 +155,6 @@ std::optional<Arrival> ArrivalGenerator::next() {
     ++a.template_index;
   }
   a.job_seed = seed_rng_.next_u64();
-  ++emitted_;
   return a;
 }
 

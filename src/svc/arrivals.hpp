@@ -34,6 +34,8 @@ namespace tlb::svc {
 
 /// Bursty shape: burst-state rate multiplier.
 inline constexpr double kBurstFactor = 4.0;
+/// Bursty shape: long-run fraction of time in the burst state.
+inline constexpr double kBurstFraction = 0.2;
 /// Bursty shape: mean burst-state dwell, seconds.
 inline constexpr double kBurstDwell = 2.0;
 
@@ -44,7 +46,7 @@ class ArrivalGenerator {
   ArrivalGenerator(ArrivalConfig config, std::vector<double> template_weights,
                    std::uint64_t seed);
 
-  /// Next arrival, or nullopt once the horizon (or max_arrivals) is
+  /// Next arrival, or nullopt once the horizon (or the end of a trace) is
   /// reached. Monotone non-decreasing times.
   std::optional<Arrival> next();
 
@@ -65,7 +67,6 @@ class ArrivalGenerator {
   double now_ = 0.0;
   bool in_burst_ = false;
   double switch_at_ = 0.0;  ///< next MMPP state toggle
-  int emitted_ = 0;
   std::size_t trace_pos_ = 0;  ///< Trace shape: next replay index
 };
 

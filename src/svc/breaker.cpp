@@ -6,15 +6,6 @@
 
 namespace tlb::svc {
 
-const char* to_string(BreakerState state) {
-  switch (state) {
-    case BreakerState::Closed: return "closed";
-    case BreakerState::Open: return "open";
-    case BreakerState::HalfOpen: return "half-open";
-  }
-  return "?";
-}
-
 CircuitBreaker::CircuitBreaker(const BreakerConfig& config)
     : config_(config) {
   if (config_.failure_threshold < 1) {
@@ -31,10 +22,6 @@ CircuitBreaker::CircuitBreaker(const BreakerConfig& config)
   if (config_.max_open_duration < config_.open_duration) {
     throw std::invalid_argument(
         "CircuitBreaker: max_open_duration must be >= open_duration");
-  }
-  if (config_.half_open_successes < 1) {
-    throw std::invalid_argument(
-        "CircuitBreaker: half_open_successes must be >= 1");
   }
 }
 
@@ -53,8 +40,6 @@ void CircuitBreaker::trip(double now) {
   state_ = BreakerState::Open;
   open_until_ = now + current_open_duration();
   consecutive_failures_ = 0;
-  probe_successes_ = 0;
-  probe_in_flight_ = false;
 }
 
 void CircuitBreaker::close(double now) {
@@ -62,8 +47,6 @@ void CircuitBreaker::close(double now) {
   state_ = BreakerState::Closed;
   consecutive_failures_ = 0;
   consecutive_trips_ = 0;
-  probe_successes_ = 0;
-  probe_in_flight_ = false;
 }
 
 bool CircuitBreaker::allow(double now) {
@@ -76,15 +59,10 @@ bool CircuitBreaker::allow(double now) {
         return false;
       }
       state_ = BreakerState::HalfOpen;
-      probe_in_flight_ = true;
       return true;
     case BreakerState::HalfOpen:
-      if (probe_in_flight_) {
-        ++shed_;
-        return false;
-      }
-      probe_in_flight_ = true;
-      return true;
+      ++shed_;
+      return false;
   }
   return true;
 }
@@ -99,8 +77,7 @@ void CircuitBreaker::on_success(double now) {
       // the probe cycle decides reopening, so this is ignored.
       return;
     case BreakerState::HalfOpen:
-      probe_in_flight_ = false;
-      if (++probe_successes_ >= config_.half_open_successes) close(now);
+      close(now);
       return;
   }
 }
@@ -125,8 +102,6 @@ void CircuitBreaker::on_probe_shed(double now) {
   // Re-arm the open timer without escalating: admission shedding the probe
   // is backpressure, not evidence about this tenant's jobs.
   state_ = BreakerState::Open;
-  probe_in_flight_ = false;
-  probe_successes_ = 0;
   open_until_ = now + current_open_duration();
 }
 

@@ -4,7 +4,7 @@
 // tenant SLO outcomes instead of RPC errors: `failure_threshold`
 // consecutive SLO misses trip the tenant open, its arrivals are then shed
 // at the door, and after an exponentially-backed-off open interval a
-// single probe job is admitted. SLO-met probes close the breaker; a
+// single probe job is admitted. An SLO-met probe closes the breaker; a
 // missed probe re-trips it with a longer interval. This bounds the damage
 // a misbehaving tenant (oversized jobs, impossible deadlines) can do to
 // the shared FCFS queue — its work stops occupying nodes other tenants
@@ -23,21 +23,20 @@ namespace tlb::svc {
 
 enum class BreakerState { Closed, Open, HalfOpen };
 
-[[nodiscard]] const char* to_string(BreakerState state);
-
 class CircuitBreaker {
  public:
-  /// Validates the config (threshold/successes >= 1, positive durations,
+  /// Validates the config (threshold >= 1, positive durations,
   /// backoff_factor >= 1) — throws std::invalid_argument otherwise.
   explicit CircuitBreaker(const BreakerConfig& config);
 
   /// Gate for one arrival at `now`. Closed: always true. Open: false
   /// until the open interval elapses, at which point the breaker moves to
-  /// HalfOpen and admits this arrival as the probe. HalfOpen: false while
-  /// the probe is outstanding (exactly one probe in flight).
+  /// HalfOpen and admits this arrival as the probe. HalfOpen: false (the
+  /// one probe is outstanding).
   [[nodiscard]] bool allow(double now);
 
-  /// SLO-met completion of one of this tenant's jobs.
+  /// SLO-met completion of one of this tenant's jobs; closes a HalfOpen
+  /// breaker.
   void on_success(double now);
   /// SLO miss (or a job shed after admission, which also signals the
   /// tenant is not getting useful work through).
@@ -66,8 +65,6 @@ class CircuitBreaker {
   BreakerState state_ = BreakerState::Closed;
   int consecutive_failures_ = 0;
   int consecutive_trips_ = 0;  ///< backoff exponent; resets on close
-  int probe_successes_ = 0;
-  bool probe_in_flight_ = false;
   double open_until_ = 0.0;
   double open_since_ = 0.0;   ///< start of the current non-Closed stretch
   double open_accum_ = 0.0;   ///< closed-out non-Closed seconds

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,9 +28,9 @@ enum class ArrivalShape {
   /// Homogeneous Poisson process at ArrivalConfig::rate.
   Poisson,
   /// Two-state Markov-modulated Poisson process: a burst state at
-  /// rate * kBurstFactor entered for an exponentially-distributed dwell
-  /// (svc/arrivals.hpp), tuned so the long-run mean rate stays
-  /// ArrivalConfig::rate.
+  /// rate * kBurstFactor entered for an exponentially-distributed dwell,
+  /// kBurstFraction of the time (svc/arrivals.hpp), tuned so the long-run
+  /// mean rate stays ArrivalConfig::rate.
   Bursty,
   /// Non-homogeneous Poisson (thinning) with a sinusoidal rate
   /// rate * (1 + amplitude * sin(2*pi*t / period)) — the compressed
@@ -41,30 +40,6 @@ enum class ArrivalShape {
   /// draws at all, so generate → dump → replay is bit-identical.
   Trace,
 };
-
-/// Canonical name ("poisson", "bursty", "diurnal", "trace") — inverse of
-/// parse_arrival_shape.
-[[nodiscard]] inline const char* to_string(ArrivalShape shape) {
-  switch (shape) {
-    case ArrivalShape::Poisson: return "poisson";
-    case ArrivalShape::Bursty: return "bursty";
-    case ArrivalShape::Diurnal: return "diurnal";
-    case ArrivalShape::Trace: return "trace";
-  }
-  return "?";
-}
-
-/// Parses an arrival-shape name. Unknown names throw std::invalid_argument
-/// listing the valid values — never a silent fallback.
-[[nodiscard]] inline ArrivalShape parse_arrival_shape(
-    const std::string& name) {
-  if (name == "poisson") return ArrivalShape::Poisson;
-  if (name == "bursty") return ArrivalShape::Bursty;
-  if (name == "diurnal") return ArrivalShape::Diurnal;
-  if (name == "trace") return ArrivalShape::Trace;
-  throw std::invalid_argument("unknown arrival shape \"" + name +
-                              "\" (valid: poisson, bursty, diurnal, trace)");
-}
 
 /// One job arrival. `job_seed` drives the instance's workload draws
 /// (task durations) — derived from a dedicated RNG stream so two shapes
@@ -105,12 +80,6 @@ struct ArrivalConfig {
   ArrivalShape shape = ArrivalShape::Poisson;
   double rate = 4.0;      ///< mean arrivals per second
   double horizon = 30.0;  ///< arrivals stop at this simulated time
-  /// Hard cap on emitted arrivals (safety net for misconfigured rates);
-  /// 0 = unlimited.
-  int max_arrivals = 0;
-
-  // Bursty (MMPP-2) shape.
-  double burst_fraction = 0.2;  ///< long-run fraction of time in burst
 
   // Diurnal shape.
   double diurnal_period = 30.0;
@@ -167,15 +136,14 @@ struct AdmissionConfig {
 /// (ShedBreaker) so one misbehaving tenant cannot wedge the shared FCFS
 /// queue for everyone else. After `open_duration` (scaled by
 /// `backoff_factor` per consecutive trip, capped at `max_open_duration`)
-/// a single half-open probe job is let through; `half_open_successes`
-/// SLO-met completions close the breaker, one more miss re-trips it.
+/// a single half-open probe job is let through; its SLO-met completion
+/// closes the breaker, a miss re-trips it.
 struct BreakerConfig {
   bool enabled = false;
   int failure_threshold = 3;      ///< consecutive SLO misses to trip
   double open_duration = 2.0;     ///< base open interval, seconds
   double backoff_factor = 2.0;    ///< per-consecutive-trip multiplier
   double max_open_duration = 30.0;
-  int half_open_successes = 1;    ///< probe successes needed to close
 };
 
 struct SvcConfig {

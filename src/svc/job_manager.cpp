@@ -6,7 +6,6 @@
 #include <string>
 
 #include "apps/synthetic.hpp"
-#include "core/sched_table.hpp"
 #include "prof/prof.hpp"
 
 namespace tlb::svc {
@@ -123,21 +122,6 @@ void JobManager::subscribe_control_types() {
   // Every applier validates the full payload before mutating any state, so
   // a NACK leaves the previously acked config in force (the ControlPlane
   // re-applies the last acked resource, which then must succeed).
-  control_.subscribe(
-      "tlb.sched.policy", [this](const elastic::Resource& res) -> std::string {
-        try {
-          const auto kv = elastic::parse_kv(res.payload);
-          const auto it = kv.find("policy");
-          if (it == kv.end()) return "missing key 'policy'";
-          std::string error = core::sched_policy_error(it->second);
-          if (!error.empty()) return error;
-          base_.sched.policy = it->second;  // affects subsequent launches
-          return "";
-        } catch (const std::exception& e) {
-          return e.what();
-        }
-      });
-
   control_.subscribe(
       "tlb.svc.admission", [this](const elastic::Resource& res) -> std::string {
         try {

@@ -16,8 +16,8 @@
 // free nodes only — a running job's partition is never reclaimed), and
 // every powered second is billed as node-seconds cost. An xDS-style
 // control plane (elastic::ControlPlane) accepts mid-run config pushes
-// for the scheduler policy, the admission settings, and the elastic
-// bounds — invalid resources NACK and roll back.
+// for the admission settings and the elastic bounds — invalid resources
+// NACK and roll back.
 //
 // Measured per job: queue wait, service time, arrival-to-completion
 // latency, SLO verdict (latency <= the template's deadline). Aggregated:
@@ -161,7 +161,6 @@ class JobManager {
   }
 
   /// xDS-style config endpoint. Subscribed types:
-  ///   "tlb.sched.policy"   payload "policy=<name>"   (new launches only)
   ///   "tlb.svc.admission"  payload "key=value ..."   (controller rebuilt)
   ///   "tlb.elastic.nodes"  payload "min=<n> max=<n>" (controller bounds)
   /// Invalid payloads NACK with a reason and the previously acked resource

@@ -379,34 +379,6 @@ TEST(JobManagerElastic, InvalidPoolBoundsThrow) {
 
 // --- JobManager control plane ------------------------------------------------
 
-TEST(JobManagerControl, PolicyPushValidatesAgainstRegistry) {
-  svc::JobManager mgr(service_base(1.0, 2.0));
-  elastic::ControlPlane& cp = mgr.control();
-  EXPECT_EQ(cp.push({"tlb.sched.policy", 1, "policy=congestion"}).status,
-            elastic::PushStatus::Acked);
-  const elastic::PushResult bad =
-      cp.push({"tlb.sched.policy", 2, "policy=no-such-policy"});
-  EXPECT_EQ(bad.status, elastic::PushStatus::Nacked);
-  EXPECT_TRUE(bad.rolled_back);  // back to policy=congestion
-  EXPECT_EQ(cp.last_acked("tlb.sched.policy")->payload, "policy=congestion");
-}
-
-TEST(JobManagerControl, HierPushAckedWithoutPriorRuntime) {
-  // Every policy name resolves from the static table, whether or not a
-  // ClusterRuntime has been built in this process yet.
-  svc::JobManager mgr(service_base(1.0, 2.0));
-  elastic::ControlPlane& cp = mgr.control();
-  EXPECT_EQ(cp.push({"tlb.sched.policy", 1, "policy=hier"}).status,
-            elastic::PushStatus::Acked);
-  const elastic::PushResult bad =
-      cp.push({"tlb.sched.policy", 2, "policy=bogus"});
-  EXPECT_EQ(bad.status, elastic::PushStatus::Nacked);
-  for (const char* name :
-       {"bogus", "locality", "congestion", "waittime", "adaptive", "hier"}) {
-    EXPECT_NE(bad.detail.find(name), std::string::npos) << bad.detail;
-  }
-}
-
 TEST(JobManagerControl, AdmissionPushRejectsInvalidLimits) {
   core::RuntimeConfig cfg = service_base(1.0, 2.0);
   cfg.svc.admission.enabled = true;

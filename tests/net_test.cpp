@@ -23,20 +23,6 @@ namespace {
 
 // --- topology ---------------------------------------------------------------
 
-TEST(NetTopology, CrossbarRoutesThroughBothNics) {
-  const auto t = NetTopology::crossbar(4, 100.0, 1e-6);
-  // inject[n] = 2n, eject[n] = 2n + 1.
-  const auto& route = t.route(0, 2);
-  ASSERT_EQ(route.size(), 2u);
-  EXPECT_EQ(route[0], 0);  // nic0.in
-  EXPECT_EQ(route[1], 5);  // nic2.out
-  EXPECT_EQ(t.link(route[0]).kind, LinkKind::NicInject);
-  EXPECT_EQ(t.link(route[1]).kind, LinkKind::NicEject);
-  EXPECT_TRUE(t.route(1, 1).empty());
-  EXPECT_DOUBLE_EQ(t.path_latency(0, 2), 1e-6);
-  EXPECT_TRUE(t.leaf_uplinks().empty());
-}
-
 TEST(NetTopology, FatTreeSameLeafStaysUnderLeaf) {
   const auto t = NetTopology::fat_tree(8, 4, 2, 100.0, 200.0, 1e-6, 5e-7);
   EXPECT_EQ(t.leaf_count(), 2);
@@ -48,6 +34,14 @@ TEST(NetTopology, FatTreeSameLeafStaysUnderLeaf) {
   EXPECT_EQ(t.link(route[0]).kind, LinkKind::NicInject);
   EXPECT_EQ(t.link(route[1]).kind, LinkKind::NicEject);
   EXPECT_DOUBLE_EQ(t.path_latency(0, 3), 1e-6);
+
+  // One leaf holds every node: each route is {inject, eject}, with
+  // inject[n] = 2n and eject[n] = 2n + 1.
+  const auto one = NetTopology::fat_tree(4, 4, 1, 100.0, 100.0, 1e-6, 5e-7);
+  EXPECT_EQ(one.route(0, 2), (std::vector<LinkId>{0, 5}));
+  EXPECT_EQ(one.link(5).name, "nic2.out");
+  EXPECT_TRUE(one.route(1, 1).empty());
+  EXPECT_DOUBLE_EQ(one.path_latency(0, 2), 1e-6);
 }
 
 TEST(NetTopology, FatTreeCrossLeafUsesHashedSpine) {
@@ -78,8 +72,10 @@ TEST(NetTopology, RoutingIsDeterministic) {
 }
 
 TEST(NetTopology, InvalidParametersThrow) {
-  EXPECT_THROW(NetTopology::crossbar(0, 1.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(NetTopology::crossbar(2, 0.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(NetTopology::fat_tree(0, 1, 1, 1.0, 1.0, 0.0, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(NetTopology::fat_tree(2, 2, 1, 0.0, 1.0, 0.0, 0.0),
+               std::invalid_argument);
   EXPECT_THROW(NetTopology::fat_tree(4, 0, 1, 1.0, 1.0, 0.0, 0.0),
                std::invalid_argument);
   EXPECT_THROW(NetTopology::fat_tree(4, 2, 1, 1.0, 0.0, 0.0, 0.0),
@@ -88,7 +84,8 @@ TEST(NetTopology, InvalidParametersThrow) {
 
 // --- fabric: max-min fair sharing -------------------------------------------
 
-// 100 bytes/s NICs and zero latency make the arithmetic exact.
+// 100 bytes/s NICs and zero latency make the arithmetic exact. A
+// single-leaf tree routes every pair over its two NICs only.
 struct FabricFixture {
   sim::Engine engine;
   std::unique_ptr<Fabric> fabric;
@@ -96,13 +93,14 @@ struct FabricFixture {
   explicit FabricFixture(NetTopology topo) {
     fabric = std::make_unique<Fabric>(engine, std::move(topo));
   }
-  static FabricFixture crossbar(int nodes) {
-    return FabricFixture(NetTopology::crossbar(nodes, 100.0, 0.0));
+  static FabricFixture single_leaf(int nodes) {
+    return FabricFixture(
+        NetTopology::fat_tree(nodes, nodes, 1, 100.0, 100.0, 0.0, 0.0));
   }
 };
 
 TEST(NetFabric, SingleFlowMatchesAnalyticCost) {
-  auto f = FabricFixture::crossbar(2);
+  auto f = FabricFixture::single_leaf(2);
   double done = -1.0;
   f.fabric->start_flow(0, 1, 1000, [&] { done = f.engine.now(); });
   f.engine.run();
@@ -113,7 +111,7 @@ TEST(NetFabric, SingleFlowMatchesAnalyticCost) {
 
 TEST(NetFabric, TwoFlowBottleneckSharesFairly) {
   // Both flows cross nic1.out: 50 B/s each, both finish at t = 20.
-  auto f = FabricFixture::crossbar(3);
+  auto f = FabricFixture::single_leaf(3);
   double done_a = -1.0;
   double done_b = -1.0;
   f.fabric->start_flow(0, 1, 1000, [&] { done_a = f.engine.now(); });
@@ -129,7 +127,7 @@ TEST(NetFabric, TwoFlowBottleneckSharesFairly) {
 TEST(NetFabric, FinishedFlowReleasesBandwidth) {
   // A (500 B) and B (1000 B) share nic1.out at 50 B/s. A completes at
   // t = 10; B then streams its remaining 500 B at the full 100 B/s.
-  auto f = FabricFixture::crossbar(3);
+  auto f = FabricFixture::single_leaf(3);
   double done_a = -1.0;
   double done_b = -1.0;
   f.fabric->start_flow(0, 1, 500, [&] { done_a = f.engine.now(); });
@@ -142,7 +140,7 @@ TEST(NetFabric, FinishedFlowReleasesBandwidth) {
 TEST(NetFabric, NicInjectionCapSharedAcrossDestinations) {
   // Two flows from node 0 to distinct destinations: the shared injection
   // NIC is the bottleneck (50 B/s each) even though ejection is idle.
-  auto f = FabricFixture::crossbar(3);
+  auto f = FabricFixture::single_leaf(3);
   double done_a = -1.0;
   double done_b = -1.0;
   f.fabric->start_flow(0, 1, 1000, [&] { done_a = f.engine.now(); });
@@ -174,7 +172,7 @@ TEST(NetFabric, ThreeFlowMaxMinOnOversubscribedFatTree) {
 }
 
 TEST(NetFabric, ZeroByteFlowCostsLatencyAndSkipsFctSamples) {
-  FabricFixture f(NetTopology::crossbar(2, 100.0, 2e-6));
+  FabricFixture f(NetTopology::fat_tree(2, 2, 1, 100.0, 100.0, 2e-6, 0.0));
   double done = -1.0;
   f.fabric->start_flow(0, 1, 0, [&] { done = f.engine.now(); });
   f.engine.run();
@@ -186,7 +184,7 @@ TEST(NetFabric, ZeroByteFlowCostsLatencyAndSkipsFctSamples) {
 // --- fabric: fault composition ----------------------------------------------
 
 TEST(NetFabric, GlobalBandwidthFaultSlowsEveryFlow) {
-  auto f = FabricFixture::crossbar(2);
+  auto f = FabricFixture::single_leaf(2);
   f.fabric->set_global_fault(1.0, 0.5);
   double done = -1.0;
   f.fabric->start_flow(0, 1, 1000, [&] { done = f.engine.now(); });
@@ -197,7 +195,7 @@ TEST(NetFabric, GlobalBandwidthFaultSlowsEveryFlow) {
 TEST(NetFabric, MidFlightFaultReshapesRemainingBytes) {
   // 1000 B at 100 B/s; at t = 5 (500 B left) the fabric halves: the rest
   // streams at 50 B/s, completing at t = 5 + 10.
-  auto f = FabricFixture::crossbar(2);
+  auto f = FabricFixture::single_leaf(2);
   double done = -1.0;
   f.fabric->start_flow(0, 1, 1000, [&] { done = f.engine.now(); });
   f.engine.after(5.0, [&] { f.fabric->set_global_fault(1.0, 0.5); });
@@ -208,7 +206,7 @@ TEST(NetFabric, MidFlightFaultReshapesRemainingBytes) {
 TEST(NetFabric, PerLinkDegradationHitsOnlyCrossingFlows) {
   // Degrade nic1.out to 25 B/s: the 0->1 flow slows to 25, the 0->2 flow
   // keeps the injection residue (75 B/s after the degraded flow freezes).
-  auto f = FabricFixture::crossbar(3);
+  auto f = FabricFixture::single_leaf(3);
   f.fabric->degrade_link(3, 0.25);  // nic1.out
   double done_a = -1.0;
   double done_b = -1.0;
@@ -226,7 +224,7 @@ TEST(NetFabric, CancelMidTransferReleasesBandwidth) {
   // A and B share nic1.out at 50 B/s; A is torn down at t = 5, so B's
   // remaining 750 B stream at 100 B/s: done at t = 12.5. A's callback
   // must never fire.
-  auto f = FabricFixture::crossbar(3);
+  auto f = FabricFixture::single_leaf(3);
   bool a_fired = false;
   double done_b = -1.0;
   const FlowId a =
@@ -268,7 +266,7 @@ TEST(NetFabric, IdenticalSchedulesProduceIdenticalTimings) {
 // B *behind* X, so the order is A, X, B. Each flow completion costs
 // exactly one fired event.
 TEST(NetFabric, SameInstantCompletionsInterleaveWithForeignEvents) {
-  auto f = FabricFixture::crossbar(3);
+  auto f = FabricFixture::single_leaf(3);
   std::vector<char> order;
   f.fabric->start_flow(0, 1, 1000, [&] { order.push_back('A'); });
   f.fabric->start_flow(2, 1, 1000, [&] { order.push_back('B'); });
@@ -555,10 +553,14 @@ void schedule_churn(ChurnHarness& h, int flows, std::uint64_t seed) {
     });
   };
   at(0.21 * span, [&h] { h.fabric.set_global_fault(1.5, 0.4); });
-  at(0.33 * span, [&h, links] { h.fabric.degrade_link(links - 1, 0.3); });
+  // The last link is a spine->leaf one; a single leaf routes nothing over
+  // it, so there the last node's ejection NIC takes its place.
+  const int hot = h.topo.leaf_count() > 1 ? links - 1
+                                          : 2 * h.topo.node_count() - 1;
+  at(0.33 * span, [&h, hot] { h.fabric.degrade_link(hot, 0.3); });
   at(0.47 * span, [&h] { h.fabric.degrade_link(3, 0.5); });
   at(0.62 * span, [&h] { h.fabric.set_global_fault(1.0, 1.0); });
-  at(0.78 * span, [&h, links] { h.fabric.degrade_link(links - 1, 1.0); });
+  at(0.78 * span, [&h, hot] { h.fabric.degrade_link(hot, 1.0); });
 }
 
 /// Runs a 600-flow churn to the end: one audit per arrival, cancel, fault
@@ -579,8 +581,10 @@ TEST(NetFabricOracle, RatesMatchReferenceFillingUnderRandomChurn) {
   expect_exact_warm_churn(h, 0x1722ull);
 }
 
+// A single leaf holding every node is a crossbar switch: only the NICs
+// are shared.
 TEST(NetFabricOracle, CrossbarRatesMatchReferenceFillingUnderRandomChurn) {
-  ChurnHarness h(NetTopology::crossbar(32, 100.0, 0.0));
+  ChurnHarness h(NetTopology::fat_tree(32, 32, 1, 100.0, 100.0, 0.0, 0.0));
   expect_exact_warm_churn(h, 0x5EEDull);
 }
 
@@ -593,11 +597,12 @@ Rounds rounds_of(const Fabric& fabric) {
   return {fabric.solver_rounds(), fabric.solver_rounds_replayed()};
 }
 
-/// A zero-latency crossbar with unit NICs, so degrade_link() sets a link's
-/// capacity to exactly its multiplier; crossbar links are inject[n] = 2n
-/// and eject[n] = 2n + 1.
-ChurnHarness unit_crossbar(int nodes) {
-  return ChurnHarness(NetTopology::crossbar(nodes, 1.0, 0.0));
+/// A zero-latency single-leaf tree with unit NICs, so degrade_link() sets
+/// a link's capacity to exactly its multiplier; its NIC links are
+/// inject[n] = 2n and eject[n] = 2n + 1.
+ChurnHarness unit_single_leaf(int nodes) {
+  return ChurnHarness(
+      NetTopology::fat_tree(nodes, nodes, 1, 1.0, 1.0, 0.0, 0.0));
 }
 
 /// Starts a long flow at `t`; each start needs an instant of its own, so
@@ -610,7 +615,7 @@ void start_at(ChurnHarness& h, sim::SimTime t, NodeId src, NodeId dst) {
 /// sixth flow joins nic0.out. `capacity` sets nic0.out; returns the round
 /// counters of the sixth flow's solve.
 Rounds sixth_flow_on_shared_eject(double capacity) {
-  ChurnHarness h = unit_crossbar(7);
+  ChurnHarness h = unit_single_leaf(7);
   for (int n = 1; n <= 5; ++n) h.fabric.degrade_link(2 * n, 0.7);
   h.fabric.degrade_link(1, capacity);
   for (int n = 1; n <= 5; ++n) start_at(h, 0.1 * n, n, 0);
@@ -646,7 +651,7 @@ TEST(NetFabricOracle, NearTieStopsTheReplayWhereRoundingDoes) {
 TEST(NetFabricOracle, WarmStartAtTheEdgesOfTheKeptFilling) {
   // nic1.in = 0.2 freezes A in round 0; B and C then split nic0.out's
   // remaining 0.8 in round 1; D crosses idle NICs and freezes in round 2.
-  ChurnHarness h = unit_crossbar(6);
+  ChurnHarness h = unit_single_leaf(6);
   h.fabric.degrade_link(2, 0.2);
   start_at(h, 0.1, 1, 0);  // A
   start_at(h, 0.2, 2, 0);  // B

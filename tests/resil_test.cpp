@@ -22,7 +22,6 @@
 #include "resil/lease.hpp"
 #include "resil/monitor.hpp"
 #include "resil/phi_detector.hpp"
-#include "resil/quarantine.hpp"
 #include "vmpi/comm.hpp"
 
 namespace tlb {
@@ -144,35 +143,6 @@ TEST(LeaseTable, BackoffDelayIsCappedExponential) {
   EXPECT_DOUBLE_EQ(resil::LeaseTable::backoff_delay(2), 0.10);
   EXPECT_DOUBLE_EQ(resil::LeaseTable::backoff_delay(4), 0.40);
   EXPECT_DOUBLE_EQ(resil::LeaseTable::backoff_delay(7), 0.40);  // capped
-}
-
-// --- quarantine --------------------------------------------------------------
-
-TEST(Quarantine, StreakEjectionAndGrowingCooldown) {
-  resil::Quarantine q(2);
-
-  EXPECT_FALSE(q.record_expiry(0));
-  EXPECT_FALSE(q.record_expiry(0));
-  q.record_success(0);  // a served lease resets the streak
-  EXPECT_FALSE(q.record_expiry(0));
-  EXPECT_FALSE(q.record_expiry(0));
-  EXPECT_TRUE(q.record_expiry(0));  // third consecutive expiry
-
-  EXPECT_DOUBLE_EQ(q.eject(0, 10.0), 11.0);  // first ejection: 1 s cooling
-  EXPECT_TRUE(q.ejected(0));
-  EXPECT_FALSE(q.ejected(1));
-  // Each probe that finds it still silent doubles the cooling (2, 4 s)
-  // up to the 8 s cap, where it stays.
-  EXPECT_DOUBLE_EQ(q.extend(0, 11.0), 13.0);
-  EXPECT_DOUBLE_EQ(q.extend(0, 13.0), 17.0);
-  EXPECT_DOUBLE_EQ(q.extend(0, 17.0), 25.0);
-  EXPECT_DOUBLE_EQ(q.extend(0, 25.0), 33.0);
-  q.readmit(0);
-  EXPECT_FALSE(q.ejected(0));
-  EXPECT_EQ(q.expiry_streak(0), 0);
-  // The ejection count survives readmission: the next ejection starts at
-  // the capped cooling straight away (flapping pays full price).
-  EXPECT_DOUBLE_EQ(q.eject(0, 40.0), 48.0);
 }
 
 // --- the Heartbeat-mode protocol against a fake host --------------------------

@@ -12,7 +12,6 @@
 #include "apps/synthetic.hpp"
 #include "core/policies.hpp"
 #include "core/runtime.hpp"
-#include "core/sched_table.hpp"
 #include "dlb/report.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -215,15 +214,23 @@ TEST(GoldenSchedule, HierOnSaturatedFatTree) {
 // --- policy table / config validation (no silent fallbacks) ------------------
 
 TEST(SchedRegistry, KnownPoliciesListsBuiltinsInOrder) {
+  core::RuntimeConfig cfg = plain_config();
   for (const char* name :
        {"locality", "congestion", "waittime", "adaptive", "hier"}) {
-    EXPECT_EQ(core::sched_policy_error(name), "") << name;
+    cfg.sched.policy = name;
+    EXPECT_NO_THROW(core::ClusterRuntime{cfg}) << name;
   }
-  const std::string error = core::sched_policy_error("bogus");
-  EXPECT_NE(error.find("'bogus'; valid values: locality, congestion, "
+  cfg.sched.policy = "bogus";
+  try {
+    core::ClusterRuntime rt(cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'bogus'; valid values: locality, congestion, "
                        "waittime, adaptive, hier"),  // first = default
-            std::string::npos)
-      << error;
+              std::string::npos)
+        << msg;
+  }
 }
 
 TEST(SchedRegistry, UnknownPolicyNameThrowsListingValidValues) {

@@ -44,8 +44,8 @@ TEST(Arrivals, SameSeedIsBitIdenticalAcrossAllShapes) {
     svc::ArrivalGenerator b(arrival_config(shape), {3.0, 1.0}, 99);
     const auto seq_a = a.all();
     const auto seq_b = b.all();
-    ASSERT_FALSE(seq_a.empty()) << svc::to_string(shape);
-    ASSERT_EQ(seq_a.size(), seq_b.size()) << svc::to_string(shape);
+    ASSERT_FALSE(seq_a.empty()) << static_cast<int>(shape);
+    ASSERT_EQ(seq_a.size(), seq_b.size()) << static_cast<int>(shape);
     for (std::size_t i = 0; i < seq_a.size(); ++i) {
       // Bitwise, not approximate: the sequence is the experiment's input.
       EXPECT_EQ(seq_a[i].time, seq_b[i].time);
@@ -83,8 +83,8 @@ TEST(Arrivals, TimesAreMonotoneWithinHorizonAndRoughlyAtRate) {
     }
     // Mean rate 8/s over 50 s => ~400 arrivals; all three shapes share the
     // long-run mean by construction. Loose 3-sigma-ish band.
-    EXPECT_GT(seq.size(), 300u) << svc::to_string(shape);
-    EXPECT_LT(seq.size(), 520u) << svc::to_string(shape);
+    EXPECT_GT(seq.size(), 300u) << static_cast<int>(shape);
+    EXPECT_LT(seq.size(), 520u) << static_cast<int>(shape);
   }
 }
 
@@ -95,14 +95,6 @@ TEST(Arrivals, JobSeedsAreDistinct) {
   for (std::size_t i = 1; i < seq.size(); ++i) {
     EXPECT_NE(seq[i].job_seed, seq[i - 1].job_seed);
   }
-}
-
-TEST(Arrivals, MaxArrivalsCapsTheSequence) {
-  svc::ArrivalConfig cfg = arrival_config(svc::ArrivalShape::Poisson);
-  cfg.max_arrivals = 5;
-  svc::ArrivalGenerator gen(cfg, {1.0}, 7);
-  EXPECT_EQ(gen.all().size(), 5u);
-  EXPECT_EQ(gen.next(), std::nullopt);
 }
 
 TEST(Arrivals, RejectsInvalidConfigs) {
@@ -122,18 +114,6 @@ TEST(Arrivals, RejectsInvalidConfigs) {
   svc::ArrivalConfig bad_amp = arrival_config(svc::ArrivalShape::Diurnal);
   bad_amp.diurnal_amplitude = 1.0;
   EXPECT_THROW(svc::ArrivalGenerator(bad_amp, {1.0}, 1),
-               std::invalid_argument);
-  svc::ArrivalConfig bad_burst = arrival_config(svc::ArrivalShape::Bursty);
-  bad_burst.burst_fraction = 1.0;
-  EXPECT_THROW(svc::ArrivalGenerator(bad_burst, {1.0}, 1),
-               std::invalid_argument);
-}
-
-TEST(Arrivals, ShapeNamesRoundTrip) {
-  EXPECT_EQ(svc::parse_arrival_shape("poisson"), svc::ArrivalShape::Poisson);
-  EXPECT_EQ(svc::parse_arrival_shape("bursty"), svc::ArrivalShape::Bursty);
-  EXPECT_EQ(svc::parse_arrival_shape("diurnal"), svc::ArrivalShape::Diurnal);
-  EXPECT_THROW((void)svc::parse_arrival_shape("weekly"),
                std::invalid_argument);
 }
 
@@ -368,7 +348,8 @@ TEST(JobManager, EventPeakDoesNotGrowWithTheArrivalCount) {
 // must match the standalone makespan.
 TEST(JobManager, SharedEngineMatchesStandaloneRuntime) {
   core::RuntimeConfig cfg = service_config(1.0, 10.0, false);
-  cfg.svc.arrivals.max_arrivals = 1;
+  cfg.svc.arrivals.shape = svc::ArrivalShape::Trace;
+  cfg.svc.arrivals.trace = {{0.75, 0, 0x5EED}};  // one job, mid-run
   svc::JobManager mgr(cfg);
   const svc::SvcResult r = mgr.run();
   ASSERT_EQ(r.completed, 1u);
@@ -518,17 +499,12 @@ TEST(TraceArrivals, ReplayEmitsTheRecordedSequence) {
   }
 }
 
-TEST(TraceArrivals, ReplayHonorsHorizonAndMaxArrivals) {
+TEST(TraceArrivals, ReplayHonorsHorizon) {
   svc::ArrivalConfig cfg = arrival_config(svc::ArrivalShape::Trace);
   cfg.horizon = 1.5;
   cfg.trace = {{0.5, 0, 11}, {1.0, 0, 22}, {2.0, 0, 33}};
   svc::ArrivalGenerator gen(cfg, {1.0}, 1);
   EXPECT_EQ(gen.all().size(), 2u);  // the 2.0 s arrival is past the horizon
-
-  cfg.horizon = 50.0;
-  cfg.max_arrivals = 1;
-  svc::ArrivalGenerator capped(cfg, {1.0}, 1);
-  EXPECT_EQ(capped.all().size(), 1u);
 }
 
 TEST(TraceArrivals, RejectsMalformedTraces) {
@@ -551,11 +527,6 @@ TEST(TraceArrivals, ParserRejectsMalformedJsonlNamingTheLine) {
   }
 }
 
-TEST(TraceArrivals, ShapeNameRoundTrips) {
-  EXPECT_EQ(svc::parse_arrival_shape("trace"), svc::ArrivalShape::Trace);
-  EXPECT_STREQ(svc::to_string(svc::ArrivalShape::Trace), "trace");
-}
-
 // --- circuit breaker ---------------------------------------------------------
 
 svc::BreakerConfig breaker_config() {
@@ -565,7 +536,6 @@ svc::BreakerConfig breaker_config() {
   cfg.open_duration = 2.0;
   cfg.backoff_factor = 2.0;
   cfg.max_open_duration = 8.0;
-  cfg.half_open_successes = 1;
   return cfg;
 }
 
@@ -602,7 +572,7 @@ TEST(CircuitBreaker, HalfOpenAllowsExactlyOneProbe) {
   EXPECT_TRUE(br.allow(2.2));  // the probe
   EXPECT_EQ(br.state(), svc::BreakerState::HalfOpen);
   EXPECT_FALSE(br.allow(2.3));  // shed while the probe is in flight
-  br.on_success(2.4);           // half_open_successes = 1 closes
+  br.on_success(2.4);           // the probe's success closes
   EXPECT_EQ(br.state(), svc::BreakerState::Closed);
   EXPECT_TRUE(br.allow(2.5));
 }
@@ -661,9 +631,6 @@ TEST(CircuitBreaker, RejectsInvalidConfigs) {
   EXPECT_THROW(svc::CircuitBreaker{bad}, std::invalid_argument);
   bad = breaker_config();
   bad.max_open_duration = 1.0;  // < open_duration
-  EXPECT_THROW(svc::CircuitBreaker{bad}, std::invalid_argument);
-  bad = breaker_config();
-  bad.half_open_successes = 0;
   EXPECT_THROW(svc::CircuitBreaker{bad}, std::invalid_argument);
 }
 

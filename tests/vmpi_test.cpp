@@ -189,7 +189,8 @@ TEST(Vmpi, FabricRoutedSendsShareBandwidth) {
   // messages over a 100 B/s NIC both finish at t = 20, not t = 10.
   Fixture f;
   auto comm = f.make({0, 1});
-  net::Fabric fabric(f.engine, net::NetTopology::crossbar(2, 100.0, 0.0));
+  net::Fabric fabric(f.engine, net::NetTopology::fat_tree(2, 2, 1, 100.0,
+                                                         100.0, 0.0, 0.0));
   comm.attach_fabric(&fabric);
   std::vector<sim::SimTime> delivered;
   comm.send(0, 1, 1000, [&] { delivered.push_back(f.engine.now()); });
@@ -207,7 +208,8 @@ TEST(Vmpi, IntraNodeSendsBypassFabric) {
   // one attached, and no flow is started.
   Fixture f;
   auto comm = f.make({0, 0});
-  net::Fabric fabric(f.engine, net::NetTopology::crossbar(1, 100.0, 0.0));
+  net::Fabric fabric(f.engine, net::NetTopology::fat_tree(1, 1, 1, 100.0,
+                                                         100.0, 0.0, 0.0));
   comm.attach_fabric(&fabric);
   const std::uint64_t bytes = 1 << 20;
   sim::SimTime delivered = -1.0;
