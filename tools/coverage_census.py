@@ -35,6 +35,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def gcov_reports(build_dir, gcov):
     """Yields gcov's JSON report of every object directory under build_dir."""
+    build_dir = os.path.abspath(build_dir)
     by_dir = defaultdict(list)
     for dirpath, _, files in os.walk(build_dir):
         for name in files:
