@@ -25,7 +25,6 @@ unreached unless the child calls __gcov_dump() before _exit().
 import argparse
 import json
 import os
-import shutil
 import subprocess
 import sys
 from collections import defaultdict
@@ -75,7 +74,7 @@ def census(build_dirs, gcov):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("build_dirs", nargs="+")
-    parser.add_argument("--gcov", default=shutil.which("gcov") or "gcov",
+    parser.add_argument("--gcov", default="gcov",
                         help="gcov matching the compiler (default: gcov)")
     args = parser.parse_args()
     lines, funcs = census(args.build_dirs, args.gcov)
