@@ -113,14 +113,14 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   if (config_.obs.stream.enabled) {
     // Streaming store: finished spans spill to disk. Supersedes the
     // in-memory collector when both are requested (same events, bounded
-    // memory).
-    span_recorder_ = std::make_unique<stream::StreamSink>(config_.obs.stream);
+    // memory). The spill is also the run's mark record, so the recorder
+    // keeps none of the marks.
+    auto sink = std::make_unique<stream::StreamSink>(config_.obs.stream);
+    recorder_->spill_marks_to(sink.get());
+    span_recorder_ = std::move(sink);
   } else if (config_.obs.spans) {
     span_recorder_ = std::make_unique<obs::SpanCollector>();
   }
-  // Every timeline mark also becomes an instant of the span store; a
-  // spill is the run's mark record, so the recorder keeps none of them.
-  recorder_->attach_spans(span_recorder_.get(), config_.obs.stream.enabled);
 
   // Contention-aware interconnect (tlb::net): replace the analytic cost
   // model with a shared-link fabric. The control plane routes its
@@ -136,7 +136,6 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
                      net::kPerHopLatency));
     fabric_->set_recorder(recorder_.get());
     ctrl_comm_->attach_fabric(fabric_.get());
-    link_load_view_ = std::make_unique<net::LinkLoadView>(*fabric_);
   }
 
   workers_.resize(static_cast<std::size_t>(topology_->worker_count()));

@@ -61,7 +61,7 @@ sched::Decision GlobalBalancer::pick(const nanos::Task& task,
   // Level 2: balance across the apprank's helper nodes by summary. The
   // candidate set is the expander adjacency (O(degree) nodes), each
   // consulted through its compact summary.
-  const net::LinkLoadView* net = view_.link_load();
+  const net::Fabric* net = view_.fabric();
   struct Candidate {
     core::WorkerId worker = -1;
     int node = -1;

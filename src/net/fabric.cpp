@@ -50,6 +50,24 @@ double Fabric::effective_capacity(LinkId link) const {
   return capacity_[static_cast<std::size_t>(link)];
 }
 
+double Fabric::path_load(NodeId src, NodeId dst) const {
+  if (src == dst) return 0.0;
+  double load = 0.0;
+  for (const LinkId l : topo_.route(src, dst)) {
+    load = std::max(load, current_utilization(l));
+  }
+  return load;
+}
+
+double Fabric::path_capacity(NodeId src, NodeId dst) const {
+  if (src == dst) return std::numeric_limits<double>::infinity();
+  double cap = std::numeric_limits<double>::infinity();
+  for (const LinkId l : topo_.route(src, dst)) {
+    cap = std::min(cap, effective_capacity(l));
+  }
+  return cap;
+}
+
 std::vector<std::pair<FlowId, Fabric::Flow*>>::iterator Fabric::streaming_slot(
     FlowId id) {
   return std::lower_bound(streaming_.begin(), streaming_.end(), id,

@@ -124,10 +124,16 @@ class Fabric {
     return std::max(peak_util_.at(l), last_util_.at(l));
   }
   /// Utilization of a link as of the last rate recomputation (the live
-  /// congestion signal consumed by net::LinkLoadView / tlb::sched).
+  /// congestion signal path_load reads for tlb::sched).
   [[nodiscard]] double current_utilization(LinkId link) const {
     return last_util_.at(static_cast<std::size_t>(link));
   }
+  /// Current utilization of the hottest link on the src -> dst route; 0
+  /// when src == dst (intra-node traffic never enters the fabric).
+  [[nodiscard]] double path_load(NodeId src, NodeId dst) const;
+  /// Effective capacity (bytes/s, after faults) of the narrowest link on
+  /// the src -> dst route; +inf when src == dst.
+  [[nodiscard]] double path_capacity(NodeId src, NodeId dst) const;
 
   /// Completion times (latency + streaming, seconds) of finished *payload*
   /// flows (bytes > 0), in completion order. Zero-byte control messages

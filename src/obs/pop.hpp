@@ -28,13 +28,6 @@
 
 namespace tlb::obs {
 
-/// One worker's contribution: apprank attribution + busy time.
-struct PopWorkerInput {
-  int worker = -1;
-  int apprank = -1;
-  double busy_core_seconds = 0.0;
-};
-
 struct PopApprankRow {
   int apprank = -1;
   double busy_core_seconds = 0.0;
@@ -52,16 +45,13 @@ struct PopReport {
   std::vector<PopApprankRow> appranks;
 };
 
-/// Builds the report. `total_cores` is the cluster's core count; each
-/// apprank measures against an equal share (total_cores / apprank_count),
-/// mirroring the initial DROM division. `transfer_wait_core_seconds` is
-/// the occupied-not-busy integral (0 when span collection was off).
-PopReport pop_report(const std::vector<PopWorkerInput>& workers,
-                     int apprank_count, double total_cores, double elapsed,
-                     double transfer_wait_core_seconds);
-
-/// Convenience: reads busy core-seconds for workers [0, worker_count) out
-/// of a TalpModule, attributing each via `worker_apprank`.
+/// Builds the report from the busy core-seconds of workers
+/// [0, worker_apprank.size()) in `talp`, charging each worker to the
+/// apprank `worker_apprank` names. `total_cores` is the cluster's core
+/// count; each apprank measures against an equal share (total_cores /
+/// apprank_count), mirroring the initial DROM division.
+/// `transfer_wait_core_seconds` is the occupied-not-busy integral (0 when
+/// span collection was off).
 PopReport pop_report(const dlb::TalpModule& talp,
                      const std::vector<int>& worker_apprank,
                      int apprank_count, double total_cores, double elapsed,

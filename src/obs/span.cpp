@@ -146,11 +146,9 @@ void SpanRecorder::close() {
 
 SpanCollector::~SpanCollector() {
   // Balance the obs.span charges (spans at dense-slot growth, attempts
-  // and instants at store; the name pool returns its own) so alive bytes
-  // return to zero at teardown.
+  // at store) so alive bytes return to zero at teardown.
   if (!prof::enabled()) return;
-  std::size_t bytes = spans_.size() * sizeof(TaskSpan) +
-                      instants_.size() * sizeof(InstantEvent);
+  std::size_t bytes = spans_.size() * sizeof(TaskSpan);
   for (const auto& s : spans_) bytes += s.attempts.size() * sizeof(Attempt);
   if (bytes > 0) prof::free_note(prof::AllocTag::ObsSpan, bytes);
 }
@@ -168,11 +166,6 @@ void SpanCollector::store_span(TaskSpan span) {
   prof::alloc_note(prof::AllocTag::ObsSpan,
                    span.attempts.size() * sizeof(Attempt));
   slot = std::move(span);
-}
-
-void SpanCollector::store_instant(sim::SimTime t, std::string_view name) {
-  prof::alloc_note(prof::AllocTag::ObsSpan, sizeof(InstantEvent));
-  instants_.push_back(InstantEvent{t, names_.intern(name)});
 }
 
 }  // namespace tlb::obs

@@ -7,8 +7,8 @@
 // interface; the default sink is null (span collection is off unless
 // RuntimeConfig::obs.spans or obs.stream enables it). SpanRecorder is the
 // one lifecycle state machine; SpanCollector (here) and stream::StreamSink
-// are its two stores, and both also receive the run's timeline marks
-// (trace::Recorder) as instants.
+// are its two stores. Timeline marks are not spans: trace::Recorder keeps
+// them, or spills them to the StreamSink when the run streams.
 //
 // Determinism contract: sinks only *record*. They must not schedule
 // simulator events, read RNGs, or otherwise feed back into the run; a run
@@ -18,12 +18,9 @@
 
 #include <cstdint>
 #include <map>
-#include <string_view>
 #include <vector>
 
 #include "nanos/task.hpp"
-#include "obs/label_pool.hpp"
-#include "prof/prof.hpp"
 #include "sim/time.hpp"
 
 namespace tlb::obs {
@@ -76,10 +73,9 @@ class SpanSink {
 /// on the span.
 ///
 /// Backends differ only in what they store: a span leaves the table
-/// through store_span() the moment its task_done arrives, every timeline
-/// mark (trace::Recorder forwards each one through instant()) goes through
-/// store_instant() as it is made, and close() hands over the spans still
-/// open (id order) followed by the run totals.
+/// through store_span() the moment its task_done arrives, and close()
+/// hands over the spans still open (id order) followed by the run totals.
+/// A recorder is not copyable: a copy would store every later span twice.
 class SpanRecorder : public SpanSink {
  public:
   /// One execution attempt of a task. Times are -1 until observed.
@@ -114,12 +110,6 @@ class SpanRecorder : public SpanSink {
       return attempts.empty() ? nullptr : &attempts.back();
     }
   };
-  /// A timeline mark as the span store sees it: time and label. The
-  /// collector's name views its own label pool.
-  struct InstantEvent {
-    sim::SimTime t = 0.0;
-    std::string_view name;
-  };
   /// Run aggregates, handed to the backend once by close().
   struct RunTotals {
     double transfer_wait_core_s = 0.0;
@@ -127,6 +117,9 @@ class SpanRecorder : public SpanSink {
     std::uint64_t open_spans = 0;  ///< spans still open at close (no done_at)
   };
 
+  SpanRecorder() = default;
+  SpanRecorder(const SpanRecorder&) = delete;
+  SpanRecorder& operator=(const SpanRecorder&) = delete;
   ~SpanRecorder() override;
 
   void task_created(nanos::TaskId id, int apprank, sim::SimTime t) final;
@@ -143,12 +136,6 @@ class SpanRecorder : public SpanSink {
   void exec_end(nanos::TaskId id, sim::SimTime t) final;
   void task_done(nanos::TaskId id, sim::SimTime t) final;
   void task_rescued(nanos::TaskId id, int worker, sim::SimTime t) final;
-
-  /// Stores one timeline mark as a named instant. `name` need only
-  /// outlive the call.
-  void instant(sim::SimTime t, std::string_view name) {
-    store_instant(t, name);
-  }
 
   /// Stores every still-open span (id order, done_at -1), then the run
   /// totals. Idempotent. A backend whose store outlives the run (the
@@ -168,7 +155,6 @@ class SpanRecorder : public SpanSink {
 
  protected:
   virtual void store_span(TaskSpan span) = 0;
-  virtual void store_instant(sim::SimTime t, std::string_view name) = 0;
   virtual void store_totals(const RunTotals& totals) = 0;
 
   double transfer_wait_ = 0.0;
@@ -189,11 +175,10 @@ class SpanRecorder : public SpanSink {
 // apprank and verdict share one 8 B slot, so the release id adds no size.
 static_assert(sizeof(SpanRecorder::TaskSpan) <= 72);
 
-/// In-memory backend: closed spans land at their dense task-id slot,
-/// instants are kept in emission order with their names interned. The
-/// exporters (chrome_trace, flame, critical_path) read this view; the
-/// spill-format oracle in tests/stream_reader.hpp builds the same view
-/// from a spill file by calling the three store entry points with the
+/// In-memory backend: closed spans land at their dense task-id slot. The
+/// exporters (trace::chrome_trace, flame, critical_path) read this view;
+/// the spill-format oracle in tests/stream_reader.hpp builds the same view
+/// from a spill file by calling the two store entry points with the
 /// file's records (with no release ids, which the spill does not carry).
 class SpanCollector final : public SpanRecorder {
  public:
@@ -205,12 +190,8 @@ class SpanCollector final : public SpanRecorder {
   [[nodiscard]] const TaskSpan& span(nanos::TaskId id) const {
     return spans_.at(static_cast<std::size_t>(id));
   }
-  [[nodiscard]] const std::vector<InstantEvent>& instants() const {
-    return instants_;
-  }
 
   void store_span(TaskSpan span) override;
-  void store_instant(sim::SimTime t, std::string_view name) override;
   /// Live runs hand back the totals the hooks accumulated; a spill
   /// reader hands over the file's footer.
   void store_totals(const RunTotals& totals) override {
@@ -220,8 +201,6 @@ class SpanCollector final : public SpanRecorder {
 
  private:
   std::vector<TaskSpan> spans_;
-  std::vector<InstantEvent> instants_;
-  LabelPool names_{prof::AllocTag::ObsSpan};  ///< instants view it
 };
 
 }  // namespace tlb::obs

@@ -54,7 +54,7 @@ void AdaptiveScheduler::on_inputs_landed(core::WorkerId w, sim::SimTime fct) {
 }
 
 double AdaptiveScheduler::sampled_pressure(const nanos::Task& task) {
-  const net::LinkLoadView* net = view_.link_load();
+  const net::Fabric* net = view_.fabric();
   if (net == nullptr) return 0.0;
   const core::Topology& topo = view_.topology();
   const int home_node = topo.home_node(task.apprank);

@@ -9,7 +9,7 @@ Decision CongestionScheduler::pick(const nanos::Task& task) {
   if (has_remote_candidate(task)) ++stats_.offloads_considered;
   const core::WorkerId base = locality_pick(task);
 
-  const net::LinkLoadView* net = view_.link_load();
+  const net::Fabric* net = view_.fabric();
   if (net == nullptr) {
     // Analytic cost model: no congestion signal exists, so the policy
     // decays to the locality rule exactly (bit-identical placements).

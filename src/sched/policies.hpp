@@ -22,7 +22,7 @@ class LocalityScheduler final : public Scheduler {
 
 /// "congestion" — locality extended with interconnect feedback: each
 /// candidate is costed by its estimated input-transfer time over the
-/// *currently loaded* path (net::LinkLoadView) plus an EWMA of the flow
+/// *currently loaded* path (net::Fabric::path_load) plus an EWMA of the flow
 /// completion times this helper's past offloads observed. Candidates
 /// whose path is saturated (>= kCongestionAvoid) with input
 /// bytes still to move are vetoed, steering offloads away from hot

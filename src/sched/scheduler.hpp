@@ -8,7 +8,7 @@
 // signals back into the choice:
 //   - "locality"   — bit-identical re-implementation of the legacy rule
 //                    (default; golden-schedule tests pin it);
-//   - "congestion" — locality cost extended with net::LinkLoadView path
+//   - "congestion" — locality cost extended with net::Fabric path
 //                    utilization and a per-helper EWMA of observed flow
 //                    completion times (steers offloads away from
 //                    saturated uplinks and slow/quarantine-prone helpers);
@@ -30,7 +30,7 @@
 #include "core/topology.hpp"
 #include "nanos/data_location.hpp"
 #include "nanos/task.hpp"
-#include "net/link_load.hpp"
+#include "net/fabric.hpp"
 #include "sched/config.hpp"
 #include "sched/stats.hpp"
 #include "sim/time.hpp"
@@ -57,9 +57,10 @@ class RuntimeView {
   [[nodiscard]] virtual const nanos::DataLocations& locations(
       int apprank) const = 0;
   [[nodiscard]] virtual sim::SimTime now() const = 0;
-  /// Live link-utilization view of the fabric (tlb::net), or nullptr
-  /// when the analytic cost model is active (no congestion signal).
-  [[nodiscard]] virtual const net::LinkLoadView* link_load() const = 0;
+  /// The fabric (tlb::net), whose path_load / path_capacity are the live
+  /// congestion signal, or nullptr when the analytic cost model is active
+  /// (no congestion signal).
+  [[nodiscard]] virtual const net::Fabric* fabric() const = 0;
 };
 
 enum class DecisionKind {

@@ -97,7 +97,7 @@ void StreamSink::store_span(TaskSpan span) {
   ++spans_spilled_;
 }
 
-void StreamSink::store_instant(sim::SimTime t, std::string_view name) {
+void StreamSink::instant(sim::SimTime t, std::string_view name) {
   begin_record(RecordType::Instant);
   put_f64(t);
   put_i32(-1);  // node slot: marks are cluster-scoped

@@ -4,11 +4,11 @@
 // runs the task lifecycle state machine and keeps only *open* spans in
 // memory; StreamSink serializes each span the moment its task_done
 // arrives, so resident span memory is bounded by the in-flight task
-// count (peak concurrency), not the total task count. Instant events are
-// spilled immediately in emission order. They include every timeline
-// mark, and the spill is the run's only record of them: the trace
-// recorder keeps just their count and interned labels, so marks are part
-// of the bounded memory too. The runtime closes the sink at
+// count (peak concurrency), not the total task count. The trace recorder
+// writes every timeline mark here as an instant (instant()), in emission
+// order, and the spill is the run's only record of them: the recorder
+// keeps just their count and interned labels, so marks are part of the
+// bounded memory too. The runtime closes the sink at
 // finalize(), which flushes the spans still open (crashed-out or
 // never-finished tasks), the footer aggregates, and the seekable trailer.
 //
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/span.hpp"
@@ -36,8 +37,9 @@ class StreamSink final : public obs::SpanRecorder {
   explicit StreamSink(StreamConfig config);
   ~StreamSink() override;
 
-  StreamSink(const StreamSink&) = delete;
-  StreamSink& operator=(const StreamSink&) = delete;
+  /// Appends one timeline mark (trace::Recorder::spill_marks_to) as an
+  /// instant record. `name` need only outlive the call.
+  void instant(sim::SimTime t, std::string_view name);
 
   /// Appends one windowed metric snapshot (the runtime calls this at
   /// every global barrier with its cumulative engine counters).
@@ -51,7 +53,6 @@ class StreamSink final : public obs::SpanRecorder {
 
  private:
   void store_span(TaskSpan span) override;
-  void store_instant(sim::SimTime t, std::string_view name) override;
   /// Writes the footer and the trailer, flushes, and closes the file.
   void store_totals(const RunTotals& totals) override;
 

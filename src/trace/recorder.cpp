@@ -4,7 +4,8 @@
 #include <cassert>
 #include <sstream>
 
-#include "obs/span.hpp"
+#include "prof/prof.hpp"
+#include "stream/sink.hpp"
 
 namespace tlb::trace {
 
@@ -87,11 +88,12 @@ void Recorder::mark(sim::SimTime t, MarkKind kind, std::int64_t value,
   last_mark_t_ = t;
   ++mark_count_;
   const std::string_view pooled = labels_.intern(label);
-  if (!marks_spilled_) {
-    prof::alloc_note(prof::AllocTag::TraceMark, sizeof(Mark));
-    marks_.push_back(Mark{t, kind, value, pooled});
+  if (spill_ != nullptr) {
+    spill_->instant(t, pooled);
+    return;
   }
-  if (spans_ != nullptr) spans_->instant(t, pooled);
+  prof::alloc_note(prof::AllocTag::TraceMark, sizeof(Mark));
+  marks_.push_back(Mark{t, kind, value, pooled});
 }
 
 const StepSeries& Recorder::busy(int node, int apprank) const {

@@ -8,11 +8,11 @@
 // totals (node_busy) are not stored: they are derived on demand from the
 // node's busy rows. Renderers below turn the series into ASCII timelines
 // for the paper's trace figures. The series are optional
-// (RuntimeConfig::record_traces); offload statistics are always kept, and
-// marks are kept unless a stream sink spills them (attach_spans): then the
-// spill is the run's mark record and the recorder keeps only the count and
-// the interned labels. Row capacity is charged to the trace.series alloc
-// tag.
+// (RuntimeConfig::record_traces); offload statistics are always kept. The
+// mark list is the run's one in-memory store of timeline marks: each mark
+// is kept here, or, once a stream sink takes them (spill_marks_to), written
+// to the spill only, and the recorder keeps just the count and the
+// interned labels. Row capacity is charged to the trace.series alloc tag.
 #pragma once
 
 #include <cstdint>
@@ -20,12 +20,11 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/label_pool.hpp"
-#include "prof/prof.hpp"
+#include "trace/label_pool.hpp"
 #include "trace/step_series.hpp"
 
-namespace tlb::obs {
-class SpanRecorder;
+namespace tlb::stream {
+class StreamSink;
 }
 
 namespace tlb::trace {
@@ -75,9 +74,8 @@ class Recorder {
   /// be non-decreasing: a violation asserts in debug builds and is clamped
   /// to the previous mark's time in release builds, so the list stays
   /// sorted either way. The label is interned: each distinct label is
-  /// stored once. With a span store attached the mark is also handed to
-  /// it as an instant; when that store is the spill, the mark is counted
-  /// and not kept.
+  /// stored once. Once marks are spilled, the mark is written to the
+  /// spill as an instant, counted, and not kept.
   void mark(sim::SimTime t, MarkKind kind, std::int64_t value,
             std::string_view label);
   /// The marks kept in memory: every mark, or none once they are spilled.
@@ -87,17 +85,13 @@ class Recorder {
   /// Distinct mark labels stored (one pool entry each).
   [[nodiscard]] std::size_t distinct_labels() const { return labels_.size(); }
 
-  /// Forwards every later mark to `spans` as a named instant; null
-  /// detaches. With `spill` the store is the run's mark record (a stream
-  /// sink): later marks are not kept, and exporters that need a mark's
-  /// kind or value refuse the recorder. The store must outlive its
-  /// attachment.
-  void attach_spans(obs::SpanRecorder* spans, bool spill) {
-    spans_ = spans;
-    marks_spilled_ = spans != nullptr && spill;
-  }
-  /// True when later marks go to a spill only (attach_spans).
-  [[nodiscard]] bool marks_spilled() const { return marks_spilled_; }
+  /// Writes every later mark to `sink` instead of keeping it: the spill
+  /// becomes the run's mark record, and exporters that need the marks
+  /// refuse the recorder. Null keeps marks again. The sink must outlive
+  /// the recorder's use of it.
+  void spill_marks_to(stream::StreamSink* sink) { spill_ = sink; }
+  /// True when later marks go to a spill only (spill_marks_to).
+  [[nodiscard]] bool marks_spilled() const { return spill_ != nullptr; }
 
   [[nodiscard]] const StepSeries& busy(int node, int apprank) const;
   [[nodiscard]] const StepSeries& owned(int node, int apprank) const;
@@ -128,9 +122,8 @@ class Recorder {
   std::vector<Mark> marks_;
   std::uint64_t mark_count_ = 0;
   sim::SimTime last_mark_t_ = 0.0;  ///< clamp floor, valid once counted
-  obs::LabelPool labels_{prof::AllocTag::TraceMark};  ///< marks view it
-  obs::SpanRecorder* spans_ = nullptr;
-  bool marks_spilled_ = false;
+  LabelPool labels_;  ///< marks view it
+  stream::StreamSink* spill_ = nullptr;
   std::uint64_t tasks_total_ = 0;
   std::uint64_t tasks_off_ = 0;
   double work_total_ = 0.0;

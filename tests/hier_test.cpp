@@ -62,7 +62,7 @@ class FakeView final : public sched::RuntimeView {
     return *locs_[static_cast<std::size_t>(apprank)];
   }
   [[nodiscard]] sim::SimTime now() const override { return now_; }
-  [[nodiscard]] const net::LinkLoadView* link_load() const override {
+  [[nodiscard]] const net::Fabric* fabric() const override {
     return nullptr;
   }
 

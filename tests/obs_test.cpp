@@ -20,10 +20,10 @@
 #include "fault/plan.hpp"
 #include "fingerprint.hpp"
 #include "nanos/dependency_graph.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/pop.hpp"
 #include "obs/span.hpp"
+#include "trace/chrome_trace.hpp"
 #include "trace/paraver.hpp"
 #include "trace/recorder.hpp"
 
@@ -88,8 +88,7 @@ TEST(ChromeTrace, TimestampsMonotoneAndBeginEndPaired) {
   apps::SyntheticWorkload wl(plain_workload());
   core::ClusterRuntime rt(cfg);
   rt.run(wl);
-  const auto events = obs::chrome_events(
-      *rt.spans(), rt.topology().node_count(), rt.topology().apprank_count());
+  const auto events = trace::chrome_events(*rt.spans(), rt.recorder());
   ASSERT_FALSE(events.empty());
   std::int64_t last_ts = 0;
   std::map<std::string, int> open;  // (pid, tid, name) -> open B count
@@ -120,8 +119,7 @@ TEST(ChromeTrace, JsonIsBalancedAndEscaped) {
   apps::SyntheticWorkload wl(plain_workload());
   core::ClusterRuntime rt(cfg);
   rt.run(wl);
-  const std::string j = obs::chrome_trace_json(
-      *rt.spans(), rt.topology().node_count(), rt.topology().apprank_count());
+  const std::string j = trace::chrome_trace_json(*rt.spans(), rt.recorder());
   EXPECT_EQ(j.rfind("{\"traceEvents\": [", 0), 0u);
   EXPECT_NE(j.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   int braces = 0;
@@ -369,7 +367,8 @@ TEST(RecorderMarks, TypedMarksCarryKindAndValue) {
 }
 
 // A mark is a fixed-size record whose label views the recorder's pool, so
-// neither store may be copied away from its pool.
+// the recorder may not be copied away from its pool. A span store is not
+// copyable either: a copy would store every later span twice.
 static_assert(sizeof(trace::Mark) <= 40);
 static_assert(!std::is_copy_constructible_v<trace::Recorder>);
 static_assert(!std::is_copy_assignable_v<trace::Recorder>);
@@ -423,20 +422,6 @@ TEST(RecorderMarks, ManyMarksOverFewLabelsReadBackIntact) {
   }
   EXPECT_EQ(wrong, 0);
   EXPECT_EQ(copies.size(), static_cast<std::size_t>(kLabels));
-}
-
-TEST(SpanCollectorInstants, EqualNamesShareOnePooledCopy) {
-  obs::SpanCollector spans;
-  std::string name = "policy restored";
-  spans.instant(0.1, name);
-  spans.instant(0.2, "net cleared: spine0");
-  spans.instant(0.3, std::string("policy ") + "restored");
-  name.assign("overwritten after the call");
-  const auto& instants = spans.instants();
-  ASSERT_EQ(instants.size(), 3u);
-  EXPECT_EQ(instants[0].name, "policy restored");
-  EXPECT_EQ(instants[0].name.data(), instants[2].name.data());
-  EXPECT_EQ(instants[1].name, "net cleared: spine0");
 }
 
 TEST(Paraver, TypedMarksExportAsDedicatedEventTypes) {
